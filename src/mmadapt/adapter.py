@@ -37,17 +37,6 @@ ADAPTER_MAGIC = b"MSEA"
 VARIANTS = ("full", "no_mixer", "no_fusion", "no_text",
             "no_audio", "no_vision", "no_audio_vision")
 
-# conventional row labels for ablation tables
-VARIANT_LABELS = {
-    "full": "full",
-    "no_mixer": "w/o mixer",
-    "no_fusion": "w/o fusion",
-    "no_text": "w/o T",
-    "no_audio": "w/o A",
-    "no_vision": "w/o V",
-    "no_audio_vision": "w/o A,V",
-}
-
 
 @dataclass(frozen=True)
 class AdapterConfig:

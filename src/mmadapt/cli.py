@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import traceback
+from dataclasses import fields
 from pathlib import Path
 
 from .adapter import VARIANTS, AdapterConfig, load_adapter
@@ -46,55 +47,59 @@ from .trainer import (
 
 ENV_OUTPUT_ROOT = "MMADAPT_OUTPUT_ROOT"
 
+# knobs shared by train and ablate; ablate trains every variant on the whole
+# train split, so it takes all of them except variant and train_fraction
+_TRAIN_KNOBS: dict[str, tuple] = {
+    "dataset": (str, None, "dataset directory (required)"),
+    "backbone": (str, None, "frozen backbone checkpoint (required)"),
+    "out": (str, None, "output directory (default <root>/<subcommand>)"),
+    "seed": (int, None, "single seed overriding the seed list"),
+    "seeds": (str, None, "comma-separated seed list (default preset five)"),
+    "variant": (str, TrainConfig.variant, "ablation variant"),
+    "epochs": (int, TrainConfig.epochs, "training epochs"),
+    "batch_size": (int, TrainConfig.batch_size, "gradient accumulation group size"),
+    "learning_rate": (float, None, "peak learning rate (default: preset)"),
+    "warmup_fraction": (float, TrainConfig.warmup_fraction, "linear warmup fraction"),
+    "clip_norm": (float, TrainConfig.clip_norm, "global gradient clip"),
+    "weight_decay": (float, TrainConfig.weight_decay, "decoupled weight decay"),
+    "train_fraction": (float, TrainConfig.train_fraction, "train subsample fraction"),
+    "audio_hidden": (int, None, "audio summary width (default: preset)"),
+    "vision_hidden": (int, None, "vision summary width (default: preset)"),
+    "mix_width": (int, 64, "shared mixing width"),
+    "token_count": (int, None, "pseudo tokens (default: preset)"),
+}
+
 # flat schemas: key -> (type, default, help); None defaults marked required
 # or resolved later from the dataset preset
 _SCHEMAS: dict[str, dict[str, tuple]] = {
     "synth": {
         "out": (str, None, "dataset directory to create (required)"),
-        "seed": (int, 1111, "generator seed"),
-        "classes": (int, 3, "number of planted classes"),
-        "noise": (float, 0.1, "feature noise sigma"),
-        "train": (int, 2000, "train split size"),
-        "valid": (int, 300, "validation split size"),
-        "test": (int, 500, "test split size"),
-        "audio_width": (int, 8, "audio feature width"),
-        "vision_width": (int, 8, "vision feature width"),
-        "min_len": (int, 4, "shortest feature sequence"),
-        "max_len": (int, 10, "longest feature sequence"),
+        "seed": (int, SyntheticSpec.seed, "generator seed"),
+        "classes": (int, SyntheticSpec.class_count, "number of planted classes"),
+        "noise": (float, SyntheticSpec.noise, "feature noise sigma"),
+        "train": (int, SyntheticSpec.train, "train split size"),
+        "valid": (int, SyntheticSpec.valid, "validation split size"),
+        "test": (int, SyntheticSpec.test, "test split size"),
+        "audio_width": (int, SyntheticSpec.audio_width, "audio feature width"),
+        "vision_width": (int, SyntheticSpec.vision_width, "vision feature width"),
+        "min_len": (int, SyntheticSpec.min_len, "shortest feature sequence"),
+        "max_len": (int, SyntheticSpec.max_len, "longest feature sequence"),
     },
     "pretrain-backbone": {
         "dataset": (str, None, "dataset directory (required)"),
-        "out": (str, None, "output directory (default <root>/backbone)"),
+        "out": (str, None, "output directory (default <root>/pretrain-backbone)"),
         "seed": (int, 7, "initialization and sampling seed"),
         "steps": (int, 1500, "pretraining steps"),
         "lr": (float, 3e-3, "peak learning rate"),
         "weight_decay": (float, 0.0, "decoupled weight decay"),
-        "embed_width": (int, 64, "embedding width"),
-        "layers": (int, 2, "transformer layers"),
-        "heads": (int, 2, "attention heads"),
-        "ffn_mult": (int, 4, "feed-forward width multiplier"),
-        "max_seq": (int, 256, "maximum sequence length"),
+        "embed_width": (int, BackboneConfig.embed_width, "embedding width"),
+        "layers": (int, BackboneConfig.layers, "transformer layers"),
+        "heads": (int, BackboneConfig.heads, "attention heads"),
+        "ffn_mult": (int, BackboneConfig.ffn_mult, "feed-forward width multiplier"),
+        "max_seq": (int, BackboneConfig.max_seq, "maximum sequence length"),
         "token_count": (int, None, "pseudo-token slots (default: preset)"),
     },
-    "train": {
-        "dataset": (str, None, "dataset directory (required)"),
-        "backbone": (str, None, "frozen backbone checkpoint (required)"),
-        "out": (str, None, "output directory (default <root>/train)"),
-        "seed": (int, None, "single seed overriding the seed list"),
-        "seeds": (str, None, "comma-separated seed list (default preset five)"),
-        "variant": (str, "full", "ablation variant"),
-        "epochs": (int, 20, "training epochs"),
-        "batch_size": (int, 32, "gradient accumulation group size"),
-        "learning_rate": (float, None, "peak learning rate (default: preset)"),
-        "warmup_fraction": (float, 0.1, "linear warmup fraction"),
-        "clip_norm": (float, 1.0, "global gradient clip"),
-        "weight_decay": (float, 0.0, "decoupled weight decay"),
-        "train_fraction": (float, 1.0, "train subsample fraction"),
-        "audio_hidden": (int, None, "audio summary width (default: preset)"),
-        "vision_hidden": (int, None, "vision summary width (default: preset)"),
-        "mix_width": (int, 64, "shared mixing width"),
-        "token_count": (int, None, "pseudo tokens (default: preset)"),
-    },
+    "train": _TRAIN_KNOBS,
     "eval": {
         "checkpoint": (str, None, "adapter checkpoint (required)"),
         "backbone": (str, None, "frozen backbone checkpoint (required)"),
@@ -102,23 +107,8 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
         "split": (str, "test", "split to score (train/valid/test)"),
         "out": (str, None, "optional directory for eval-report.json"),
     },
-    "ablate": {
-        "dataset": (str, None, "dataset directory (required)"),
-        "backbone": (str, None, "frozen backbone checkpoint (required)"),
-        "out": (str, None, "output directory (default <root>/ablate)"),
-        "seeds": (str, None, "comma-separated seed list (default preset five)"),
-        "seed": (int, None, "single seed overriding the seed list"),
-        "epochs": (int, 20, "training epochs per variant"),
-        "batch_size": (int, 32, "gradient accumulation group size"),
-        "learning_rate": (float, None, "peak learning rate (default: preset)"),
-        "warmup_fraction": (float, 0.1, "linear warmup fraction"),
-        "clip_norm": (float, 1.0, "global gradient clip"),
-        "weight_decay": (float, 0.0, "decoupled weight decay"),
-        "audio_hidden": (int, None, "audio summary width (default: preset)"),
-        "vision_hidden": (int, None, "vision summary width (default: preset)"),
-        "mix_width": (int, 64, "shared mixing width"),
-        "token_count": (int, None, "pseudo tokens (default: preset)"),
-    },
+    "ablate": {key: knob for key, knob in _TRAIN_KNOBS.items()
+               if key not in ("variant", "train_fraction")},
     "gradcheck": {
         "seed": (int, 0, "seed for the checked instances"),
         "out": (str, None, "optional directory for gradcheck.txt"),
@@ -213,33 +203,32 @@ def _load_pair(cfg: dict) -> tuple[Dataset, FrozenBackbone]:
     return dataset, backbone
 
 
+def _or_preset(cfg: dict, key: str, preset_value):
+    """The knob's value, or the preset's when the knob was left unset."""
+    return preset_value if cfg[key] is None else cfg[key]
+
+
 def _resolve_adapter_config(cfg: dict, dataset: Dataset,
                             backbone: FrozenBackbone) -> AdapterConfig:
     defaults = dataset.preset.adapter_defaults
     return AdapterConfig(
         audio_width=dataset.preset.audio_width,
         vision_width=dataset.preset.vision_width,
-        audio_hidden=cfg["audio_hidden"] or defaults.audio_hidden,
-        vision_hidden=cfg["vision_hidden"] or defaults.vision_hidden,
+        audio_hidden=_or_preset(cfg, "audio_hidden", defaults.audio_hidden),
+        vision_hidden=_or_preset(cfg, "vision_hidden", defaults.vision_hidden),
         mix_width=cfg["mix_width"],
-        token_count=cfg["token_count"] or defaults.token_count,
+        token_count=_or_preset(cfg, "token_count", defaults.token_count),
         embed_width=backbone.config.embed_width,
     )
 
 
-def _resolve_train_config(cfg: dict, dataset: Dataset,
-                          variant: str | None = None) -> TrainConfig:
-    return TrainConfig(
-        learning_rate=cfg["learning_rate"] or dataset.preset.adapter_defaults.lr,
-        epochs=cfg["epochs"],
-        batch_size=cfg["batch_size"],
-        warmup_fraction=cfg["warmup_fraction"],
-        clip_norm=cfg["clip_norm"],
-        weight_decay=cfg["weight_decay"],
-        seeds=_parse_seeds(cfg),
-        variant=variant if variant is not None else cfg.get("variant", "full"),
-        train_fraction=cfg.get("train_fraction", 1.0),
-    )
+def _resolve_train_config(cfg: dict, dataset: Dataset) -> TrainConfig:
+    """TrainConfig from the knobs in cfg; the rest keep their defaults."""
+    knobs = {f.name: cfg[f.name] for f in fields(TrainConfig) if f.name in cfg}
+    knobs.update(learning_rate=_or_preset(cfg, "learning_rate",
+                                          dataset.preset.adapter_defaults.lr),
+                 seeds=_parse_seeds(cfg))
+    return TrainConfig(**knobs)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +256,8 @@ def cmd_pretrain_backbone(cfg: dict) -> int:
     dataset = load_dataset(cfg["dataset"])
     out = _output_dir(cfg, "pretrain-backbone")
     _archive(out, "pretrain-backbone", cfg)
-    token_count = cfg["token_count"] or dataset.preset.adapter_defaults.token_count
+    token_count = _or_preset(cfg, "token_count",
+                             dataset.preset.adapter_defaults.token_count)
     corpus = build_pretrain_corpus(dataset, dataset.preset, token_count)
     config = BackboneConfig(embed_width=cfg["embed_width"], layers=cfg["layers"],
                             heads=cfg["heads"], ffn_mult=cfg["ffn_mult"],
@@ -345,7 +335,7 @@ def cmd_ablate(cfg: dict) -> int:
     payload: dict[str, dict] = {}
     count = len(dataset["test"])
     for variant in VARIANTS:
-        train_config = _resolve_train_config(cfg, dataset, variant=variant)
+        train_config = _resolve_train_config({**cfg, "variant": variant}, dataset)
         report = multi_seed_run(backbone, dataset, adapter_config, train_config,
                                 out_dir=out)
         results[variant] = MetricReport(dataset.preset.metric_family,

@@ -40,18 +40,16 @@ def _active_tape() -> "Tape | None":
 class Tape:
     """Recording context for one forward pass."""
 
-    __slots__ = ("_records", "_consumed", "_entered")
+    __slots__ = ("_records", "_consumed")
 
     def __init__(self) -> None:
         self._records: list[Callable[[], None]] = []
         self._consumed = False
-        self._entered = False
 
     def __enter__(self) -> "Tape":
         if _active_tape() is not None:
             raise TapeStateError("a tape is already active in this thread")
         _tls.tape = self
-        self._entered = True
         return self
 
     def __exit__(self, *exc) -> None:
@@ -72,6 +70,9 @@ class Tape:
         root._accum(np.ones_like(root.data))
         for fn in reversed(self._records):
             fn()
+        # each closure holds its output tensor, which holds this tape; dropping
+        # the closures frees the activations without the cyclic collector
+        self._records.clear()
 
 
 def backward(root: "Tensor") -> None:
@@ -124,12 +125,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def assert_finite(self, what: str = "tensor") -> None:
-        if not np.all(np.isfinite(self.data)):
-            from .errors import NumericError
-
-            raise NumericError(f"{what} contains NaN/Inf")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -262,16 +257,12 @@ _UNARY: dict[str, tuple[Callable, Callable]] = {
     "sigmoid": (lambda x: 1.0 / (1.0 + np.exp(-x)), lambda x, y: y * (1.0 - y)),
     "tanh": (np.tanh, lambda x, y: 1.0 - y * y),
     "gelu": (_gelu_fwd, lambda x, y: _gelu_deriv(x)),
-    "exp": (np.exp, lambda x, y: y),
-    "log": (np.log, lambda x, y: 1.0 / x),
 }
 
 
 def elementwise_unary(x: Tensor, f: str) -> Tensor:
     if f not in _UNARY:
         raise DomainError(f"unknown unary function {f!r}; have {sorted(_UNARY)}")
-    if f == "log" and np.any(x.data <= 0.0):
-        raise DomainError("log: all inputs must be strictly positive")
     fwd, deriv = _UNARY[f]
     xd = x.data
     yd = fwd(xd)

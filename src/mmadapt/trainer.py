@@ -117,14 +117,22 @@ class PreparedSample:
     vision: np.ndarray
     text_rows: np.ndarray
     train_input: AssembledInput
-    eval_input: AssembledInput
+
+    @property
+    def eval_input(self) -> AssembledInput:
+        """The training input without its label block."""
+        t = self.train_input
+        return AssembledInput(t.const_rows[:t.text_len + t.prompt_len],
+                              t.n_prefix, t.text_len, t.prompt_len)
+
+
+def label_text(preset: DatasetPreset, value: float) -> str:
+    return format_label(preset.task, value, score_range=preset.score_range,
+                        class_count=preset.class_count)
 
 
 def label_token_ids(preset: DatasetPreset, value: float) -> list[int]:
-    text = format_label(preset.task, value,
-                        score_range=preset.score_range or (-3.0, 3.0),
-                        class_count=max(preset.class_count, 1))
-    return tokenize(text) + [EOS]
+    return tokenize(label_text(preset, value)) + [EOS]
 
 
 def eval_token_budget(preset: DatasetPreset) -> int:
@@ -138,18 +146,13 @@ def prepare_samples(backbone: FrozenBackbone, samples: list[FeatureSample],
                     drops_text: bool) -> list[PreparedSample]:
     prepared = []
     for s in samples:
-        lm_text = "" if drops_text else s.text
-        ids = label_token_ids(preset, s.label)
-        prepared.append(PreparedSample(
-            sid=s.sid,
-            gold=s.label,
-            audio=s.audio,
-            vision=s.vision,
-            text_rows=backbone.embed(tokenize(s.text)),
-            train_input=assemble_input(backbone, lm_text, preset.prompt,
-                                       n_prefix, ids),
-            eval_input=assemble_input(backbone, lm_text, preset.prompt, n_prefix),
-        ))
+        train_input = assemble_input(backbone, "" if drops_text else s.text,
+                                     preset.prompt, n_prefix,
+                                     label_token_ids(preset, s.label))
+        text_rows = (backbone.embed(tokenize(s.text)) if drops_text
+                     else train_input.const_rows[:train_input.text_len])
+        prepared.append(PreparedSample(s.sid, s.label, s.audio, s.vision,
+                                       text_rows, train_input))
     return prepared
 
 
@@ -190,15 +193,15 @@ def evaluate_split(backbone: FrozenBackbone, params: AdapterParams,
     for p in prepared:
         pseudo = _pseudo_for(params, p, state)
         text = generate(backbone, p.eval_input, pseudo, max_new=budget)
-        value, fb = parse_generated(preset.task if preset.task == "score" else "emotion",
-                                    text, class_count=max(preset.class_count, 1),
+        value, fb = parse_generated(preset.task, text,
+                                    class_count=preset.class_count,
                                     neutral_class=preset.neutral_class)
         fallbacks += int(fb)
         preds.append(value)
         golds.append(p.gold)
     return score_predictions(preset.metric_family, preds, golds,
                              fallback_count=fallbacks,
-                             class_count=max(preset.class_count, 1))
+                             class_count=preset.class_count)
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +224,9 @@ def build_pretrain_corpus(dataset: Dataset, preset: DatasetPreset,
     lines: list[str] = []
     seen: set[str] = set()
     for s in dataset["train"]:
-        label_text = format_label(preset.task, s.label,
-                                  score_range=preset.score_range or (-3.0, 3.0),
-                                  class_count=max(preset.class_count, 1))
-        body = s.text + preset.prompt + label_text
-        hinted = (label_text * n_prefix)[:n_prefix] + body
+        label = label_text(preset, s.label)
+        body = s.text + preset.prompt + label
+        hinted = (label * n_prefix)[:n_prefix] + body
         neutral = NEUTRAL_HINT_BYTE * n_prefix + body
         for line in (hinted, neutral):
             if len(tokenize(line)) != n_prefix + len(tokenize(body)):

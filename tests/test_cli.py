@@ -8,7 +8,9 @@ import sys
 import pytest
 
 from mmadapt.cli import main
+from mmadapt.corpus import load_dataset
 from mmadapt.errors import FrozenViolation, InputError, NumericError
+from mmadapt.trainer import build_pretrain_corpus
 
 
 def run_cli(*args, env=None, cwd=None):
@@ -147,6 +149,18 @@ def test_pretrain_reproducible_across_processes(tmp_path, cli_workspace):
     assert (a / "backbone.mseb").read_bytes() == (b / "backbone.mseb").read_bytes()
 
 
+def test_pretrain_zero_token_count_builds_no_prefix(tmp_path, capsys,
+                                                     cli_workspace):
+    dataset = load_dataset(cli_workspace["data"])
+    lines = build_pretrain_corpus(dataset, dataset.preset, 0)
+    assert len(lines) < len(build_pretrain_corpus(
+        dataset, dataset.preset, dataset.preset.adapter_defaults.token_count))
+    code = main(["pretrain-backbone", "--dataset", str(cli_workspace["data"]),
+                 "--out", str(tmp_path), "--steps", "0", "--token-count", "0"])
+    assert code == 0
+    assert f"corpus lines {len(lines)}," in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # train and eval
 
@@ -222,6 +236,18 @@ def test_eval_missing_checkpoint(cli_workspace):
                 "--backbone", str(cli_workspace["backbone"]),
                 "--dataset", str(cli_workspace["data"]))
     assert r.returncode in (1, 2)
+
+
+@pytest.mark.parametrize("flag", ["--token-count", "--audio-hidden",
+                                  "--vision-hidden", "--learning-rate"])
+def test_train_zero_knob_is_not_replaced_by_preset(tmp_path, capsys,
+                                                   cli_workspace, flag):
+    flags = list(TRAIN_FLAGS)
+    flags[flags.index(flag) + 1] = "0"
+    code = main(["train", "--dataset", str(cli_workspace["data"]), "--backbone",
+                 str(cli_workspace["backbone"]), "--out", str(tmp_path), *flags])
+    assert code == 1
+    assert "invalid input" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
