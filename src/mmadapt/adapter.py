@@ -203,19 +203,7 @@ def lstm_final_state(x: T.Tensor, wih: T.Tensor, whh: T.Tensor, b: T.Tensor,
     l, width = x.shape
     if wih.shape != (4 * hidden, width):
         raise DimensionError(f"lstm: wih {wih.shape} incompatible with input {x.shape}")
-    h = T.Tensor._wrap(np.zeros((hidden, 1)), False, None)
-    c = T.Tensor._wrap(np.zeros((hidden, 1)), False, None)
-    z_in = T.matmul(x, T.transpose(wih))  # l x 4h, one matmul for all steps
-    for t in range(l):
-        z_t = T.transpose(T.slice_rows(z_in, t, t + 1))
-        z = T.add(T.add(z_t, T.matmul(whh, h)), b)
-        gate_in = T.sigmoid(T.slice_rows(z, 0, hidden))
-        gate_forget = T.sigmoid(T.slice_rows(z, hidden, 2 * hidden))
-        cell_new = T.tanh(T.slice_rows(z, 2 * hidden, 3 * hidden))
-        gate_out = T.sigmoid(T.slice_rows(z, 3 * hidden, 4 * hidden))
-        c = T.add(T.hadamard(gate_forget, c), T.hadamard(gate_in, cell_new))
-        h = T.hadamard(gate_out, T.tanh(c))
-    return h
+    return T.lstm_final(x, wih, whh, b)
 
 
 def text_guided_mix(params: AdapterParams, text_rows: T.Tensor,

@@ -119,8 +119,6 @@ def _forward(config: BackboneConfig, w: dict[str, T.Tensor], rows: T.Tensor) -> 
         raise T.DimensionError(f"input width {d} != embed width {config.embed_width}")
     if l > config.max_seq:
         raise LengthError(f"sequence length {l} exceeds max {config.max_seq}")
-    dh = config.embed_width // config.heads
-    inv = 1.0 / math.sqrt(dh)
     x = T.add(rows, T.slice_rows(w["pos"], 0, l))
     for i in range(config.layers):
         p = f"h{i}."
@@ -128,13 +126,7 @@ def _forward(config: BackboneConfig, w: dict[str, T.Tensor], rows: T.Tensor) -> 
         q = T.add_rowvec(T.matmul(h1, w[p + "wq"]), w[p + "bq"])
         k = T.add_rowvec(T.matmul(h1, w[p + "wk"]), w[p + "bk"])
         v = T.add_rowvec(T.matmul(h1, w[p + "wv"]), w[p + "bv"])
-        heads = []
-        for j in range(config.heads):
-            lo, hi = j * dh, (j + 1) * dh
-            att = T.softmax_rows(T.causal_attention_scores(
-                T.slice_cols(q, lo, hi), T.slice_cols(k, lo, hi), inv))
-            heads.append(T.matmul(att, T.slice_cols(v, lo, hi)))
-        merged = heads[0] if len(heads) == 1 else T.stack_columns(heads)
+        merged = T.causal_mha(q, k, v, config.heads)
         x = T.add(x, T.add_rowvec(T.matmul(merged, w[p + "wo"]), w[p + "bo"]))
         h2 = T.layernorm_rows(x, w[p + "ln2.g"], w[p + "ln2.b"])
         ff = T.matmul(T.gelu(T.add_rowvec(T.matmul(h2, w[p + "wf1"]), w[p + "bf1"])),
@@ -182,9 +174,13 @@ class FrozenBackbone:
         config_blob, tensors = read_container(path, BACKBONE_MAGIC)
         config = BackboneConfig.unpack(config_blob)
         weights = {n: T.Tensor(arr) for n, arr in tensors}
-        expected = {n for n in init_weights(config, np.random.default_rng(0), False)}
-        if set(weights) != expected:
+        expected = init_weights(config, np.random.default_rng(0), False)
+        if set(weights) != set(expected):
             raise CheckpointError("backbone checkpoint weight names do not match config")
+        for n, want in expected.items():
+            if weights[n].shape != want.shape:
+                raise CheckpointError(f"backbone tensor {n!r} has shape {weights[n].shape}, "
+                                      f"expected {want.shape}")
         return cls(config, weights)
 
 

@@ -67,16 +67,23 @@ def load_dataset(root: str | Path, preset: DatasetPreset | None = None) -> Datas
     root = Path(root)
     meta_path = root / "meta.json"
     meta: dict = {}
-    if meta_path.exists():
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    try:
+        if meta_path.exists():
+            meta = json.loads(meta_path.read_text(encoding="utf-8"))
+            if not isinstance(meta, dict):
+                raise TypeError(f"expected a JSON object, got {type(meta).__name__}")
+        if preset is None and meta:
+            if meta.get("name") == "synthetic":
+                preset = synthetic_preset(meta["class_count"], meta["audio_width"],
+                                          meta["vision_width"], meta["split_sizes"])
+            else:
+                preset = get_preset(meta["name"])
+    except (KeyError, TypeError, ValueError) as exc:
+        # ValueError covers invalid JSON and UTF-8 and the presets' ConfigError
+        what = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise InputError(f"{meta_path}: bad meta.json: {what}") from exc
     if preset is None:
-        if not meta:
-            raise InputError(f"{root}: no meta.json and no preset given")
-        if meta.get("name") == "synthetic":
-            preset = synthetic_preset(meta["class_count"], meta["audio_width"],
-                                      meta["vision_width"], meta["split_sizes"])
-        else:
-            preset = get_preset(meta["name"])
+        raise InputError(f"{root}: no meta.json and no preset given")
     manifest = root / "manifest.jsonl"
     if not manifest.exists():
         raise InputError(f"{root}: missing manifest.jsonl")

@@ -146,7 +146,17 @@ def gradcheck_primitives(seed: int = 0) -> list[GradCheckResult]:
         ("embedding_lookup", lambda t: T.sum_all(T.hadamard(
             T.embedding_lookup(t["e"], [0, 2, 2, 1]), w)),
          {"e": mat(3, 5)}),
+        ("lstm_final", lambda t: T.sum_all(T.hadamard(
+            T.lstm_final(t["x"], t["wih"], t["whh"], t["b"]), w_lstm)),
+         {"x": mat(4, 3), "wih": 0.5 * mat(12, 3), "whh": 0.5 * mat(12, 3),
+          "b": 0.5 * mat(12, 1)}),
+        ("causal_mha", lambda t: T.sum_all(T.hadamard(
+            T.causal_mha(t["q"], t["k"], t["v"], 2), w_mha)),
+         {"q": mat(5, 6), "k": mat(5, 6), "v": mat(5, 6)}),
     ]
+    # drawn after every input above, so the older rows keep their instances
+    w_lstm = T.Tensor._wrap(rng.standard_normal((3, 1)), False, None)
+    w_mha = T.Tensor._wrap(rng.standard_normal((5, 6)), False, None)
     return [_check(name, build, arrays, PRIMITIVE_TOL)
             for name, build, arrays in checks]
 

@@ -474,6 +474,118 @@ def causal_attention_scores(q: Tensor, k: Tensor, scale_factor: float) -> Tensor
     return _finish(raw + mask, (q, k), back)
 
 
+# ---------------------------------------------------------------------------
+# fused kernels: one tape record for a whole recurrence or attention block
+
+
+def lstm_final(x: Tensor, wih: Tensor, whh: Tensor, b: Tensor) -> Tensor:
+    """Single-direction LSTM over the rows of x; returns h_last (hidden x 1).
+
+    Gate order along the stacked weight rows is input, forget, cell, output;
+    initial hidden and cell states are zero. The forward keeps the operation
+    order of the per-frame composition of primitives, so it is bit-identical
+    to it; the backward is hand-written BPTT over the saved gates.
+    """
+    for t in (x, wih, whh, b):
+        _need_2d(t, "lstm_final")
+    l, width = x.shape
+    four_h, hidden = whh.shape
+    if four_h != 4 * hidden:
+        raise DimensionError(f"lstm_final: whh {whh.shape} is not (4h, h)")
+    if wih.shape != (four_h, width):
+        raise DimensionError(f"lstm_final: wih {wih.shape} incompatible with input {x.shape}")
+    if b.shape != (four_h, 1):
+        raise DimensionError(f"lstm_final: b {b.shape} is not ({four_h}, 1)")
+    sig, dsig = _UNARY["sigmoid"]
+    tnh, dtnh = _UNARY["tanh"]
+    xd, wd, ud, bd = x.data, wih.data, whh.data, b.data
+    z_in = xd @ wd.T  # l x 4h, one matmul for all steps
+    h = np.zeros((hidden, 1))
+    c = np.zeros((hidden, 1))
+    steps = []
+    for t in range(l):
+        z = (z_in[t:t + 1].T + ud @ h) + bd
+        gi = sig(z[:hidden])
+        gf = sig(z[hidden:2 * hidden])
+        gg = tnh(z[2 * hidden:3 * hidden])
+        go = sig(z[3 * hidden:])
+        c_new = gf * c + gi * gg
+        tc = tnh(c_new)
+        steps.append((z, gi, gf, gg, go, c, h, c_new, tc))
+        c, h = c_new, go * tc
+
+    def back(g: np.ndarray) -> None:
+        dz = np.empty((l, four_h))
+        dh, dc = g, 0.0
+        for t in range(l - 1, -1, -1):
+            z, gi, gf, gg, go, c_prev, _, c_t, tc = steps[t]
+            dc = dc + dh * go * dtnh(c_t, tc)
+            col = dz[t].reshape(four_h, 1)
+            col[:hidden] = dc * gg * dsig(z[:hidden], gi)
+            col[hidden:2 * hidden] = dc * c_prev * dsig(z[hidden:2 * hidden], gf)
+            col[2 * hidden:3 * hidden] = dc * gi * dtnh(z[2 * hidden:3 * hidden], gg)
+            col[3 * hidden:] = dh * tc * dsig(z[3 * hidden:], go)
+            dh = ud.T @ col
+            dc = dc * gf
+        if x.requires_grad:
+            x._accum(dz @ wd)
+        if wih.requires_grad:
+            wih._accum(dz.T @ xd)
+        if whh.requires_grad:
+            h_prev = np.concatenate([s[6] for s in steps], axis=1)  # h x l
+            whh._accum(dz.T @ h_prev.T)
+        if b.requires_grad:
+            b._accum(dz.sum(axis=0).reshape(four_h, 1))
+
+    return _finish(h, (x, wih, whh, b), back)
+
+
+def causal_mha(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Causal multi-head self-attention over (l, d) query/key/value rows.
+
+    Each head owns d / heads adjacent columns and attends with softmax of
+    q k^T / sqrt(d / heads), future positions masked to MASK_VALUE; the head
+    outputs sit side by side in the (l, d) result. Per head, the arithmetic
+    is that of causal_attention_scores, softmax_rows and matmul, so the
+    result is bit-identical to that composition.
+    """
+    for t, name in ((q, "q"), (k, "k"), (v, "v")):
+        _need_2d(t, "causal_mha")
+        if t.shape != q.shape:
+            raise DimensionError(f"causal_mha: {name} {t.shape} differs from q {q.shape}")
+    l, d = q.shape
+    if heads <= 0 or d % heads != 0:
+        raise DimensionError(f"causal_mha: width {d} not divisible by {heads} heads")
+    dh = d // heads
+    s = 1.0 / math.sqrt(dh)
+
+    def split(a: np.ndarray) -> np.ndarray:  # (l, d) -> contiguous (heads, l, dh)
+        return np.ascontiguousarray(a.reshape(l, heads, dh).transpose(1, 0, 2))
+
+    def merge(a: np.ndarray) -> np.ndarray:  # (heads, l, dh) -> (l, d)
+        return a.transpose(1, 0, 2).reshape(l, d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    mask = np.triu(np.full((l, l), MASK_VALUE), k=1)
+    scores = (qh @ kh.transpose(0, 2, 1)) * s + mask
+    e = np.exp(scores - scores.max(axis=2, keepdims=True))
+    att = e / e.sum(axis=2, keepdims=True)
+
+    def back(g: np.ndarray) -> None:
+        gh = split(g)
+        if v.requires_grad:
+            v._accum(merge(att.transpose(0, 2, 1) @ gh))
+        if q.requires_grad or k.requires_grad:
+            datt = gh @ vh.transpose(0, 2, 1)
+            dscores = att * (datt - (datt * att).sum(axis=2, keepdims=True)) * s
+            if q.requires_grad:
+                q._accum(merge(dscores @ kh))
+            if k.requires_grad:
+                k._accum(merge(dscores.transpose(0, 2, 1) @ qh))
+
+    return _finish(merge(att @ vh), (q, k, v), back)
+
+
 def softmax_cross_entropy(logits: Tensor, target: int) -> Tensor:
     """Max-shifted cross-entropy of one logit vector against a class id."""
     v = logits.data.reshape(-1)

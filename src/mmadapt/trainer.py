@@ -315,13 +315,14 @@ def train_run(backbone: FrozenBackbone, dataset: Dataset,
                                        state)
                     tape.backward(T.scale(loss, inv))
                 batch_losses.append(loss.item())
-            clip_global_norm(params.named(), config.clip_norm)
+            grad_norm = clip_global_norm(params.named(), config.clip_norm)
             adamw_step(params.named(), opt_state, lr,
                        weight_decay=config.weight_decay)
             mean_loss = float(np.mean(batch_losses))
             step_losses.append(mean_loss)
             log_lines.append(json.dumps({"step": step, "lr": lr,
-                                         "loss": mean_loss}))
+                                         "loss": mean_loss,
+                                         "grad_norm": grad_norm}))
             step += 1
             epoch_losses.extend(batch_losses)
         valid_report = evaluate_split(backbone, params, state, prepared_valid,

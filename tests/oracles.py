@@ -2,7 +2,9 @@
 
 Everything in here is deliberately naive: plain Python loops, math/mpmath
 scalars, no calls into the package's own numeric kernels. Slow is fine,
-wrong is not.
+wrong is not. The exceptions are the taped loop forms at the end: the
+per-frame LSTM and the per-head attention composed from the tape's
+primitives, which the fused kernels replaced and must reproduce.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from mmadapt import tensor as T
 
 
 def matmul_loops(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -127,3 +131,37 @@ def weighted_f1_loops(preds, golds, n_classes: int) -> float:
         f1 = f1_binary([p == c for p in preds], [g == c for g in golds])
         acc += (support / total) * f1
     return acc
+
+
+# ---------------------------------------------------------------------------
+# taped loop forms of the fused kernels
+
+
+def lstm_final_loop(x, wih, whh, b, hidden: int):
+    """The LSTM as one recorded op group per frame; returns h_last (hidden x 1)."""
+    h = T.Tensor._wrap(np.zeros((hidden, 1)), False, None)
+    c = T.Tensor._wrap(np.zeros((hidden, 1)), False, None)
+    z_in = T.matmul(x, T.transpose(wih))
+    for t in range(x.shape[0]):
+        z_t = T.transpose(T.slice_rows(z_in, t, t + 1))
+        z = T.add(T.add(z_t, T.matmul(whh, h)), b)
+        gate_in = T.sigmoid(T.slice_rows(z, 0, hidden))
+        gate_forget = T.sigmoid(T.slice_rows(z, hidden, 2 * hidden))
+        cell_new = T.tanh(T.slice_rows(z, 2 * hidden, 3 * hidden))
+        gate_out = T.sigmoid(T.slice_rows(z, 3 * hidden, 4 * hidden))
+        c = T.add(T.hadamard(gate_forget, c), T.hadamard(gate_in, cell_new))
+        h = T.hadamard(gate_out, T.tanh(c))
+    return h
+
+
+def causal_mha_loop(q, k, v, heads: int):
+    """Causal multi-head attention as one recorded op group per head."""
+    dh = q.shape[1] // heads
+    inv = 1.0 / math.sqrt(dh)
+    outs = []
+    for j in range(heads):
+        lo, hi = j * dh, (j + 1) * dh
+        att = T.softmax_rows(T.causal_attention_scores(
+            T.slice_cols(q, lo, hi), T.slice_cols(k, lo, hi), inv))
+        outs.append(T.matmul(att, T.slice_cols(v, lo, hi)))
+    return outs[0] if len(outs) == 1 else T.stack_columns(outs)

@@ -115,8 +115,7 @@ def test_forward_matches_loop_oracle_two_layers_two_heads():
     del frozen
 
 
-def test_causality_future_permutation_leaves_prefix_logits_bit_identical():
-    frozen = make_frozen()
+def assert_future_permutation_leaves_prefix_logits(frozen):
     ids = B.tokenize("abcdefgh")
     rows1 = frozen.embed(ids)
     ids2 = ids[:5] + [ids[6], ids[5], ids[7]]  # permute two future tokens
@@ -124,6 +123,18 @@ def test_causality_future_permutation_leaves_prefix_logits_bit_identical():
     l1 = frozen.forward_rows(T.Tensor(rows1)).data
     l2 = frozen.forward_rows(T.Tensor(rows2)).data
     assert_array_equal(l1[:5], l2[:5])
+
+
+def test_causality_future_permutation_leaves_prefix_logits_bit_identical():
+    assert TINY.heads == 2
+    assert_future_permutation_leaves_prefix_logits(make_frozen())
+
+
+@pytest.mark.parametrize("heads", [1, 4])
+def test_causality_holds_for_every_head_count(heads):
+    config = B.BackboneConfig(embed_width=16, layers=2, heads=heads, ffn_mult=2,
+                              max_seq=48)
+    assert_future_permutation_leaves_prefix_logits(make_frozen(config))
 
 
 def test_forward_rejects_overlong_and_wrong_width():
@@ -268,6 +279,20 @@ def test_checkpoint_magic_and_corruption(tmp_path):
     blob[40] ^= 0x01
     p.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError):
+        B.FrozenBackbone.load(p)
+
+
+def test_checkpoint_load_rejects_wrong_tensor_shape(tmp_path):
+    """A tensor cut short fails at load, naming itself and both shapes,
+    instead of mid-forward."""
+    from mmadapt.serialize import write_container
+    frozen = make_frozen()
+    tensors = [(n, t.data[:, :8] if n == "h0.wq" else t.data)
+               for n, t in frozen._weights.items()]
+    p = tmp_path / "cut.mseb"
+    write_container(p, B.BACKBONE_MAGIC, TINY.pack(), tensors)
+    with pytest.raises(CheckpointError, match=r"'h0\.wq' has shape \(16, 8\), "
+                                              r"expected \(16, 16\)"):
         B.FrozenBackbone.load(p)
 
 

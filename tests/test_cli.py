@@ -238,6 +238,17 @@ def test_eval_missing_checkpoint(cli_workspace):
     assert r.returncode in (1, 2)
 
 
+@pytest.mark.parametrize("meta", ["{not json", '{"task": "emotion"}',
+                                  '{"name": "nonesuch"}'])
+def test_eval_malformed_meta_exits_one_without_traceback(tmp_path, meta):
+    (tmp_path / "meta.json").write_text(meta)
+    r = run_cli("eval", "--dataset", str(tmp_path), "--checkpoint",
+                str(tmp_path / "a.msea"), "--backbone", str(tmp_path / "b.mseb"))
+    assert r.returncode == 1, r.stderr
+    assert "meta.json" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 @pytest.mark.parametrize("flag", ["--token-count", "--audio-hidden",
                                   "--vision-hidden", "--learning-rate"])
 def test_train_zero_knob_is_not_replaced_by_preset(tmp_path, capsys,

@@ -307,3 +307,16 @@ def test_load_rejects_malformed_json(tmp_path):
     preset = synthetic_preset(3, 8, 8, {"train": 1, "valid": 0, "test": 0})
     with pytest.raises(InputError, match="bad record"):
         load_dataset(tmp_path, preset)
+
+
+@pytest.mark.parametrize("meta, message", [
+    ("{not json", "bad meta.json"),
+    ("[1, 2]", "expected a JSON object"),
+    (json.dumps({"task": "emotion"}), "missing key 'name'"),
+    (json.dumps({"name": "synthetic", "class_count": 3}), "missing key 'audio_width'"),
+    (json.dumps({"name": "nonesuch"}), "unknown preset 'nonesuch'"),
+])
+def test_load_wraps_malformed_meta_as_input_error(tmp_path, meta, message):
+    (tmp_path / "meta.json").write_text(meta)
+    with pytest.raises(InputError, match=message):
+        load_dataset(tmp_path)

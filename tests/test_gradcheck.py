@@ -17,7 +17,7 @@ def test_primitives_all_within_tolerance():
     names = {r.name for r in results}
     for expected in ("matmul", "gelu", "softmax_rows", "layernorm_rows",
                      "causal_attention", "rows_cross_entropy",
-                     "embedding_lookup"):
+                     "embedding_lookup", "lstm_final", "causal_mha"):
         assert expected in names
     for r in results:
         assert r.tolerance == PRIMITIVE_TOL

@@ -15,7 +15,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 from mmadapt import tensor as T
 from mmadapt.errors import DimensionError, DomainError, TapeStateError, TokenError
 
-from oracles import cross_entropy_scalar, fd_grad, matmul_loops, max_rel_err
+from oracles import (causal_mha_loop, cross_entropy_scalar, fd_grad,
+                     lstm_final_loop, matmul_loops, max_rel_err)
 
 RNG = np.random.default_rng(20260815)
 PRIM_TOL = 1e-6  # primitive backward vs central differences, step 1e-5
@@ -229,6 +230,83 @@ def test_causal_attention_grads():
         lambda t: loss_of(T.softmax_rows(T.causal_attention_scores(t["q"], t["k"], 0.5)), w),
         {"q": RNG.uniform(-2, 2, (4, 3)), "k": RNG.uniform(-2, 2, (4, 3))},
     )
+
+
+# ---------------------------------------------------------------------------
+# fused kernels against the taped loops they replace
+
+
+def run_taped(fn, arrays, w):
+    """Forward fn over fresh grad-requiring copies of arrays, backward from
+    a fixed mix of the output; return the output and every input gradient."""
+    tensors = [T.Tensor(a.copy(), requires_grad=True) for a in arrays]
+    with T.Tape() as tape:
+        out = fn(*tensors)
+        tape.backward(loss_of(out, w))
+    return out.data, [t.grad for t in tensors]
+
+
+@pytest.mark.parametrize("frames", [1, 10])
+def test_lstm_final_matches_taped_frame_loop(frames):
+    width, hidden = 8, 32
+    rng = np.random.default_rng(frames)
+    arrays = [rng.uniform(-1, 1, (frames, width)),
+              rng.uniform(-1, 1, (4 * hidden, width)),
+              rng.uniform(-1, 1, (4 * hidden, hidden)),
+              rng.uniform(-1, 1, (4 * hidden, 1))]
+    w = rng.uniform(-1, 1, (hidden, 1))
+    got, got_grads = run_taped(T.lstm_final, arrays, w)
+    want, want_grads = run_taped(
+        lambda *t: lstm_final_loop(*t, hidden), arrays, w)
+    assert_array_equal(got, want)
+    for name, g, ref in zip(("x", "wih", "whh", "b"), got_grads, want_grads):
+        assert max_rel_err(g, ref, floor=1e-12) <= 1e-12, name
+
+
+def test_lstm_final_rejects_mismatched_shapes():
+    x = T.Tensor(np.ones((3, 2)))
+    ok = dict(wih=np.ones((8, 2)), whh=np.ones((8, 2)), b=np.ones((8, 1)))
+    for key, bad in (("wih", np.ones((8, 3))), ("whh", np.ones((8, 3))),
+                     ("b", np.ones((4, 1)))):
+        args = {**ok, key: bad}
+        with pytest.raises(DimensionError):
+            T.lstm_final(x, *(T.Tensor(args[k]) for k in ("wih", "whh", "b")))
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("rows", [1, 46])
+def test_causal_mha_matches_taped_head_loop(heads, rows):
+    rng = np.random.default_rng(100 * heads + rows)
+    arrays = [rng.uniform(-2, 2, (rows, 16)) for _ in range(3)]
+    w = rng.uniform(-1, 1, (rows, 16))
+    got, got_grads = run_taped(lambda q, k, v: T.causal_mha(q, k, v, heads), arrays, w)
+    want, want_grads = run_taped(lambda q, k, v: causal_mha_loop(q, k, v, heads),
+                                 arrays, w)
+    assert_array_equal(got, want)
+    for name, g, ref in zip("qkv", got_grads, want_grads):
+        assert max_rel_err(g, ref, floor=1e-12) <= 1e-12, name
+
+
+@pytest.mark.parametrize("heads", [2, 4])
+def test_causal_mha_future_rows_cannot_leak(heads):
+    """Changing the last key and value rows leaves earlier output rows
+    bit-identical, in every head."""
+    q, k1, v1 = (RNG.uniform(-2, 2, (6, 8)) for _ in range(3))
+    k2, v2 = k1.copy(), v1.copy()
+    k2[5] *= 3.0
+    v2[5] = RNG.uniform(-2, 2, 8)
+    o1 = T.causal_mha(T.Tensor(q), T.Tensor(k1), T.Tensor(v1), heads).data
+    o2 = T.causal_mha(T.Tensor(q), T.Tensor(k2), T.Tensor(v2), heads).data
+    assert_array_equal(o1[:5], o2[:5])
+    assert not np.array_equal(o1[5], o2[5])
+
+
+def test_causal_mha_rejects_bad_heads_and_shapes():
+    a = T.Tensor(np.ones((3, 6)))
+    with pytest.raises(DimensionError):
+        T.causal_mha(a, a, a, 4)
+    with pytest.raises(DimensionError):
+        T.causal_mha(a, T.Tensor(np.ones((2, 6))), a, 2)
 
 
 def test_slice_concat_stack_transpose_grads():

@@ -228,6 +228,11 @@ def test_train_run_deterministic_checkpoints(tmp_path, small_synth,
                   seed=5, out_dir=tmp_path / "b")
     assert a.checkpoint_path.read_bytes() == b.checkpoint_path.read_bytes()
     assert a.step_losses == b.step_losses
+    log = "train-full-seed5.jsonl"
+    assert (tmp_path / "a" / log).read_bytes() == (tmp_path / "b" / log).read_bytes()
+    steps = [json.loads(line) for line in (tmp_path / "a" / log).read_text().splitlines()
+             if '"step"' in line]
+    assert steps and all(math.isfinite(r["grad_norm"]) for r in steps)
 
 
 def test_train_run_keeps_backbone_frozen(tmp_path, small_synth, small_backbone,
@@ -251,6 +256,7 @@ def test_train_run_writes_step_log(tmp_path, small_synth, small_backbone,
     assert len(steps) == 2 * math.ceil(24 / 8)
     assert len(epochs) == 2
     assert all(r["lr"] >= 0 for r in steps)
+    assert all(math.isfinite(r["grad_norm"]) and r["grad_norm"] > 0 for r in steps)
     assert [r["step"] for r in steps] == list(range(len(steps)))
     assert result.best_epoch in (1, 2)
 
