@@ -112,20 +112,45 @@ def init_weights(config: BackboneConfig, rng: np.random.Generator,
     return w
 
 
-def _forward(config: BackboneConfig, w: dict[str, T.Tensor], rows: T.Tensor) -> T.Tensor:
-    """Embedded rows -> next-token logits at every position."""
+def _forward(config: BackboneConfig, w: dict[str, T.Tensor], rows: T.Tensor,
+             last: int | None = None,
+             cache: list[tuple[T.Tensor, T.Tensor]] | None = None) -> T.Tensor:
+    """Embedded rows -> next-token logits of the last `last` rows (all rows
+    when None).
+
+    Every block computes keys and values for all rows; the final block runs
+    its queries, output projection and feed-forward, and then the final norm
+    and the unembedding, on the rows returned only. A `cache` holds each
+    layer's keys and values of the rows that came before `rows`: they are
+    attended to, positions continue after them, and the call appends the
+    new rows' keys and values to it. An empty list starts a cache.
+    """
     l, d = rows.shape
     if d != config.embed_width:
         raise T.DimensionError(f"input width {d} != embed width {config.embed_width}")
-    if l > config.max_seq:
-        raise LengthError(f"sequence length {l} exceeds max {config.max_seq}")
-    x = T.add(rows, T.slice_rows(w["pos"], 0, l))
+    past = cache[0][0].shape[0] if cache else 0
+    if past + l > config.max_seq:
+        raise LengthError(f"sequence length {past + l} exceeds max {config.max_seq}")
+    n = l if last is None else last
+    if not 1 <= n <= l:
+        raise T.DimensionError(f"cannot return the last {n} of {l} rows")
+    x = T.add(rows, T.slice_rows(w["pos"], past, past + l))
     for i in range(config.layers):
         p = f"h{i}."
         h1 = T.layernorm_rows(x, w[p + "ln1.g"], w[p + "ln1.b"])
-        q = T.add_rowvec(T.matmul(h1, w[p + "wq"]), w[p + "bq"])
+        hq = h1
+        if i == config.layers - 1 and n < l:
+            x, hq = T.slice_rows(x, l - n, l), T.slice_rows(h1, l - n, l)
+        q = T.add_rowvec(T.matmul(hq, w[p + "wq"]), w[p + "bq"])
         k = T.add_rowvec(T.matmul(h1, w[p + "wk"]), w[p + "bk"])
         v = T.add_rowvec(T.matmul(h1, w[p + "wv"]), w[p + "bv"])
+        if cache is not None:
+            if past:
+                k = T.concat_rows([cache[i][0], k])
+                v = T.concat_rows([cache[i][1], v])
+                cache[i] = (k, v)
+            else:
+                cache.append((k, v))
         merged = T.causal_mha(q, k, v, config.heads)
         x = T.add(x, T.add_rowvec(T.matmul(merged, w[p + "wo"]), w[p + "bo"]))
         h2 = T.layernorm_rows(x, w[p + "ln2.g"], w[p + "ln2.b"])
@@ -162,8 +187,11 @@ class FrozenBackbone:
             raise TokenError(f"id outside vocabulary 0..{VOCAB_SIZE - 1}")
         return self._weights["embed"].data[idx]
 
-    def forward_rows(self, rows: T.Tensor) -> T.Tensor:
-        return _forward(self.config, self._weights, rows)
+    def forward_rows(self, rows: T.Tensor, *, last: int | None = None,
+                     cache: list[tuple[T.Tensor, T.Tensor]] | None = None) -> T.Tensor:
+        """Logits of the last `last` rows (all rows when None), extending a
+        per-layer key/value `cache` when one is given; see `_forward`."""
+        return _forward(self.config, self._weights, rows, last, cache)
 
     def save(self, path: str | Path) -> None:
         write_container(path, BACKBONE_MAGIC, self.config.pack(),
@@ -236,20 +264,25 @@ def generate(backbone: FrozenBackbone, assembled: AssembledInput,
              pseudo: T.Tensor | None = None, max_new: int = 8) -> str:
     """Greedy decoding from the end of the assembled input.
 
-    Stops at EOS, after max_new tokens, or when the context fills up.
-    Returns the decoded new bytes with EOS stripped.
+    The input runs through the backbone once, filling a per-layer key/value
+    cache; each new token then costs one row. Stops at EOS, after max_new
+    tokens, or when the context fills up. Returns the decoded new bytes with
+    EOS stripped.
     """
-    rows = assembled.rows_with(pseudo).data
+    rows = assembled.rows_with(pseudo)
+    length = rows.shape[0]
+    cache: list[tuple[T.Tensor, T.Tensor]] = []
     out: list[int] = []
     for _ in range(max_new):
-        if rows.shape[0] >= backbone.config.max_seq:
+        if length >= backbone.config.max_seq:
             break
-        logits = backbone.forward_rows(T.Tensor._wrap(rows, False, None))
+        logits = backbone.forward_rows(rows, last=1, cache=cache)
         nxt = int(np.argmax(logits.data[-1]))
         if nxt == EOS:
             break
         out.append(nxt)
-        rows = np.concatenate([rows, backbone.embed([nxt])], axis=0)
+        rows = T.Tensor._wrap(backbone.embed([nxt]), False, None)
+        length += 1
     return detokenize(out)
 
 

@@ -37,6 +37,7 @@ from .errors import (
 from .gradcheck import gradcheck_full, gradcheck_primitives, render_results
 from .metrics import MetricReport, ablation_report
 from .presets import SEEDS
+from .serialize import write_atomic
 from .trainer import (
     TrainConfig,
     build_pretrain_corpus,
@@ -172,8 +173,7 @@ def _output_dir(cfg: dict, command: str) -> Path:
 def _archive(out: Path, command: str, cfg: dict) -> None:
     snapshot = {"command": command, **cfg}
     path = out / f"{command}-config.json"
-    path.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    write_atomic(path, (json.dumps(snapshot, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def _parse_seeds(cfg: dict) -> tuple[int, ...]:
@@ -268,9 +268,8 @@ def cmd_pretrain_backbone(cfg: dict) -> int:
     path = out / "backbone.mseb"
     backbone.save(path)
     log = out / "pretrain-log.jsonl"
-    log.write_text(
-        "".join(json.dumps({"step": i, "loss": l}) + "\n"
-                for i, l in enumerate(losses)), encoding="utf-8")
+    write_atomic(log, "".join(json.dumps({"step": i, "loss": l}) + "\n"
+                              for i, l in enumerate(losses)).encode("utf-8"))
     first = losses[0] if losses else float("nan")
     last = losses[-1] if losses else float("nan")
     print(f"wrote {path}")
@@ -319,8 +318,8 @@ def cmd_eval(cfg: dict) -> int:
         out = _output_dir(cfg, "eval")
         _archive(out, "eval", cfg)
         payload = {"split": split, "variant": state.variant, **report.to_json()}
-        (out / "eval-report.json").write_text(
-            json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        write_atomic(out / "eval-report.json",
+                     (json.dumps(payload, indent=2) + "\n").encode("utf-8"))
         print(f"report written to {out / 'eval-report.json'}")
     return 0
 
@@ -344,9 +343,9 @@ def cmd_ablate(cfg: dict) -> int:
         print(f"{variant}: mean {report.mean}")
     table = ablation_report(results)
     print(table)
-    (out / "ablate-report.json").write_text(json.dumps(payload, indent=2) + "\n",
-                                            encoding="utf-8")
-    (out / "ablate-table.txt").write_text(table + "\n", encoding="utf-8")
+    write_atomic(out / "ablate-report.json",
+                 (json.dumps(payload, indent=2) + "\n").encode("utf-8"))
+    write_atomic(out / "ablate-table.txt", (table + "\n").encode("utf-8"))
     print(f"table written to {out / 'ablate-table.txt'}")
     return 0
 
@@ -358,7 +357,7 @@ def cmd_gradcheck(cfg: dict) -> int:
     if cfg.get("out"):
         out = _output_dir(cfg, "gradcheck")
         _archive(out, "gradcheck", cfg)
-        (out / "gradcheck.txt").write_text(text + "\n", encoding="utf-8")
+        write_atomic(out / "gradcheck.txt", (text + "\n").encode("utf-8"))
     if not all(r.passed for r in results):
         # wrong gradients mean broken internal guarantees, not bad input
         return 3

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, InputError
 from .presets import DatasetPreset, get_preset, synthetic_preset
-from .serialize import read_features, write_features
+from .serialize import read_features, write_atomic, write_features
 
 SPLITS = ("train", "valid", "test")
 
@@ -104,9 +104,15 @@ def load_dataset(root: str | Path, preset: DatasetPreset | None = None) -> Datas
         if sid in seen:
             raise InputError(f"{manifest}:{lineno}: duplicate id {sid!r}")
         seen.add(sid)
+        for rel in (audio_rel, vision_rel):
+            # string checks and joins: pathlib parsing, let alone Path.resolve,
+            # costs more per record than reading the feature file
+            if not isinstance(rel, str) or rel.startswith("/") or ".." in rel.split("/"):
+                raise InputError(f"{manifest}:{lineno}: feature path {rel!r} must be "
+                                 f"relative and stay inside {root}")
         label = _validate_label(preset, label, sid)
-        audio = read_features(root / audio_rel)
-        vision = read_features(root / vision_rel)
+        audio = read_features(f"{root}/{audio_rel}")
+        vision = read_features(f"{root}/{vision_rel}")
         if audio.shape[1] != preset.audio_width:
             raise InputError(f"{sid}: audio width {audio.shape[1]} != "
                              f"preset {preset.audio_width}")
@@ -226,7 +232,7 @@ def generate_synthetic(spec: SyntheticSpec, out_dir: str | Path) -> Dataset:
                 if predicted == cls:
                     hits += 1
     manifest = "\n".join(json.dumps(r, ensure_ascii=False) for r in records) + "\n"
-    (out / "manifest.jsonl").write_text(manifest, encoding="utf-8")
+    write_atomic(out / "manifest.jsonl", manifest.encode("utf-8"))
     meta = {
         "name": "synthetic",
         "class_count": spec.class_count,
@@ -241,8 +247,8 @@ def generate_synthetic(spec: SyntheticSpec, out_dir: str | Path) -> Dataset:
         "vision_strength": spec.vision_strength,
         "ceiling_accuracy": hits / test_total,
     }
-    (out / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n",
-                                   encoding="utf-8")
+    write_atomic(out / "meta.json",
+                 (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode("utf-8"))
     return load_dataset(out)
 
 

@@ -19,6 +19,7 @@ Feature matrices use a smaller header-only format:
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 from pathlib import Path
 
@@ -32,6 +33,21 @@ FEATURE_MAGIC = b"MSEF"
 
 def checksum64(payload: bytes) -> int:
     return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "little")
+
+
+def write_atomic(path: str | Path, data: bytes) -> None:
+    """Write `data` to a temporary file beside `path`, then rename it over
+    `path`: the file under the final name holds its old content or all of
+    the new one, never a part."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def pack_tensors(tensors: list[tuple[str, np.ndarray]]) -> bytes:
@@ -54,7 +70,7 @@ def write_container(path: str | Path, magic: bytes, config: bytes,
     body = struct.pack("<I", len(config)) + config + pack_tensors(tensors)
     blob = magic + struct.pack("<I", CONTAINER_VERSION) + body
     blob += struct.pack("<Q", checksum64(body))
-    Path(path).write_bytes(blob)
+    write_atomic(path, blob)
 
 
 def read_container(path: str | Path, magic: bytes) -> tuple[bytes, list[tuple[str, np.ndarray]]]:
@@ -104,12 +120,13 @@ def write_features(path: str | Path, features: np.ndarray) -> None:
         raise InputError("features must be finite")
     body = struct.pack("<II", *arr.shape) + np.ascontiguousarray(arr).tobytes()
     blob = FEATURE_MAGIC + body + struct.pack("<Q", checksum64(body))
-    Path(path).write_bytes(blob)
+    write_atomic(path, blob)
 
 
 def read_features(path: str | Path) -> np.ndarray:
     """Load a feature matrix, promoted to float64 for all in-memory math."""
-    blob = Path(path).read_bytes()
+    with open(path, "rb") as fh:
+        blob = fh.read()
     if len(blob) < 20 or blob[:4] != FEATURE_MAGIC:
         raise InputError(f"{path}: not a feature file")
     rows, cols = struct.unpack_from("<II", blob, 4)

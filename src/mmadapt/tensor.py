@@ -120,8 +120,10 @@ class Tensor:
 
     def _accum(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a copy, since one backward may hand the same array to two inputs
+            self.grad = g.copy()
+        else:
+            self.grad += g
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -243,20 +245,10 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
 # elementwise nonlinearities
 
 
-def _gelu_fwd(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + _erf(x * _INV_SQRT2))
-
-
-def _gelu_deriv(x: np.ndarray) -> np.ndarray:
-    # d/dx [x * Phi(x)] = Phi(x) + x * phi(x), Gaussian CDF/pdf form
-    return 0.5 * (1.0 + _erf(x * _INV_SQRT2)) + x * np.exp(-0.5 * x * x) * _INV_SQRT2PI
-
-
 _UNARY: dict[str, tuple[Callable, Callable]] = {
     # name -> (forward, derivative as function of (x, y))
     "sigmoid": (lambda x: 1.0 / (1.0 + np.exp(-x)), lambda x, y: y * (1.0 - y)),
     "tanh": (np.tanh, lambda x, y: 1.0 - y * y),
-    "gelu": (_gelu_fwd, lambda x, y: _gelu_deriv(x)),
 }
 
 
@@ -283,7 +275,19 @@ def tanh(x: Tensor) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    return elementwise_unary(x, "gelu")
+    """Exact GELU, x * Phi(x) with Phi the Gaussian CDF.
+
+    The forward keeps t = 2 Phi(x) = 1 + erf(x / sqrt 2) for the backward,
+    d/dx = Phi(x) + x phi(x), so erf runs once per element.
+    """
+    xd = x.data
+    t = 1.0 + _erf(xd * _INV_SQRT2)
+
+    def back(g: np.ndarray) -> None:
+        if x.requires_grad:
+            x._accum(g * (0.5 * t + xd * np.exp(-0.5 * xd * xd) * _INV_SQRT2PI))
+
+    return _finish(xd * (0.5 * t), (x,), back)
 
 
 # ---------------------------------------------------------------------------
@@ -541,32 +545,40 @@ def lstm_final(x: Tensor, wih: Tensor, whh: Tensor, b: Tensor) -> Tensor:
 
 
 def causal_mha(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
-    """Causal multi-head self-attention over (l, d) query/key/value rows.
+    """Causal multi-head attention of (lq, d) query rows over (lk, d) key and
+    value rows, lk >= lq.
 
-    Each head owns d / heads adjacent columns and attends with softmax of
+    The queries are the last lq of the lk positions, so query row i sees key
+    rows 0 .. lk - lq + i; lq == lk is plain causal self-attention, and
+    lq < lk serves queries for new rows over a key/value cache. Each head
+    owns d / heads adjacent columns and attends with softmax of
     q k^T / sqrt(d / heads), future positions masked to MASK_VALUE; the head
-    outputs sit side by side in the (l, d) result. Per head, the arithmetic
-    is that of causal_attention_scores, softmax_rows and matmul, so the
-    result is bit-identical to that composition.
+    outputs sit side by side in the (lq, d) result. Per head, the arithmetic
+    is that of causal_attention_scores, softmax_rows and matmul, so at
+    lq == lk the result is bit-identical to that composition.
     """
     for t, name in ((q, "q"), (k, "k"), (v, "v")):
         _need_2d(t, "causal_mha")
-        if t.shape != q.shape:
-            raise DimensionError(f"causal_mha: {name} {t.shape} differs from q {q.shape}")
-    l, d = q.shape
+        if t.shape[1] != q.shape[1]:
+            raise DimensionError(f"causal_mha: {name} {t.shape} differs in width from q {q.shape}")
+    lq, d = q.shape
+    lk = k.shape[0]
+    if v.shape != k.shape or lk < lq:
+        raise DimensionError(f"causal_mha: need k and v of equal shape with at least "
+                             f"{lq} rows, got k {k.shape}, v {v.shape}")
     if heads <= 0 or d % heads != 0:
         raise DimensionError(f"causal_mha: width {d} not divisible by {heads} heads")
     dh = d // heads
     s = 1.0 / math.sqrt(dh)
 
     def split(a: np.ndarray) -> np.ndarray:  # (l, d) -> contiguous (heads, l, dh)
-        return np.ascontiguousarray(a.reshape(l, heads, dh).transpose(1, 0, 2))
+        return np.ascontiguousarray(a.reshape(a.shape[0], heads, dh).transpose(1, 0, 2))
 
     def merge(a: np.ndarray) -> np.ndarray:  # (heads, l, dh) -> (l, d)
-        return a.transpose(1, 0, 2).reshape(l, d)
+        return a.transpose(1, 0, 2).reshape(a.shape[1], d)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    mask = np.triu(np.full((l, l), MASK_VALUE), k=1)
+    mask = np.triu(np.full((lq, lk), MASK_VALUE), k=1 + lk - lq)
     scores = (qh @ kh.transpose(0, 2, 1)) * s + mask
     e = np.exp(scores - scores.max(axis=2, keepdims=True))
     att = e / e.sum(axis=2, keepdims=True)

@@ -40,6 +40,7 @@ from .errors import ConfigError, InputError, LengthError, MmadaptError
 from .metrics import MetricReport, format_label, parse_generated, score_predictions
 from .optim import AdamWState, adamw_step, clip_global_norm, lr_schedule
 from .presets import SEEDS, DatasetPreset
+from .serialize import write_atomic
 
 
 @dataclass(frozen=True)
@@ -169,10 +170,14 @@ def _pseudo_for(params: AdapterParams, p: PreparedSample,
 
 def sample_loss(backbone: FrozenBackbone, params: AdapterParams,
                 p: PreparedSample, state: VariantState) -> T.Tensor:
+    """Label loss of one sample. The label block ends the input, and each
+    label token is predicted from the row before it, so only the logits of
+    the last len(label) + 1 rows are computed; attention is causal, so they
+    equal those rows of the full forward."""
     pseudo = _pseudo_for(params, p, state)
-    logits = backbone.forward_rows(p.train_input.rows_with(pseudo))
-    return label_loss(logits, p.train_input.label_positions,
-                      p.train_input.label_ids)
+    ids = p.train_input.label_ids
+    logits = backbone.forward_rows(p.train_input.rows_with(pseudo), last=len(ids) + 1)
+    return label_loss(logits, list(range(1, len(ids) + 1)), ids)
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +352,8 @@ def train_run(backbone: FrozenBackbone, dataset: Dataset,
         checkpoint_path = out / f"adapter-{config.variant}-seed{seed}.msea"
         save_adapter(checkpoint_path, best_params, best_state,
                      backbone_checksum=backbone.checksum)
-        log_path = out / f"train-{config.variant}-seed{seed}.jsonl"
-        log_path.write_text("\n".join(log_lines) + ("\n" if log_lines else ""),
-                            encoding="utf-8")
+        log = "".join(line + "\n" for line in log_lines)
+        write_atomic(out / f"train-{config.variant}-seed{seed}.jsonl", log.encode("utf-8"))
     return RunResult(seed, config.variant, best_epoch, best_valid, history,
                      step_losses, best_params, best_state, checkpoint_path)
 
@@ -433,6 +437,5 @@ def multi_seed_run(backbone: FrozenBackbone, dataset: Dataset,
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         path = out / f"report-{config.variant}.json"
-        path.write_text(json.dumps(report.to_json(), indent=2) + "\n",
-                        encoding="utf-8")
+        write_atomic(path, (json.dumps(report.to_json(), indent=2) + "\n").encode("utf-8"))
     return report

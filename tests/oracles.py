@@ -2,9 +2,10 @@
 
 Everything in here is deliberately naive: plain Python loops, math/mpmath
 scalars, no calls into the package's own numeric kernels. Slow is fine,
-wrong is not. The exceptions are the taped loop forms at the end: the
-per-frame LSTM and the per-head attention composed from the tape's
-primitives, which the fused kernels replaced and must reproduce.
+wrong is not. The exceptions are at the end: the per-frame LSTM and the
+per-head attention composed from the tape's primitives, which the fused
+kernels replaced and must reproduce, and greedy decoding without a
+key/value cache.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 import numpy as np
 
 from mmadapt import tensor as T
+from mmadapt.backbone import EOS
 
 
 def matmul_loops(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -165,3 +167,24 @@ def causal_mha_loop(q, k, v, heads: int):
             T.slice_cols(q, lo, hi), T.slice_cols(k, lo, hi), inv))
         outs.append(T.matmul(att, T.slice_cols(v, lo, hi)))
     return outs[0] if len(outs) == 1 else T.stack_columns(outs)
+
+
+# ---------------------------------------------------------------------------
+# uncached greedy decoding
+
+
+def generate_uncached_ids(backbone, assembled, pseudo=None, max_new: int = 8) -> list[int]:
+    """Greedy decoding that runs the full forward again for every new token;
+    the ids `backbone.generate` must emit from its key/value cache."""
+    rows = assembled.rows_with(pseudo).data
+    out: list[int] = []
+    for _ in range(max_new):
+        if rows.shape[0] >= backbone.config.max_seq:
+            break
+        logits = backbone.forward_rows(T.Tensor._wrap(rows, False, None))
+        nxt = int(np.argmax(logits.data[-1]))
+        if nxt == EOS:
+            break
+        out.append(nxt)
+        rows = np.concatenate([rows, backbone.embed([nxt])], axis=0)
+    return out

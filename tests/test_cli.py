@@ -2,6 +2,7 @@
 process-level reproducibility."""
 
 import json
+import shutil
 import subprocess
 import sys
 
@@ -246,6 +247,27 @@ def test_eval_malformed_meta_exits_one_without_traceback(tmp_path, meta):
                 str(tmp_path / "a.msea"), "--backbone", str(tmp_path / "b.mseb"))
     assert r.returncode == 1, r.stderr
     assert "meta.json" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("where", ["dotdot", "absolute"])
+def test_eval_rejects_feature_path_outside_dataset(tmp_path, cli_workspace, where):
+    """A manifest feature path that is absolute or climbs out with '..' exits
+    1 with a message, even when the file it names is a valid feature file."""
+    data = tmp_path / "data"
+    shutil.copytree(cli_workspace["data"], data)
+    outside = tmp_path / "outside.a.msef"
+    lines = (data / "manifest.jsonl").read_text(encoding="utf-8").splitlines()
+    rec = json.loads(lines[0])
+    shutil.copy(data / rec["audio"], outside)
+    rec["audio"] = "../outside.a.msef" if where == "dotdot" else str(outside)
+    lines[0] = json.dumps(rec)
+    (data / "manifest.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    r = run_cli("eval", "--dataset", str(data), "--backbone",
+                str(cli_workspace["backbone"]), "--checkpoint",
+                str(cli_workspace["train"] / "adapter-full-seed5.msea"))
+    assert r.returncode == 1, r.stderr
+    assert "feature path" in r.stderr and "outside.a.msef" in r.stderr
     assert "Traceback" not in r.stderr
 
 

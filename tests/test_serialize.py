@@ -1,6 +1,9 @@
 """Binary container and feature-file formats: bit-exact round trips,
 corruption detection, header validation."""
 
+import errno
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from numpy.testing import assert_array_equal
 
 from mmadapt import serialize as S
 from mmadapt.errors import CheckpointError, InputError
+from mmadapt.trainer import TrainConfig, multi_seed_run
 
 RNG = np.random.default_rng(7)
 
@@ -136,3 +140,73 @@ def test_features_round_trip_property(tmp_path_factory, rows, cols, seed):
     p = tmp_path_factory.mktemp("msef") / "f.msef"
     S.write_features(p, arr)
     assert_array_equal(S.read_features(p).astype(np.float32), arr)
+
+
+# ---------------------------------------------------------------------------
+# interrupted writes
+
+
+class _HalfWrite:
+    """A file that takes the first half of what it is given, then fails as a
+    full disk would."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def fail_writes_to(monkeypatch, name):
+    """Make every write of the artifact called `name` stop halfway."""
+    real_open = open
+
+    def fake_open(path, mode="r", *args, **kwargs):
+        fh = real_open(path, mode, *args, **kwargs)
+        return _HalfWrite(fh) if f".{name}." in Path(path).name else fh
+
+    monkeypatch.setattr(S, "open", fake_open, raising=False)
+
+
+WRITERS = {
+    "a.msea": lambda p, k: S.write_container(p, b"MSEA", b"cfg", [("w", np.full((3, 4), k))]),
+    "f.msef": lambda p, k: S.write_features(p, np.full((5, 3), k, dtype=np.float32)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_interrupted_write_keeps_previous_artifact(tmp_path, monkeypatch, name):
+    path = tmp_path / name
+    WRITERS[name](path, 1.0)
+    before = path.read_bytes()
+    fail_writes_to(monkeypatch, name)
+    with pytest.raises(OSError):
+        WRITERS[name](path, 2.0)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
+@pytest.mark.parametrize("name", ["train-full-seed5.jsonl", "report-full.json"])
+def test_interrupted_run_log_or_report_keeps_previous(tmp_path, monkeypatch, small_synth,
+                                                      small_backbone, small_adapter_config,
+                                                      name):
+    def run(lr):
+        multi_seed_run(small_backbone, small_synth, small_adapter_config,
+                       TrainConfig(learning_rate=lr, epochs=1, batch_size=8, seeds=(5,)),
+                       out_dir=tmp_path)
+
+    run(5e-3)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert name in before
+    fail_writes_to(monkeypatch, name)
+    with pytest.raises(OSError):
+        run(1e-2)
+    assert (tmp_path / name).read_bytes() == before[name]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before)

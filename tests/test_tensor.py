@@ -69,6 +69,22 @@ def test_gelu_at_one_reference_value():
     assert_allclose(got, 0.5 * (1.0 + math.erf(1.0 / math.sqrt(2.0))), rtol=1e-15)
 
 
+def test_gelu_is_bit_identical_to_the_two_erf_formula():
+    """Keeping 1 + erf(x / sqrt 2) from the forward for the backward changes
+    no bit of the output or of the gradient."""
+    from scipy.special import erf
+
+    x = np.concatenate([RNG.uniform(-7, 7, 998), [0.0, -0.0]]).reshape(10, 100)
+    g = RNG.uniform(-1, 1, x.shape)
+    xt = T.Tensor(x, requires_grad=True)
+    with T.Tape() as tape:
+        out = T.gelu(xt)
+        tape.backward(T.sum_all(T.hadamard(out, T.Tensor(g))))
+    c, k = 1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0 * math.pi)
+    assert_array_equal(out.data, 0.5 * x * (1.0 + erf(x * c)))
+    assert_array_equal(xt.grad, g * (0.5 * (1.0 + erf(x * c)) + x * np.exp(-0.5 * x * x) * k))
+
+
 def test_sigmoid_tanh_forwards():
     x = np.array([[-1.5, 0.0, 0.7]])
     assert_allclose(T.sigmoid(T.Tensor(x)).data, 1 / (1 + np.exp(-x)), rtol=1e-15)
@@ -169,7 +185,7 @@ def test_add_rowvec_add_scalar_grads():
 def test_unary_grads(fname):
     w = RNG.uniform(-1, 1, (2, 5))
     check_grads(
-        lambda t: loss_of(T.elementwise_unary(t["x"], fname), w),
+        lambda t: loss_of(getattr(T, fname)(t["x"]), w),
         {"x": RNG.uniform(-2, 2, (2, 5))},
     )
 
@@ -301,12 +317,37 @@ def test_causal_mha_future_rows_cannot_leak(heads):
     assert not np.array_equal(o1[5], o2[5])
 
 
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("lq", [1, 3])
+def test_causal_mha_fewer_queries_equal_last_rows_of_square_call(heads, lq):
+    """Queries for the last lq of lk positions over all lk keys and values:
+    the output and every gradient equal the square call's last lq rows."""
+    rng = np.random.default_rng(10 * heads + lq)
+    lk = 7
+    q, k, v = (rng.uniform(-2, 2, (lk, 16)) for _ in range(3))
+    w = rng.uniform(-1, 1, (lq, 16))
+    got, (gq, gk, gv) = run_taped(lambda q, k, v: T.causal_mha(q, k, v, heads),
+                                  [q[lk - lq:], k, v], w)
+    want, (wq, wk, wv) = run_taped(
+        lambda q, k, v: T.slice_rows(T.causal_mha(q, k, v, heads), lk - lq, lk),
+        [q, k, v], w)
+    assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert_allclose(gq, wq[lk - lq:], rtol=0, atol=1e-12)
+    assert not np.any(wq[:lk - lq])
+    assert_allclose(gk, wk, rtol=0, atol=1e-12)
+    assert_allclose(gv, wv, rtol=0, atol=1e-12)
+
+
 def test_causal_mha_rejects_bad_heads_and_shapes():
     a = T.Tensor(np.ones((3, 6)))
     with pytest.raises(DimensionError):
         T.causal_mha(a, a, a, 4)
     with pytest.raises(DimensionError):
         T.causal_mha(a, T.Tensor(np.ones((2, 6))), a, 2)
+    with pytest.raises(DimensionError):  # values must match the keys
+        T.causal_mha(a, T.Tensor(np.ones((4, 6))), a, 2)
+    with pytest.raises(DimensionError):
+        T.causal_mha(a, T.Tensor(np.ones((3, 4))), a, 2)
 
 
 def test_slice_concat_stack_transpose_grads():
