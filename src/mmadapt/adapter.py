@@ -206,6 +206,16 @@ def lstm_final_state(x: T.Tensor, wih: T.Tensor, whh: T.Tensor, b: T.Tensor,
     return T.lstm_final(x, wih, whh, b)
 
 
+def _project_modalities(params: AdapterParams, vision_final: T.Tensor,
+                        audio_final: T.Tensor) -> tuple[T.Tensor, T.Tensor]:
+    """The vision and audio states projected to mix_width columns."""
+    vision_col = T.add(T.matmul(params["vision_proj.w"], vision_final),
+                       params["vision_proj.b"])
+    audio_col = T.add(T.matmul(params["audio_proj.w"], audio_final),
+                      params["audio_proj.b"])
+    return vision_col, audio_col
+
+
 def text_guided_mix(params: AdapterParams, text_rows: T.Tensor,
                     vision_final: T.Tensor, audio_final: T.Tensor) -> T.Tensor:
     """Gate the projected vision/audio states by the projected text mean,
@@ -213,21 +223,14 @@ def text_guided_mix(params: AdapterParams, text_rows: T.Tensor,
     pooled = T.reduce_mean_rows(text_rows)  # 1 x embed_width
     text_col = T.add(T.matmul(params["text_proj.w"], T.transpose(pooled)),
                      params["text_proj.b"])
-    vision_col = T.add(T.matmul(params["vision_proj.w"], vision_final),
-                       params["vision_proj.b"])
-    audio_col = T.add(T.matmul(params["audio_proj.w"], audio_final),
-                      params["audio_proj.b"])
+    vision_col, audio_col = _project_modalities(params, vision_final, audio_final)
     return T.add(T.hadamard(vision_col, text_col), T.hadamard(audio_col, text_col))
 
 
 def ungated_mix(params: AdapterParams, vision_final: T.Tensor,
                 audio_final: T.Tensor) -> T.Tensor:
     """Mixer ablation: two independent linear maps summed, no text gate."""
-    vision_col = T.add(T.matmul(params["vision_proj.w"], vision_final),
-                       params["vision_proj.b"])
-    audio_col = T.add(T.matmul(params["audio_proj.w"], audio_final),
-                      params["audio_proj.b"])
-    return T.add(vision_col, audio_col)
+    return T.add(*_project_modalities(params, vision_final, audio_final))
 
 
 def fuse_scales(params: AdapterParams, mixed: T.Tensor) -> T.Tensor:

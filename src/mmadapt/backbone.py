@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -212,64 +212,14 @@ class FrozenBackbone:
         return cls(config, weights)
 
 
-@dataclass
-class AssembledInput:
-    """One backbone input: optional pseudo-token prefix, then constant
-    embedding rows for text, prompt, and (during training) label tokens."""
+def generate(backbone: FrozenBackbone, rows: T.Tensor, max_new: int = 8) -> str:
+    """Greedy decoding from the end of the input rows.
 
-    const_rows: np.ndarray
-    n_prefix: int
-    text_len: int
-    prompt_len: int
-    label_ids: list[int] = field(default_factory=list)
-
-    @property
-    def length(self) -> int:
-        return self.n_prefix + self.const_rows.shape[0]
-
-    @property
-    def label_positions(self) -> list[int]:
-        start = self.n_prefix + self.text_len + self.prompt_len
-        return list(range(start, start + len(self.label_ids)))
-
-    def rows_with(self, pseudo: T.Tensor | None) -> T.Tensor:
-        if self.n_prefix == 0:
-            if pseudo is not None:
-                raise T.DimensionError("input was assembled without a pseudo prefix")
-            return T.Tensor._wrap(self.const_rows, False, None)
-        if pseudo is None or pseudo.shape[0] != self.n_prefix:
-            got = None if pseudo is None else pseudo.shape
-            raise T.DimensionError(
-                f"pseudo prefix must have {self.n_prefix} rows, got {got}")
-        return T.concat_rows([pseudo, T.Tensor._wrap(self.const_rows, False, None)])
-
-
-def assemble_input(backbone: FrozenBackbone, text: str, prompt: str,
-                   n_prefix: int = 0, label_ids: Sequence[int] | None = None) -> AssembledInput:
-    """Tokenize and embed the constant sections, leaving the prefix open."""
-    text_ids = tokenize(text)
-    prompt_ids = tokenize(prompt)
-    label = list(label_ids) if label_ids else []
-    total = n_prefix + len(text_ids) + len(prompt_ids) + len(label)
-    if total > backbone.config.max_seq:
-        raise LengthError(
-            f"assembled length {total} exceeds max {backbone.config.max_seq}")
-    if total == 0:
-        raise LengthError("assembled input is empty")
-    const = backbone.embed(text_ids + prompt_ids + label)
-    return AssembledInput(const, n_prefix, len(text_ids), len(prompt_ids), label)
-
-
-def generate(backbone: FrozenBackbone, assembled: AssembledInput,
-             pseudo: T.Tensor | None = None, max_new: int = 8) -> str:
-    """Greedy decoding from the end of the assembled input.
-
-    The input runs through the backbone once, filling a per-layer key/value
+    The rows run through the backbone once, filling a per-layer key/value
     cache; each new token then costs one row. Stops at EOS, after max_new
     tokens, or when the context fills up. Returns the decoded new bytes with
     EOS stripped.
     """
-    rows = assembled.rows_with(pseudo)
     length = rows.shape[0]
     cache: list[tuple[T.Tensor, T.Tensor]] = []
     out: list[int] = []

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .adapter import AdapterConfig, AdapterParams, VariantState
-from .backbone import EOS, BackboneConfig, FrozenBackbone, assemble_input, init_weights, tokenize
+from .backbone import EOS, BackboneConfig, FrozenBackbone, init_weights, tokenize
 from .trainer import sample_loss, PreparedSample
 
 PRIMITIVE_TOL = 1e-6
@@ -185,15 +185,18 @@ def _tiny_pipeline(seed: int):
                                    audio_hidden=8, vision_hidden=7,
                                    mix_width=32, token_count=4, embed_width=16)
     params = AdapterParams.init(adapter_config, rng)
-    train_input = assemble_input(backbone, "ok", " label:", 4,
-                                 tokenize("1") + [EOS])
+    text_ids = tokenize("ok")
+    label_ids = tokenize("1") + [EOS]
+    const_rows = backbone.embed(text_ids + tokenize(" label:") + label_ids)
     prepared = PreparedSample(
         sid="gradcheck",
         gold=1.0,
         audio=rng.standard_normal((5, 6)),
         vision=rng.standard_normal((4, 5)),
-        text_rows=train_input.const_rows[:train_input.text_len],
-        train_input=train_input,
+        text_rows=const_rows[:len(text_ids)],
+        const_rows=const_rows,
+        n_prefix=4,
+        label_ids=label_ids,
     )
     return backbone, params, prepared
 

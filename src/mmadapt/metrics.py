@@ -30,8 +30,6 @@ from dataclasses import dataclass, field
 
 from .errors import InputError
 
-FAMILIES = ("wide_score", "narrow_score", "emotion")
-
 # display names and whether each metric renders as a percentage
 _METRIC_DISPLAY = {
     "acc2": ("Acc2", True),

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from scipy.special import erf as _erf
 
-from .errors import DimensionError, DomainError, TapeStateError
+from .errors import DimensionError, DomainError, TapeStateError, TokenError
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -89,8 +89,8 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False) -> None:
         arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim < 1 or arr.ndim > 3:
-            raise DimensionError(f"rank must be 1..3, got shape {arr.shape}")
+        if arr.ndim < 1 or arr.ndim > 2:
+            raise DimensionError(f"rank must be 1..2, got shape {arr.shape}")
         if any(e <= 0 for e in arr.shape):
             raise DimensionError(f"extents must be positive, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
@@ -377,8 +377,6 @@ def embedding_lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
     if idx.ndim != 1 or idx.size == 0:
         raise DimensionError("embedding_lookup: ids must be a non-empty 1-d sequence")
     if idx.min() < 0 or idx.max() >= table.shape[0]:
-        from .errors import TokenError
-
         raise TokenError(f"id out of range 0..{table.shape[0] - 1}")
 
     def back(g: np.ndarray) -> None:

@@ -34,7 +34,7 @@ from .adapter import (
     make_variant_state,
     save_adapter,
 )
-from .backbone import EOS, AssembledInput, FrozenBackbone, assemble_input, generate, tokenize
+from .backbone import EOS, FrozenBackbone, generate, tokenize
 from .corpus import Dataset, FeatureSample, subsample_train
 from .errors import ConfigError, InputError, LengthError, MmadaptError
 from .metrics import MetricReport, format_label, parse_generated, score_predictions
@@ -81,29 +81,21 @@ class TrainConfig:
 # label loss
 
 
-def label_loss(logits: T.Tensor, label_positions: list[int],
-               label_ids: list[int]) -> T.Tensor:
+def label_loss(logits: T.Tensor, label_ids: list[int]) -> T.Tensor:
     """Sum of next-token cross-entropies over the label block.
 
-    Each label token (the end marker included) is predicted from the logits
-    row immediately before its own position; every other position contributes
+    `logits` are the rows of the last len(label_ids) + 1 input positions:
+    the one just before the label block, then the label block itself. Row i
+    predicts label token i (the end marker included); the last row predicts
     nothing.
     """
     n = len(label_ids)
     if n < 1:
         raise InputError("need at least one label token")
-    if len(label_positions) != n:
-        raise InputError(f"{len(label_positions)} positions for {n} label ids")
-    rows = logits.shape[0]
-    for a, b in zip(label_positions, label_positions[1:]):
-        if b != a + 1:
-            raise InputError("label positions must be contiguous and ascending")
-    first, last = label_positions[0], label_positions[-1]
-    if first < 1 or last >= rows:
-        raise LengthError(f"label positions {first}..{last} outside the "
-                          f"predictable range 1..{rows - 1}")
-    window = T.slice_rows(logits, first - 1, last)
-    return T.rows_cross_entropy(window, label_ids, reduction="sum")
+    if logits.shape[0] != n + 1:
+        raise InputError(f"label window of {n} ids needs {n + 1} logits rows, "
+                         f"got {logits.shape[0]}")
+    return T.rows_cross_entropy(T.slice_rows(logits, 0, n), label_ids, reduction="sum")
 
 
 # ---------------------------------------------------------------------------
@@ -112,19 +104,30 @@ def label_loss(logits: T.Tensor, label_positions: list[int],
 
 @dataclass
 class PreparedSample:
+    """One sample in the layout the backbone reads: [pseudo | text | prompt |
+    label]. `const_rows` are the frozen embedding rows of the text (empty when
+    the variant drops it), prompt and label ids; the `n_prefix` pseudo rows
+    come from the adapter. `text_rows` feed the adapter's text gate."""
+
     sid: str
     gold: float
     audio: np.ndarray
     vision: np.ndarray
     text_rows: np.ndarray
-    train_input: AssembledInput
+    const_rows: np.ndarray
+    n_prefix: int
+    label_ids: list[int]
 
-    @property
-    def eval_input(self) -> AssembledInput:
-        """The training input without its label block."""
-        t = self.train_input
-        return AssembledInput(t.const_rows[:t.text_len + t.prompt_len],
-                              t.n_prefix, t.text_len, t.prompt_len)
+    def input_rows(self, pseudo: T.Tensor, with_label: bool = True) -> T.Tensor:
+        """The pseudo rows in front of the constant rows, with or without the
+        label block."""
+        if pseudo.shape[0] != self.n_prefix:
+            raise T.DimensionError(
+                f"pseudo prefix must have {self.n_prefix} rows, got {pseudo.shape}")
+        const = self.const_rows
+        if not with_label:
+            const = const[:const.shape[0] - len(self.label_ids)]
+        return T.concat_rows([pseudo, T.Tensor._wrap(const, False, None)])
 
 
 def label_text(preset: DatasetPreset, value: float) -> str:
@@ -145,15 +148,20 @@ def eval_token_budget(preset: DatasetPreset) -> int:
 def prepare_samples(backbone: FrozenBackbone, samples: list[FeatureSample],
                     preset: DatasetPreset, n_prefix: int,
                     drops_text: bool) -> list[PreparedSample]:
+    prompt_ids = tokenize(preset.prompt)
+    max_seq = backbone.config.max_seq
     prepared = []
     for s in samples:
-        train_input = assemble_input(backbone, "" if drops_text else s.text,
-                                     preset.prompt, n_prefix,
-                                     label_token_ids(preset, s.label))
-        text_rows = (backbone.embed(tokenize(s.text)) if drops_text
-                     else train_input.const_rows[:train_input.text_len])
-        prepared.append(PreparedSample(s.sid, s.label, s.audio, s.vision,
-                                       text_rows, train_input))
+        text_ids = tokenize(s.text)
+        label_ids = label_token_ids(preset, s.label)
+        kept = [] if drops_text else text_ids
+        length = n_prefix + len(kept) + len(prompt_ids) + len(label_ids)
+        if length > max_seq:
+            raise LengthError(f"sample {s.sid!r}: input length {length} exceeds max {max_seq}")
+        const_rows = backbone.embed(kept + prompt_ids + label_ids)
+        text_rows = backbone.embed(text_ids) if drops_text else const_rows[:len(text_ids)]
+        prepared.append(PreparedSample(s.sid, s.label, s.audio, s.vision, text_rows,
+                                       const_rows, n_prefix, label_ids))
     return prepared
 
 
@@ -174,10 +182,9 @@ def sample_loss(backbone: FrozenBackbone, params: AdapterParams,
     label token is predicted from the row before it, so only the logits of
     the last len(label) + 1 rows are computed; attention is causal, so they
     equal those rows of the full forward."""
-    pseudo = _pseudo_for(params, p, state)
-    ids = p.train_input.label_ids
-    logits = backbone.forward_rows(p.train_input.rows_with(pseudo), last=len(ids) + 1)
-    return label_loss(logits, list(range(1, len(ids) + 1)), ids)
+    rows = p.input_rows(_pseudo_for(params, p, state))
+    logits = backbone.forward_rows(rows, last=len(p.label_ids) + 1)
+    return label_loss(logits, p.label_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +203,8 @@ def evaluate_split(backbone: FrozenBackbone, params: AdapterParams,
     golds: list[float] = []
     fallbacks = 0
     for p in prepared:
-        pseudo = _pseudo_for(params, p, state)
-        text = generate(backbone, p.eval_input, pseudo, max_new=budget)
+        rows = p.input_rows(_pseudo_for(params, p, state), with_label=False)
+        text = generate(backbone, rows, max_new=budget)
         value, fb = parse_generated(preset.task, text,
                                     class_count=preset.class_count,
                                     neutral_class=preset.neutral_class)
@@ -297,7 +304,6 @@ def train_run(backbone: FrozenBackbone, dataset: Dataset,
     total_steps = max(1, config.epochs * batches_per_epoch)
     opt_state = AdamWState()
     best_params = params.clone()
-    best_state = state
     best_valid: float | None = None
     best_epoch: int | None = None
     history: list[dict] = []
@@ -350,12 +356,12 @@ def train_run(backbone: FrozenBackbone, dataset: Dataset,
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         checkpoint_path = out / f"adapter-{config.variant}-seed{seed}.msea"
-        save_adapter(checkpoint_path, best_params, best_state,
+        save_adapter(checkpoint_path, best_params, state,
                      backbone_checksum=backbone.checksum)
         log = "".join(line + "\n" for line in log_lines)
         write_atomic(out / f"train-{config.variant}-seed{seed}.jsonl", log.encode("utf-8"))
     return RunResult(seed, config.variant, best_epoch, best_valid, history,
-                     step_losses, best_params, best_state, checkpoint_path)
+                     step_losses, best_params, state, checkpoint_path)
 
 
 # ---------------------------------------------------------------------------

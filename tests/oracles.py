@@ -173,10 +173,10 @@ def causal_mha_loop(q, k, v, heads: int):
 # uncached greedy decoding
 
 
-def generate_uncached_ids(backbone, assembled, pseudo=None, max_new: int = 8) -> list[int]:
+def generate_uncached_ids(backbone, rows, max_new: int = 8) -> list[int]:
     """Greedy decoding that runs the full forward again for every new token;
     the ids `backbone.generate` must emit from its key/value cache."""
-    rows = assembled.rows_with(pseudo).data
+    rows = rows.data
     out: list[int] = []
     for _ in range(max_new):
         if rows.shape[0] >= backbone.config.max_seq:

@@ -147,35 +147,21 @@ def test_forward_rejects_overlong_and_wrong_width():
 
 def test_gradient_flows_to_pseudo_prefix_but_not_frozen_weights():
     frozen = make_frozen()
-    asm = B.assemble_input(frozen, "hi", "q:", n_prefix=3, label_ids=[48, B.EOS])
+    label_ids = [48, B.EOS]
+    const = T.Tensor(frozen.embed(B.tokenize("hiq:") + label_ids))
     pseudo = T.Tensor(RNG.uniform(-0.5, 0.5, (3, 16)), requires_grad=True)
     with T.Tape() as tape:
-        logits = frozen.forward_rows(asm.rows_with(pseudo))
-        loss = T.rows_cross_entropy(
-            T.slice_rows(logits, asm.label_positions[0] - 1, asm.label_positions[-1]),
-            asm.label_ids, reduction="sum")
+        logits = frozen.forward_rows(T.concat_rows([pseudo, const]))
+        # rows 6 and 7 predict the label ids at positions 7 and 8
+        loss = T.rows_cross_entropy(T.slice_rows(logits, 6, 8), label_ids,
+                                    reduction="sum")
         tape.backward(loss)
     assert pseudo.grad is not None and np.any(pseudo.grad != 0)
     assert all(t.grad is None for t in frozen._weights.values())
 
 
 # ---------------------------------------------------------------------------
-# assembly and generation
-
-
-def test_assemble_boundary_arithmetic():
-    frozen = make_frozen()
-    asm = B.assemble_input(frozen, "sevench", "promp", n_prefix=4,
-                           label_ids=[48, 49, 50, B.EOS])
-    assert asm.length == 20
-    assert asm.label_positions == [16, 17, 18, 19]
-    assert asm.label_positions[-1] == asm.length - 1
-
-
-def test_assemble_rejects_overflow():
-    frozen = make_frozen()
-    with pytest.raises(LengthError):
-        B.assemble_input(frozen, "x" * 60, "", n_prefix=0)
+# embedding and generation
 
 
 def test_embed_single_id_equals_table_row():
@@ -185,22 +171,13 @@ def test_embed_single_id_equals_table_row():
 
 def test_generate_is_deterministic_and_respects_max_new():
     frozen = make_frozen()
-    asm = B.assemble_input(frozen, "hello", " ans:")
-    a = B.generate(frozen, asm, max_new=5)
-    b = B.generate(frozen, asm, max_new=5)
+    rows = T.Tensor(frozen.embed(B.tokenize("hello ans:")))
+    a = B.generate(frozen, rows, max_new=5)
+    b = B.generate(frozen, rows, max_new=5)
     assert a == b
     # at most 5 byte ids were emitted, and replacement decoding never
     # yields more characters than bytes
     assert len(a) <= 5
-
-
-def test_rows_with_validates_prefix_shape():
-    frozen = make_frozen()
-    asm = B.assemble_input(frozen, "hello", "p:", n_prefix=2)
-    with pytest.raises(Exception):
-        asm.rows_with(None)
-    with pytest.raises(Exception):
-        asm.rows_with(T.Tensor(np.zeros((3, 16)) + 0.1))
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +213,8 @@ def test_pretrain_memorizes_constant_label():
     corpus = [t + " judge:+1.0" for t in
               ["the sky is wide", "rain came early", "we left at noon"]]
     frozen, _ = B.pretrain_backbone(corpus, steps=450, seed=21, config=TINY, lr=4e-3)
-    asm = B.assemble_input(frozen, "the sky is wide", " judge:")
-    assert B.generate(frozen, asm, max_new=6) == "+1.0"
+    rows = T.Tensor(frozen.embed(B.tokenize("the sky is wide judge:")))
+    assert B.generate(frozen, rows, max_new=6) == "+1.0"
 
 
 def test_frozen_weights_are_write_protected():

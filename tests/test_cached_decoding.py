@@ -110,10 +110,10 @@ def test_cached_generate_matches_uncached_on_every_corpus_preset(monkeypatch, na
     state = make_variant_state("full", acfg, rng)
     capture_ids(monkeypatch)
     for p in prepare_samples(frozen, samples, preset, acfg.token_count, False):
-        pseudo = trainer_mod._pseudo_for(params, p, state)
+        rows = p.input_rows(trainer_mod._pseudo_for(params, p, state), with_label=False)
         for budget in (eval_token_budget(preset), 8):
-            want = generate_uncached_ids(frozen, p.eval_input, pseudo, budget)
-            assert B.generate(frozen, p.eval_input, pseudo, budget) == want, p.sid
+            want = generate_uncached_ids(frozen, rows, budget)
+            assert B.generate(frozen, rows, budget) == want, p.sid
 
 
 def test_cached_generate_matches_uncached_on_the_synthetic_preset(
@@ -126,26 +126,25 @@ def test_cached_generate_matches_uncached_on_the_synthetic_preset(
     capture_ids(monkeypatch)
     stopped_at_eos = 0
     for p in prepared:
-        pseudo = trainer_mod._pseudo_for(params, p, state)
+        rows = p.input_rows(trainer_mod._pseudo_for(params, p, state), with_label=False)
         for budget in (eval_token_budget(small_synth.preset), 8):
-            want = generate_uncached_ids(small_backbone, p.eval_input, pseudo, budget)
-            assert B.generate(small_backbone, p.eval_input, pseudo, budget) == want, p.sid
+            want = generate_uncached_ids(small_backbone, rows, budget)
+            assert B.generate(small_backbone, rows, budget) == want, p.sid
             stopped_at_eos += len(want) < budget
     assert stopped_at_eos > 0  # the pretrained backbone ends some labels itself
 
 
 @pytest.mark.parametrize("room", [0, 1, 3])
 def test_cached_generate_stops_when_the_context_fills(monkeypatch, room):
-    probe = make_frozen()
-    asm = B.assemble_input(probe, "hello there", " ans:")
+    ids = B.tokenize("hello there ans:")
     config = B.BackboneConfig(embed_width=16, layers=2, heads=2, ffn_mult=2,
-                              max_seq=asm.length + room)
+                              max_seq=len(ids) + room)
     frozen = make_frozen(config)
-    asm = B.assemble_input(frozen, "hello there", " ans:")
+    rows = T.Tensor(frozen.embed(ids))
     capture_ids(monkeypatch)
-    want = generate_uncached_ids(frozen, asm, max_new=8)
+    want = generate_uncached_ids(frozen, rows, max_new=8)
     assert len(want) == room
-    assert B.generate(frozen, asm, max_new=8) == want
+    assert B.generate(frozen, rows, max_new=8) == want
 
 
 # ---------------------------------------------------------------------------
@@ -153,10 +152,11 @@ def test_cached_generate_stops_when_the_context_fills(monkeypatch, room):
 
 
 def full_row_sample_loss(backbone, params, p, state):
-    """sample_loss as it reads with every row of the forward computed."""
-    logits = backbone.forward_rows(p.train_input.rows_with(
-        trainer_mod._pseudo_for(params, p, state)))
-    return label_loss(logits, p.train_input.label_positions, p.train_input.label_ids)
+    """sample_loss as it reads with every row of the forward computed: the
+    label window is cut from the full logits."""
+    logits = backbone.forward_rows(p.input_rows(trainer_mod._pseudo_for(params, p, state)))
+    rows = logits.shape[0]
+    return label_loss(T.slice_rows(logits, rows - len(p.label_ids) - 1, rows), p.label_ids)
 
 
 @pytest.mark.parametrize("layers", [1, 2])

@@ -493,6 +493,8 @@ def test_matmul_shape_error_names_both_shapes():
 def test_constructor_validation():
     with pytest.raises(DimensionError):
         T.Tensor(np.zeros((2, 2, 2, 2)))
+    with pytest.raises(DimensionError, match="rank must be 1..2"):
+        T.Tensor(np.zeros((2, 2, 2)))
     with pytest.raises(DimensionError):
         T.Tensor(np.zeros((0, 3)))
     with pytest.raises(DomainError):

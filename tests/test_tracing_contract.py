@@ -1,20 +1,29 @@
 """The benchmark's tracer wraps public names of the package by name, so
-removing or renaming one of them breaks `perfbench/run.py --trace 1`."""
+removing or renaming one of them breaks `perfbench/run.py --trace 1`, and a
+call path that stops going through one of them silently reports 0 ms for it."""
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from mmadapt import tensor, trainer
+from mmadapt.adapter import AdapterParams, make_variant_state
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def test_tracer_installs_and_uninstalls_over_the_package():
+@pytest.fixture
+def tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing.Tracer()
+
+
+def test_tracer_installs_and_uninstalls_over_the_package(tracer):
     originals = (trainer.prepare_samples, tensor.gelu, tensor.Tape.backward)
-    tracer = tracing.Tracer()
     tracer.install()
     try:
         assert trainer.prepare_samples is not originals[0]
@@ -22,3 +31,28 @@ def test_tracer_installs_and_uninstalls_over_the_package():
     finally:
         tracer.uninstall()
     assert (trainer.prepare_samples, tensor.gelu, tensor.Tape.backward) == originals
+
+
+def test_training_and_eval_calls_pass_through_the_spanned_names(
+        tracer, small_synth, small_backbone, small_adapter_config):
+    rng = np.random.default_rng(0)
+    params = AdapterParams.init(small_adapter_config, rng)
+    state = make_variant_state("full", small_adapter_config, rng)
+    tracer.install()
+    try:
+        prepared = trainer.prepare_samples(small_backbone, small_synth["test"][:2],
+                                           small_synth.preset,
+                                           small_adapter_config.token_count, False)
+        with tensor.Tape() as tape:
+            tape.backward(trainer.sample_loss(small_backbone, params, prepared[0], state))
+        trainer.evaluate_split(small_backbone, params, state, prepared, small_synth.preset)
+    finally:
+        tracer.uninstall()
+    # one training sample plus two evaluated ones
+    assert tracer.count("trainer.sample_loss") == 1
+    assert tracer.count("trainer.label_loss") == 1
+    assert tracer.count("backbone.generate") == 2
+    assert tracer.count("adapter.build_pseudo_tokens") == 3
+    assert tracer.count("backbone.forward_rows") >= 3
+    assert tracer.count("tensor.backward") == 1
+    assert tracer.rows_in > 0

@@ -2,16 +2,20 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
 import mmadapt.trainer as trainer_mod
 from mmadapt import tensor as T
 from mmadapt.adapter import AdapterParams, load_adapter, make_variant_state
 from mmadapt.backbone import EOS, tokenize
-from mmadapt.errors import ConfigError, InputError, LengthError, NumericError
+from mmadapt.corpus import FeatureSample
+from mmadapt.errors import ConfigError, DimensionError, InputError, LengthError, NumericError
 from mmadapt.metrics import format_label
+from mmadapt.presets import get_preset
 from mmadapt.trainer import (
     TrainConfig,
     aggregate_seed_metrics,
@@ -41,52 +45,51 @@ def test_label_loss_matches_token_loop_oracle():
         logits = rng.standard_normal((rows, vocab))
         ids = [int(rng.integers(0, vocab)) for _ in range(n)]
         positions = list(range(first, first + n))
-        got = label_loss(T.Tensor(logits), positions, ids).item()
+        # the label block at `positions`, and the row before it, as the window
+        got = label_loss(T.Tensor(logits[first - 1:first + n]), ids).item()
         want = sum(cross_entropy_scalar(list(logits[p - 1]), i)
                    for p, i in zip(positions, ids))
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_label_loss_uniform_five_tokens():
-    logits = T.Tensor(np.zeros((12, 259)))
-    loss = label_loss(logits, [7, 8, 9, 10, 11], [1, 2, 3, 4, EOS])
+    logits = T.Tensor(np.zeros((6, 259)))
+    loss = label_loss(logits, [1, 2, 3, 4, EOS])
     assert loss.item() == pytest.approx(5 * math.log(259), rel=1e-12)
 
 
 def test_label_loss_certain_prediction_is_zero():
-    logits = np.zeros((4, 10))
+    logits = np.zeros((3, 10))
     ids = [3, 7]
-    logits[1, 3] = 1000.0
-    logits[2, 7] = 1000.0
-    loss = label_loss(T.Tensor(logits), [2, 3], ids)
+    logits[0, 3] = 1000.0
+    logits[1, 7] = 1000.0
+    loss = label_loss(T.Tensor(logits), ids)
     assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_label_loss_gradient_reaches_logits():
-    logits = T.Tensor(np.random.default_rng(1).standard_normal((6, 9)),
+    logits = T.Tensor(np.random.default_rng(1).standard_normal((3, 9)),
                       requires_grad=True)
     with T.Tape() as tape:
-        loss = label_loss(logits, [3, 4], [2, 5])
+        loss = label_loss(logits, [2, 5])
         tape.backward(loss)
     grad = logits.grad
     assert grad is not None
-    # only the two predicting rows (2 and 3) receive gradient
-    assert np.all(grad[[0, 1, 4, 5]] == 0.0)
-    assert np.any(grad[2] != 0.0) and np.any(grad[3] != 0.0)
+    # the two predicting rows receive gradient; the last window row, the
+    # final label token's own position, predicts nothing
+    assert np.any(grad[0] != 0.0) and np.any(grad[1] != 0.0)
+    assert np.all(grad[2] == 0.0)
 
 
 def test_label_loss_validation():
-    logits = T.Tensor(np.zeros((6, 9)))
     with pytest.raises(InputError):
-        label_loss(logits, [], [])
-    with pytest.raises(InputError):
-        label_loss(logits, [2, 4], [1, 2])
-    with pytest.raises(InputError):
-        label_loss(logits, [2], [1, 2])
-    with pytest.raises(LengthError):
-        label_loss(logits, [0], [1])
-    with pytest.raises(LengthError):
-        label_loss(logits, [5, 6], [1, 2])
+        label_loss(T.Tensor(np.zeros((1, 9))), [])
+
+
+@pytest.mark.parametrize("rows", [1, 2, 4, 6])
+def test_label_loss_rejects_a_window_of_the_wrong_length(rows):
+    with pytest.raises(InputError, match="needs 3 logits rows"):
+        label_loss(T.Tensor(np.zeros((rows, 9))), [1, 2])
 
 
 # ---------------------------------------------------------------------------
@@ -159,22 +162,61 @@ def test_prepare_samples_shapes(small_synth, small_backbone,
                                n_prefix=2, drops_text=False)
     assert len(prepared) == 9
     p = prepared[0]
-    assert p.train_input.n_prefix == 2
-    assert p.train_input.label_ids[-1] == EOS
-    assert len(p.train_input.label_ids) == 2  # one numeral + end marker
-    assert p.eval_input.label_ids == []
+    assert p.n_prefix == 2
+    assert p.label_ids[-1] == EOS
+    assert len(p.label_ids) == 2  # one numeral + end marker
     assert p.text_rows.shape == (len(tokenize(small_synth["valid"][0].text)),
                                  small_backbone.config.embed_width)
 
 
+def test_prepared_layout_boundaries(small_backbone):
+    preset = replace(get_preset("mosei"), prompt="promp")
+    sample = FeatureSample("s", "sevench", -1.5, np.ones((2, 3)), np.ones((2, 3)), "test")
+    p, = prepare_samples(small_backbone, [sample], preset, n_prefix=4, drops_text=False)
+    label = tokenize("-1.5") + [EOS]
+    assert p.label_ids == label
+    assert_array_equal(p.const_rows, small_backbone.embed(tokenize("sevenchpromp") + label))
+    assert_array_equal(p.text_rows, p.const_rows[:7])
+    pseudo = T.Tensor(np.full((4, small_backbone.config.embed_width), 0.5))
+    train = p.input_rows(pseudo)
+    assert train.shape[0] == 4 + 7 + 5 + 5
+    assert_array_equal(train.data[:4], pseudo.data)
+    assert_array_equal(train.data[4:], p.const_rows)
+    # without the label block the input ends with the prompt
+    assert_array_equal(p.input_rows(pseudo, with_label=False).data, train.data[:-5])
+
+
 def test_prepare_samples_drops_text(small_synth, small_backbone):
-    prepared = prepare_samples(small_backbone, small_synth["valid"][:2],
-                               small_synth.preset, n_prefix=2, drops_text=True)
-    for p in prepared:
-        assert p.train_input.text_len == 0
-        assert p.eval_input.text_len == 0
+    preset = small_synth.preset
+    samples = small_synth["valid"][:2]
+    prepared = prepare_samples(small_backbone, samples, preset, n_prefix=2, drops_text=True)
+    for s, p in zip(samples, prepared):
+        # the backbone input holds only the prompt and label rows
+        assert_array_equal(p.const_rows, small_backbone.embed(
+            tokenize(preset.prompt) + p.label_ids))
         # the adapter-side text rows are still available for reuse elsewhere
+        assert_array_equal(p.text_rows, small_backbone.embed(tokenize(s.text)))
         assert p.text_rows.shape[0] > 0
+
+
+def test_prepare_samples_rejects_overflow(small_synth, small_backbone):
+    sample = replace(small_synth["valid"][0], text="x" * small_backbone.config.max_seq)
+    with pytest.raises(LengthError, match="exceeds max"):
+        prepare_samples(small_backbone, [sample], small_synth.preset, n_prefix=2,
+                        drops_text=False)
+    # without the text the same sample fits
+    prepare_samples(small_backbone, [sample], small_synth.preset, n_prefix=2, drops_text=True)
+
+
+def test_input_rows_validates_prefix_shape(small_synth, small_backbone):
+    p, = prepare_samples(small_backbone, small_synth["valid"][:1], small_synth.preset,
+                         n_prefix=2, drops_text=False)
+    width = small_backbone.config.embed_width
+    for bad in (1, 3):
+        with pytest.raises(DimensionError):
+            p.input_rows(T.Tensor(np.full((bad, width), 0.1)))
+        with pytest.raises(DimensionError):
+            p.input_rows(T.Tensor(np.full((bad, width), 0.1)), with_label=False)
 
 
 def test_sample_loss_gradient_reaches_all_params(small_synth, small_backbone,
