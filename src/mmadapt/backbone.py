@@ -114,16 +114,18 @@ def init_weights(config: BackboneConfig, rng: np.random.Generator,
 
 def _forward(config: BackboneConfig, w: dict[str, T.Tensor], rows: T.Tensor,
              last: int | None = None,
-             cache: list[tuple[T.Tensor, T.Tensor]] | None = None) -> T.Tensor:
+             cache: list[tuple[np.ndarray, np.ndarray]] | None = None) -> T.Tensor:
     """Embedded rows -> next-token logits of the last `last` rows (all rows
     when None).
 
-    Every block computes keys and values for all rows; the final block runs
-    its queries, output projection and feed-forward, and then the final norm
-    and the unembedding, on the rows returned only. A `cache` holds each
-    layer's keys and values of the rows that came before `rows`: they are
-    attended to, positions continue after them, and the call appends the
-    new rows' keys and values to it. An empty list starts a cache.
+    Each layer is one `T.decoder_block`, one tape record. Every block
+    computes keys and values for all rows; the final block runs its queries,
+    output projection and feed-forward, and then the final norm and the
+    unembedding, on the rows returned only. A `cache` holds each layer's
+    keys and values of the rows that came before `rows`, as plain arrays
+    that are constants to the tape: they are attended to, positions continue
+    after them, and the call appends the new rows' keys and values to it.
+    An empty list starts a cache.
     """
     l, d = rows.shape
     if d != config.embed_width:
@@ -136,27 +138,13 @@ def _forward(config: BackboneConfig, w: dict[str, T.Tensor], rows: T.Tensor,
         raise T.DimensionError(f"cannot return the last {n} of {l} rows")
     x = T.add(rows, T.slice_rows(w["pos"], past, past + l))
     for i in range(config.layers):
-        p = f"h{i}."
-        h1 = T.layernorm_rows(x, w[p + "ln1.g"], w[p + "ln1.b"])
-        hq = h1
-        if i == config.layers - 1 and n < l:
-            x, hq = T.slice_rows(x, l - n, l), T.slice_rows(h1, l - n, l)
-        q = T.add_rowvec(T.matmul(hq, w[p + "wq"]), w[p + "bq"])
-        k = T.add_rowvec(T.matmul(h1, w[p + "wk"]), w[p + "bk"])
-        v = T.add_rowvec(T.matmul(h1, w[p + "wv"]), w[p + "bv"])
-        if cache is not None:
-            if past:
-                k = T.concat_rows([cache[i][0], k])
-                v = T.concat_rows([cache[i][1], v])
-                cache[i] = (k, v)
-            else:
-                cache.append((k, v))
-        merged = T.causal_mha(q, k, v, config.heads)
-        x = T.add(x, T.add_rowvec(T.matmul(merged, w[p + "wo"]), w[p + "bo"]))
-        h2 = T.layernorm_rows(x, w[p + "ln2.g"], w[p + "ln2.b"])
-        ff = T.matmul(T.gelu(T.add_rowvec(T.matmul(h2, w[p + "wf1"]), w[p + "bf1"])),
-                      w[p + "wf2"])
-        x = T.add(x, T.add_rowvec(ff, w[p + "bf2"]))
+        x, kv = T.decoder_block(x, w, f"h{i}.", config.heads,
+                                n if i == config.layers - 1 else l,
+                                cache[i] if past else None)
+        if past:
+            cache[i] = kv
+        elif cache is not None:
+            cache.append(kv)
     xf = T.layernorm_rows(x, w["lnf.g"], w["lnf.b"])
     return T.matmul(xf, T.transpose(w["embed"]))  # tied unembedding
 
@@ -188,9 +176,10 @@ class FrozenBackbone:
         return self._weights["embed"].data[idx]
 
     def forward_rows(self, rows: T.Tensor, *, last: int | None = None,
-                     cache: list[tuple[T.Tensor, T.Tensor]] | None = None) -> T.Tensor:
+                     cache: list[tuple[np.ndarray, np.ndarray]] | None = None) -> T.Tensor:
         """Logits of the last `last` rows (all rows when None), extending a
-        per-layer key/value `cache` when one is given; see `_forward`."""
+        per-layer key/value `cache` of plain arrays, constants to the tape,
+        when one is given; see `_forward`."""
         return _forward(self.config, self._weights, rows, last, cache)
 
     def save(self, path: str | Path) -> None:
@@ -221,7 +210,7 @@ def generate(backbone: FrozenBackbone, rows: T.Tensor, max_new: int = 8) -> str:
     EOS stripped.
     """
     length = rows.shape[0]
-    cache: list[tuple[T.Tensor, T.Tensor]] = []
+    cache: list[tuple[np.ndarray, np.ndarray]] = []
     out: list[int] = []
     for _ in range(max_new):
         if length >= backbone.config.max_seq:

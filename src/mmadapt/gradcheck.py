@@ -3,7 +3,7 @@
 Two layers of checking:
 
     primitives  every differentiable tensor operation, one at a time, against
-                Richardson-extrapolated central differences (tolerance 1e-6)
+                extrapolated central differences (tolerance 1e-6)
     full        the composed pipeline (feature sequences -> adapter ->
                 frozen backbone -> label loss) checked per parameter group
                 on a deliberately small configuration (tolerance 1e-4)
@@ -24,11 +24,12 @@ from .trainer import sample_loss, PreparedSample
 
 PRIMITIVE_TOL = 1e-6
 FULL_TOL = 1e-4
-# primitives are checked with Richardson-extrapolated central differences:
-# their error is O(h^4), so a step this large keeps truncation near 1e-12
-# while the roundoff in hi - lo, about 1e-16 * |f| / h, stays far below the
-# smallest gradient entries the relative error is taken against
-FD_STEP = 1e-3
+# primitives are checked with twice Richardson-extrapolated central
+# differences: their error is O(h^6), so truncation stays near 1e-12 even at
+# a step this large, and the roundoff in hi - lo, about 1e-16 * |f| / h,
+# stays below the smallest gradient entries the relative error is taken
+# against (a decoder block's attention weights have entries near 1e-6)
+FD_STEP = 8e-3
 # the composed pipeline is longer, so roundoff dominates at small steps; a
 # larger step keeps central differences in their accurate regime
 FULL_FD_STEP = 1e-4
@@ -66,9 +67,11 @@ def _fd_grad(fn, arr: np.ndarray, step: float) -> np.ndarray:
 
 
 def _richardson_grad(fn, arr: np.ndarray, step: float) -> np.ndarray:
-    """Central differences at step and step / 2, combined so that their
-    common h^2 error term cancels."""
-    return (4.0 * _fd_grad(fn, arr, step / 2.0) - _fd_grad(fn, arr, step)) / 3.0
+    """Central differences at step, step / 2 and step / 4, combined by two
+    rounds of Richardson extrapolation so that their h^2 and h^4 error terms
+    cancel."""
+    d1, d2, d4 = (_fd_grad(fn, arr, step / k) for k in (1.0, 2.0, 4.0))
+    return (16.0 * (4.0 * d4 - d2) - (4.0 * d2 - d1)) / 45.0
 
 
 def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -84,16 +87,27 @@ def _check(name: str, build, arrays: dict[str, np.ndarray],
     with T.Tape() as tape:
         out = build(tensors)
         tape.backward(out)
-    worst = 0.0
-    for key, tensor in tensors.items():
-        def value() -> float:
-            plain = {k: T.Tensor._wrap(t.data, False, None)
-                     for k, t in tensors.items()}
-            return build(plain).item()
+    # views of the same storage, so the nudges of _fd_grad reach the forward
+    plain = {k: T.Tensor._wrap(t.data, False, None) for k, t in tensors.items()}
 
+    def value() -> float:
+        return build(plain).item()
+
+    worst = 0.0
+    for tensor in tensors.values():
         numeric = _richardson_grad(value, tensor.data, FD_STEP)
         worst = max(worst, _rel_err(tensor.grad, numeric))
     return GradCheckResult(name, worst, tolerance)
+
+
+def _block_arrays(mat, d: int = 4, f: int = 8, skip: str = "") -> dict[str, np.ndarray]:
+    """Weights of one decoder block of width d and feed-forward width f,
+    without the one named `skip`."""
+    shapes = dict.fromkeys(("ln1.g", "ln1.b", "bq", "bk", "bv", "bo",
+                            "ln2.g", "ln2.b", "bf2"), (1, d))
+    shapes.update(dict.fromkeys(("wq", "wk", "wv", "wo"), (d, d)),
+                  wf1=(d, f), bf1=(1, f), wf2=(f, d))
+    return {name: 0.5 * mat(*shapes[name]) for name in T.BLOCK_WEIGHTS if name != skip}
 
 
 def gradcheck_primitives(seed: int = 0) -> list[GradCheckResult]:
@@ -160,16 +174,29 @@ def gradcheck_primitives(seed: int = 0) -> list[GradCheckResult]:
             T.lstm_final(t["x"], t["wih"], t["whh"], t["b"]), w_lstm)),
          {"x": mat(4, 3), "wih": 0.5 * mat(12, 3), "whh": 0.5 * mat(12, 3),
           "b": 0.5 * mat(12, 1)}),
-        ("causal_mha", lambda t: T.sum_all(T.hadamard(
-            T.causal_mha(t["q"], t["k"], t["v"], 2), w_mha)),
-         {"q": mat(5, 6), "k": mat(5, 6), "v": mat(5, 6)}),
-        ("causal_mha_cached", lambda t: T.sum_all(T.hadamard(
-            T.causal_mha(t["q"], t["k"], t["v"], 2), T.slice_rows(w_mha, 0, 2))),
-         {"q": mat(2, 6), "k": mat(5, 6), "v": mat(5, 6)}),
+        # the key bias shifts every score of a query row alike, so without
+        # past keys its gradient is identically zero and central differences
+        # would see only roundoff; the cached row checks it
+        ("decoder_block", lambda t: T.sum_all(T.hadamard(
+            T.decoder_block(t["x"], {**key_bias, **t}, "", 2, 4)[0], w_block)),
+         {"x": mat(4, 4), **_block_arrays(mat, skip="bk")}),
+        ("decoder_block_frozen", lambda t: T.sum_all(T.hadamard(
+            T.decoder_block(t["x"], frozen, "", 2, 4)[0], w_block)),
+         {"x": mat(4, 4)}),
+        ("decoder_block_pruned", lambda t: T.sum_all(T.hadamard(
+            T.decoder_block(t["x"], {**key_bias, **t}, "", 2, 2)[0],
+            T.slice_rows(w_block, 0, 2))),
+         {"x": mat(4, 4), **_block_arrays(mat, skip="bk")}),
+        ("decoder_block_cached", lambda t: T.sum_all(T.hadamard(
+            T.decoder_block(t["x"], t, "", 2, 2, past)[0], T.slice_rows(w_block, 0, 2))),
+         {"x": mat(2, 4), **_block_arrays(mat)}),
     ]
     # drawn after every input above, so the older rows keep their instances
     w_lstm = T.Tensor._wrap(rng.standard_normal((3, 1)), False, None)
-    w_mha = T.Tensor._wrap(rng.standard_normal((5, 6)), False, None)
+    w_block = T.Tensor._wrap(rng.standard_normal((4, 4)), False, None)
+    frozen = {n: T.Tensor._wrap(a, False, None) for n, a in _block_arrays(mat).items()}
+    key_bias = {"bk": frozen["bk"]}
+    past = (mat(3, 4), mat(3, 4))
     return [_check(name, build, arrays, PRIMITIVE_TOL)
             for name, build, arrays in checks]
 

@@ -425,6 +425,31 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _finish(y, (x,), back)
 
 
+def _layernorm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+               eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row layer norm of an array; returns (out, xhat, inv). The mean
+    and variance are the row sums that np.mean and np.var reduce to, without
+    their Python wrappers, so the bits are theirs."""
+    d = x.shape[1]
+    xc = x - np.add.reduce(x, axis=1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=1, keepdims=True) / d + eps)
+    xhat = xc * inv
+    return xhat * gain + bias, xhat, inv
+
+
+def _layernorm_back(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
+                    gain: Tensor, bias: Tensor) -> np.ndarray:
+    """Accumulate a layer norm's gain and bias gradients; return dx."""
+    if bias.requires_grad:
+        bias._accum(g.sum(axis=0, keepdims=True))
+    if gain.requires_grad:
+        gain._accum((g * xhat).sum(axis=0, keepdims=True))
+    gx = g * gain.data
+    d = g.shape[1]
+    return inv * (gx - np.add.reduce(gx, axis=1, keepdims=True) / d
+                  - xhat * (np.add.reduce(gx * xhat, axis=1, keepdims=True) / d))
+
+
 def layernorm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Per-row layer norm with learned gain/bias rows."""
     _need_2d(x, "layernorm_rows")
@@ -432,21 +457,12 @@ def layernorm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> 
     for t, name in ((gain, "gain"), (bias, "bias")):
         if t.shape != (1, d):
             raise DimensionError(f"layernorm_rows: {name} must be (1, {d}), got {t.shape}")
-    mu = x.data.mean(axis=1, keepdims=True)
-    var = x.data.var(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out = xhat * gain.data + bias.data
+    out, xhat, inv = _layernorm(x.data, gain.data, bias.data, eps)
 
     def back(g: np.ndarray) -> None:
-        if bias.requires_grad:
-            bias._accum(g.sum(axis=0, keepdims=True))
-        if gain.requires_grad:
-            gain._accum((g * xhat).sum(axis=0, keepdims=True))
+        dx = _layernorm_back(g, xhat, inv, gain, bias)
         if x.requires_grad:
-            gx = g * gain.data
-            x._accum(inv * (gx - gx.mean(axis=1, keepdims=True)
-                            - xhat * (gx * xhat).mean(axis=1, keepdims=True)))
+            x._accum(dx)
 
     return _finish(out, (x, gain, bias), back)
 
@@ -477,7 +493,7 @@ def causal_attention_scores(q: Tensor, k: Tensor, scale_factor: float) -> Tensor
 
 
 # ---------------------------------------------------------------------------
-# fused kernels: one tape record for a whole recurrence or attention block
+# fused kernels: one tape record for a whole recurrence or transformer block
 
 
 def lstm_final(x: Tensor, wih: Tensor, whh: Tensor, b: Tensor) -> Tensor:
@@ -542,58 +558,103 @@ def lstm_final(x: Tensor, wih: Tensor, whh: Tensor, b: Tensor) -> Tensor:
     return _finish(h, (x, wih, whh, b), back)
 
 
-def causal_mha(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
-    """Causal multi-head attention of (lq, d) query rows over (lk, d) key and
-    value rows, lk >= lq.
+# weight names of one decoder block, after its prefix
+BLOCK_WEIGHTS = ("ln1.g", "ln1.b", "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
+                 "ln2.g", "ln2.b", "wf1", "bf1", "wf2", "bf2")
 
-    The queries are the last lq of the lk positions, so query row i sees key
-    rows 0 .. lk - lq + i; lq == lk is plain causal self-attention, and
-    lq < lk serves queries for new rows over a key/value cache. Each head
-    owns d / heads adjacent columns and attends with softmax of
-    q k^T / sqrt(d / heads), future positions masked to MASK_VALUE; the head
-    outputs sit side by side in the (lq, d) result. Per head, the arithmetic
-    is that of causal_attention_scores, softmax_rows and matmul, so at
-    lq == lk the result is bit-identical to that composition.
+
+def decoder_block(x: Tensor, w: dict[str, Tensor], prefix: str, heads: int, last: int,
+                  past: tuple[np.ndarray, np.ndarray] | None = None
+                  ) -> tuple[Tensor, tuple[np.ndarray, np.ndarray]]:
+    """One pre-norm transformer block over the (l, d) rows of x:
+
+        h1 = ln1(x);  q, k, v = h1 wq + bq, h1 wk + bk, h1 wv + bv
+        x1 = x + attention(q, k, v) wo + bo
+        out = x1 + gelu(ln2(x1) wf1 + bf1) wf2 + bf2
+
+    with weights w[prefix + name] for the names in BLOCK_WEIGHTS and exact
+    GELU. Attention is causal and multi-head: each head owns d / heads
+    adjacent columns and attends with softmax of q k^T / sqrt(d / heads),
+    future positions masked to MASK_VALUE. Keys and values come from every
+    row, after the rows of `past` (their keys and values, attended to and
+    returned in front); queries, the output projection and the feed-forward
+    run only on the last `last` rows, which is all the result holds.
+
+    Returns the output rows and the (keys, values) arrays of past and
+    present rows. Those are plain arrays: a cache built from them is a
+    constant to the tape. The block is one tape record. The forward keeps
+    the operation order of the chain of primitives it replaces, so it is
+    bit-identical to it; the backward always computes dx and computes a
+    weight's gradient only when that weight requires one.
     """
-    for t, name in ((q, "q"), (k, "k"), (v, "v")):
-        _need_2d(t, "causal_mha")
-        if t.shape[1] != q.shape[1]:
-            raise DimensionError(f"causal_mha: {name} {t.shape} differs in width from q {q.shape}")
-    lq, d = q.shape
-    lk = k.shape[0]
-    if v.shape != k.shape or lk < lq:
-        raise DimensionError(f"causal_mha: need k and v of equal shape with at least "
-                             f"{lq} rows, got k {k.shape}, v {v.shape}")
+    _need_2d(x, "decoder_block")
+    l, d = x.shape
     if heads <= 0 or d % heads != 0:
-        raise DimensionError(f"causal_mha: width {d} not divisible by {heads} heads")
+        raise DimensionError(f"decoder_block: width {d} not divisible by {heads} heads")
+    if not 1 <= last <= l:
+        raise DimensionError(f"decoder_block: cannot return the last {last} of {l} rows")
+    if past is not None and (past[0].shape != past[1].shape or past[0].shape[1] != d):
+        raise DimensionError(f"decoder_block: past keys {past[0].shape} and values "
+                             f"{past[1].shape} must be equal (rows, {d}) arrays")
+    ws = [w[prefix + name] for name in BLOCK_WEIGHTS]
+    g1, b1, wq, bq, wk, bk, wv, bv, wo, bo, g2, b2, wf1, bf1, wf2, bf2 = ws
     dh = d // heads
     s = 1.0 / math.sqrt(dh)
 
-    def split(a: np.ndarray) -> np.ndarray:  # (l, d) -> contiguous (heads, l, dh)
+    def split(a: np.ndarray) -> np.ndarray:  # (rows, d) -> contiguous (heads, rows, dh)
         return np.ascontiguousarray(a.reshape(a.shape[0], heads, dh).transpose(1, 0, 2))
 
-    def merge(a: np.ndarray) -> np.ndarray:  # (heads, l, dh) -> (l, d)
+    def merge(a: np.ndarray) -> np.ndarray:  # (heads, rows, dh) -> (rows, d)
         return a.transpose(1, 0, 2).reshape(a.shape[1], d)
 
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    mask = np.triu(np.full((lq, lk), MASK_VALUE), k=1 + lk - lq)
-    scores = (qh @ kh.transpose(0, 2, 1)) * s + mask
+    h1, xhat1, inv1 = _layernorm(x.data, g1.data, b1.data)
+    hq = h1[l - last:]
+    q = hq @ wq.data + bq.data
+    k = h1 @ wk.data + bk.data
+    v = h1 @ wv.data + bv.data
+    if past is not None:
+        k = np.concatenate([past[0], k])
+        v = np.concatenate([past[1], v])
+    lk = k.shape[0]
+    qh, kh, vh = split(q), split(k), split(v)
+    scores = (qh @ kh.transpose(0, 2, 1)) * s
+    if last > 1:  # a lone query row is the newest position and sees every key
+        scores = scores + np.triu(np.full((last, lk), MASK_VALUE), k=1 + lk - last)
     e = np.exp(scores - scores.max(axis=2, keepdims=True))
     att = e / e.sum(axis=2, keepdims=True)
+    merged = merge(att @ vh)
+    x1 = x.data[l - last:] + (merged @ wo.data + bo.data)
+    h2, xhat2, inv2 = _layernorm(x1, g2.data, b2.data)
+    a = h2 @ wf1.data + bf1.data
+    t = 1.0 + _erf(a * _INV_SQRT2)  # 2 Phi(a), kept for the GELU derivative
+    gl = a * (0.5 * t)
+    out = x1 + (gl @ wf2.data + bf2.data)
+
+    def linear_back(inp: np.ndarray, wt: Tensor, bt: Tensor, g: np.ndarray) -> np.ndarray:
+        """Accumulate the weight and bias gradients of inp @ wt + bt; return dinp."""
+        if bt.requires_grad:
+            bt._accum(g.sum(axis=0, keepdims=True))
+        if wt.requires_grad:
+            wt._accum(inp.T @ g)
+        return g @ wt.data.T
 
     def back(g: np.ndarray) -> None:
-        gh = split(g)
-        if v.requires_grad:
-            v._accum(merge(att.transpose(0, 2, 1) @ gh))
-        if q.requires_grad or k.requires_grad:
-            datt = gh @ vh.transpose(0, 2, 1)
-            dscores = att * (datt - (datt * att).sum(axis=2, keepdims=True)) * s
-            if q.requires_grad:
-                q._accum(merge(dscores @ kh))
-            if k.requires_grad:
-                k._accum(merge(dscores.transpose(0, 2, 1) @ qh))
+        da = linear_back(gl, wf2, bf2, g) * (
+            0.5 * t + a * np.exp(-0.5 * a * a) * _INV_SQRT2PI)
+        dx1 = g + _layernorm_back(linear_back(h2, wf1, bf1, da), xhat2, inv2, g2, b2)
+        gh = split(linear_back(merged, wo, bo, dx1))
+        datt = gh @ vh.transpose(0, 2, 1)
+        dscores = att * (datt - (datt * att).sum(axis=2, keepdims=True)) * s
+        dv = merge(att.transpose(0, 2, 1) @ gh)[lk - l:]
+        dk = merge(dscores.transpose(0, 2, 1) @ qh)[lk - l:]
+        dh1 = linear_back(h1, wv, bv, dv) + linear_back(h1, wk, bk, dk)
+        dh1[l - last:] += linear_back(hq, wq, bq, merge(dscores @ kh))
+        dx = _layernorm_back(dh1, xhat1, inv1, g1, b1)
+        dx[l - last:] += dx1
+        if x.requires_grad:
+            x._accum(dx)
 
-    return _finish(merge(att @ vh), (q, k, v), back)
+    return _finish(out, (x, *ws), back), (k, v)
 
 
 def softmax_cross_entropy(logits: Tensor, target: int) -> Tensor:

@@ -2,10 +2,10 @@
 
 Everything in here is deliberately naive: plain Python loops, math/mpmath
 scalars, no calls into the package's own numeric kernels. Slow is fine,
-wrong is not. The exceptions are at the end: the per-frame LSTM and the
-per-head attention composed from the tape's primitives, which the fused
-kernels replaced and must reproduce, and greedy decoding without a
-key/value cache.
+wrong is not. The exceptions are at the end: the per-frame LSTM, the
+per-head attention and the per-layer decoder block composed from the tape's
+primitives, which the fused kernels replaced and must reproduce, and greedy
+decoding without a key/value cache.
 """
 
 from __future__ import annotations
@@ -167,6 +167,19 @@ def causal_mha_loop(q, k, v, heads: int):
             T.slice_cols(q, lo, hi), T.slice_cols(k, lo, hi), inv))
         outs.append(T.matmul(att, T.slice_cols(v, lo, hi)))
     return outs[0] if len(outs) == 1 else T.stack_columns(outs)
+
+
+def decoder_block_chain(x, w, prefix: str, heads: int):
+    """One pre-norm decoder block over all rows as one recorded op per
+    primitive, attention per head."""
+    def linear(a, name):
+        return T.add_rowvec(T.matmul(a, w[prefix + "w" + name]), w[prefix + "b" + name])
+
+    h1 = T.layernorm_rows(x, w[prefix + "ln1.g"], w[prefix + "ln1.b"])
+    merged = causal_mha_loop(linear(h1, "q"), linear(h1, "k"), linear(h1, "v"), heads)
+    x = T.add(x, linear(merged, "o"))
+    h2 = T.layernorm_rows(x, w[prefix + "ln2.g"], w[prefix + "ln2.b"])
+    return T.add(x, linear(T.gelu(linear(h2, "f1")), "f2"))
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,10 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from mmadapt import backbone as B
 from mmadapt import tensor as T
+from mmadapt.adapter import AdapterParams, make_variant_state
 from mmadapt.errors import (CheckpointError, FrozenViolation, LengthError,
                             TokenError)
+from mmadapt.trainer import prepare_samples, sample_loss
 
 RNG = np.random.default_rng(99)
 
@@ -215,6 +217,50 @@ def test_pretrain_memorizes_constant_label():
     frozen, _ = B.pretrain_backbone(corpus, steps=450, seed=21, config=TINY, lr=4e-3)
     rows = T.Tensor(frozen.embed(B.tokenize("the sky is wide judge:")))
     assert B.generate(frozen, rows, max_new=6) == "+1.0"
+
+
+def records_per_tape(monkeypatch, run) -> list[int]:
+    """Tape lengths at each backward that run() makes, before it frees them."""
+    lengths = []
+    backward = T.Tape.backward
+
+    def counted(tape, root):
+        lengths.append(len(tape._records))
+        backward(tape, root)
+
+    monkeypatch.setattr(T.Tape, "backward", counted)
+    run()
+    monkeypatch.setattr(T.Tape, "backward", backward)
+    return lengths
+
+
+@pytest.mark.parametrize("pretraining", [False, True])
+def test_each_backbone_layer_is_one_tape_record(monkeypatch, small_synth,
+                                                small_adapter_config, pretraining):
+    """A taped sample loss and a pretraining step each record one entry per
+    backbone layer: a backbone two layers deeper fills a tape two records
+    longer."""
+    def run(layers):
+        config = B.BackboneConfig(embed_width=32, layers=layers, heads=2, ffn_mult=2,
+                                  max_seq=96)
+        if pretraining:
+            return lambda: B.pretrain_backbone(["one line of text"], steps=1, seed=3,
+                                               config=config)
+        frozen = make_frozen(config)
+        rng = np.random.default_rng(0)
+        params = AdapterParams.init(small_adapter_config, rng)
+        state = make_variant_state("full", small_adapter_config, rng)
+        p = prepare_samples(frozen, small_synth["train"][:1], small_synth.preset,
+                            small_adapter_config.token_count, False)[0]
+
+        def step():
+            with T.Tape() as tape:
+                tape.backward(sample_loss(frozen, params, p, state))
+        return step
+
+    (one,) = records_per_tape(monkeypatch, run(1))
+    (three,) = records_per_tape(monkeypatch, run(3))
+    assert three - one == 2
 
 
 def test_frozen_weights_are_write_protected():

@@ -17,8 +17,9 @@ def test_primitives_all_within_tolerance():
     names = {r.name for r in gradcheck_primitives(seed=0)}
     for expected in ("matmul", "gelu", "softmax_rows", "layernorm_rows",
                      "causal_attention", "rows_cross_entropy",
-                     "embedding_lookup", "lstm_final", "causal_mha",
-                     "causal_mha_cached"):
+                     "embedding_lookup", "lstm_final", "decoder_block",
+                     "decoder_block_frozen", "decoder_block_pruned",
+                     "decoder_block_cached"):
         assert expected in names
     for seed in range(50):
         for r in gradcheck_primitives(seed):

@@ -15,7 +15,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from mmadapt import tensor as T
 from mmadapt.errors import DimensionError, DomainError, TapeStateError, TokenError
 
-from oracles import (causal_mha_loop, cross_entropy_scalar, fd_grad,
+from oracles import (cross_entropy_scalar, decoder_block_chain, fd_grad,
                      lstm_final_loop, matmul_loops, max_rel_err)
 
 RNG = np.random.default_rng(20260815)
@@ -289,30 +289,60 @@ def test_lstm_final_rejects_mismatched_shapes():
             T.lstm_final(x, *(T.Tensor(args[k]) for k in ("wih", "whh", "b")))
 
 
+def block_weights(rng, width=16, ffn=32):
+    """Random weights of one decoder block under the prefix "h0."."""
+    shapes = {"wf1": (width, ffn), "bf1": (1, ffn), "wf2": (ffn, width)}
+    return {"h0." + n: rng.uniform(-1, 1, shapes.get(n, (width, width) if n[0] == "w"
+                                                      else (1, width)))
+            for n in T.BLOCK_WEIGHTS}
+
+
+def run_block(fn, x, weights, w, trainable=True):
+    """run_taped over x and the block weights, which get gradients only when
+    trainable; fn(x, weight dict) -> output tensor."""
+    names = list(weights)
+    if trainable:
+        return run_taped(lambda x, *ws: fn(x, dict(zip(names, ws))),
+                         [x, *weights.values()], w)
+    fixed = {n: T.Tensor(a) for n, a in weights.items()}
+    out, grads = run_taped(lambda x: fn(x, fixed), [x], w)
+    return out, grads + [None] * len(names)
+
+
 @pytest.mark.parametrize("heads", [1, 2, 4])
 @pytest.mark.parametrize("rows", [1, 46])
 def test_causal_mha_matches_taped_head_loop(heads, rows):
+    """The decoder block, attention included, equals the chain of primitives
+    with per-head attention: the forward bit for bit, and the gradients of x
+    and of every weight, trainable or frozen, to 1e-12."""
     rng = np.random.default_rng(100 * heads + rows)
-    arrays = [rng.uniform(-2, 2, (rows, 16)) for _ in range(3)]
+    x = rng.uniform(-2, 2, (rows, 16))
+    weights = block_weights(rng)
     w = rng.uniform(-1, 1, (rows, 16))
-    got, got_grads = run_taped(lambda q, k, v: T.causal_mha(q, k, v, heads), arrays, w)
-    want, want_grads = run_taped(lambda q, k, v: causal_mha_loop(q, k, v, heads),
-                                 arrays, w)
-    assert_array_equal(got, want)
-    for name, g, ref in zip("qkv", got_grads, want_grads):
-        assert max_rel_err(g, ref, floor=1e-12) <= 1e-12, name
+    for trainable in (True, False):
+        got, got_grads = run_block(
+            lambda x, ws: T.decoder_block(x, ws, "h0.", heads, rows)[0], x, weights, w,
+            trainable)
+        want, want_grads = run_block(
+            lambda x, ws: decoder_block_chain(x, ws, "h0.", heads), x, weights, w, trainable)
+        assert_array_equal(got, want)
+        for name, g, ref in zip(["x", *weights], got_grads, want_grads):
+            assert (g is None) == (ref is None), name
+            if g is not None:
+                assert max_rel_err(g, ref, floor=1e-12) <= 1e-12, name
 
 
-@pytest.mark.parametrize("heads", [2, 4])
+@pytest.mark.parametrize("heads", [1, 2, 4])
 def test_causal_mha_future_rows_cannot_leak(heads):
-    """Changing the last key and value rows leaves earlier output rows
-    bit-identical, in every head."""
-    q, k1, v1 = (RNG.uniform(-2, 2, (6, 8)) for _ in range(3))
-    k2, v2 = k1.copy(), v1.copy()
-    k2[5] *= 3.0
-    v2[5] = RNG.uniform(-2, 2, 8)
-    o1 = T.causal_mha(T.Tensor(q), T.Tensor(k1), T.Tensor(v1), heads).data
-    o2 = T.causal_mha(T.Tensor(q), T.Tensor(k2), T.Tensor(v2), heads).data
+    """Changing the last input row of a decoder block leaves earlier output
+    rows bit-identical, in every head."""
+    rng = np.random.default_rng(heads)
+    weights = {n: T.Tensor(a) for n, a in block_weights(rng, 8, 16).items()}
+    x1 = rng.uniform(-2, 2, (6, 8))
+    x2 = x1.copy()
+    x2[5] = rng.uniform(-2, 2, 8)
+    o1 = T.decoder_block(T.Tensor(x1), weights, "h0.", heads, 6)[0].data
+    o2 = T.decoder_block(T.Tensor(x2), weights, "h0.", heads, 6)[0].data
     assert_array_equal(o1[:5], o2[:5])
     assert not np.array_equal(o1[5], o2[5])
 
@@ -320,34 +350,64 @@ def test_causal_mha_future_rows_cannot_leak(heads):
 @pytest.mark.parametrize("heads", [1, 2, 4])
 @pytest.mark.parametrize("lq", [1, 3])
 def test_causal_mha_fewer_queries_equal_last_rows_of_square_call(heads, lq):
-    """Queries for the last lq of lk positions over all lk keys and values:
-    the output and every gradient equal the square call's last lq rows."""
+    """A decoder block asked for its last lq of lk rows: the output and
+    every gradient equal those of the full call with its last lq rows read."""
     rng = np.random.default_rng(10 * heads + lq)
     lk = 7
-    q, k, v = (rng.uniform(-2, 2, (lk, 16)) for _ in range(3))
+    x = rng.uniform(-2, 2, (lk, 16))
+    weights = block_weights(rng)
     w = rng.uniform(-1, 1, (lq, 16))
-    got, (gq, gk, gv) = run_taped(lambda q, k, v: T.causal_mha(q, k, v, heads),
-                                  [q[lk - lq:], k, v], w)
-    want, (wq, wk, wv) = run_taped(
-        lambda q, k, v: T.slice_rows(T.causal_mha(q, k, v, heads), lk - lq, lk),
-        [q, k, v], w)
+    got, got_grads = run_block(
+        lambda x, ws: T.decoder_block(x, ws, "h0.", heads, lq)[0], x, weights, w)
+    want, want_grads = run_block(
+        lambda x, ws: T.slice_rows(T.decoder_block(x, ws, "h0.", heads, lk)[0], lk - lq, lk),
+        x, weights, w)
     assert_allclose(got, want, rtol=0, atol=1e-12)
-    assert_allclose(gq, wq[lk - lq:], rtol=0, atol=1e-12)
-    assert not np.any(wq[:lk - lq])
-    assert_allclose(gk, wk, rtol=0, atol=1e-12)
-    assert_allclose(gv, wv, rtol=0, atol=1e-12)
+    for name, g, ref in zip(["x", *weights], got_grads, want_grads):
+        assert_allclose(g, ref, rtol=0, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_decoder_block_past_keys_and_values_equal_the_full_call(heads):
+    """Rows run after a block call's keys and values give the full call's
+    output rows, keys, values and input gradient, to 1e-12; the past arrays
+    are constants."""
+    rng = np.random.default_rng(heads)
+    l, p = 9, 5
+    x = rng.uniform(-2, 2, (l, 16))
+    weights = {n: T.Tensor(a) for n, a in block_weights(rng).items()}
+    w = rng.uniform(-1, 1, (l - p, 16))
+    _, past = T.decoder_block(T.Tensor(x[:p]), weights, "h0.", heads, p)
+    assert past[0].shape == past[1].shape == (p, 16)
+    got, (gx,) = run_taped(lambda x: T.decoder_block(x, weights, "h0.", heads, l - p, past)[0],
+                           [x[p:]], w)
+    kv = {}
+
+    def full(x):
+        out, kv["full"] = T.decoder_block(x, weights, "h0.", heads, l)
+        return T.slice_rows(out, p, l)
+
+    want, (wx,) = run_taped(full, [x], w)
+    assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert_allclose(gx, wx[p:], rtol=0, atol=1e-12)
+    _, kv["cached"] = T.decoder_block(T.Tensor(x[p:]), weights, "h0.", heads, 1, past)
+    for got_a, want_a in zip(kv["cached"], kv["full"]):
+        assert isinstance(got_a, np.ndarray)
+        assert_allclose(got_a, want_a, rtol=0, atol=1e-12)
 
 
 def test_causal_mha_rejects_bad_heads_and_shapes():
-    a = T.Tensor(np.ones((3, 6)))
+    rng = np.random.default_rng(0)
+    weights = {n: T.Tensor(a) for n, a in block_weights(rng, 6, 12).items()}
+    x = T.Tensor(np.ones((3, 6)))
     with pytest.raises(DimensionError):
-        T.causal_mha(a, a, a, 4)
-    with pytest.raises(DimensionError):
-        T.causal_mha(a, T.Tensor(np.ones((2, 6))), a, 2)
-    with pytest.raises(DimensionError):  # values must match the keys
-        T.causal_mha(a, T.Tensor(np.ones((4, 6))), a, 2)
-    with pytest.raises(DimensionError):
-        T.causal_mha(a, T.Tensor(np.ones((3, 4))), a, 2)
+        T.decoder_block(x, weights, "h0.", 4, 3)
+    for last in (0, 4):
+        with pytest.raises(DimensionError):
+            T.decoder_block(x, weights, "h0.", 2, last)
+    for past in ((np.ones((2, 6)), np.ones((3, 6))), (np.ones((2, 4)), np.ones((2, 4)))):
+        with pytest.raises(DimensionError):
+            T.decoder_block(x, weights, "h0.", 2, 3, past)
 
 
 def test_slice_concat_stack_transpose_grads():
