@@ -1,19 +1,22 @@
-"""The trainable adapter: turns one sample's text/audio/vision features into
+"""The trainable adapter: turns each sample's text/audio/vision features into
 n pseudo-token rows that steer the frozen backbone.
 
-Pipeline (all activations are column vectors of width mix_width unless said
-otherwise):
+The adapter runs on a batch of samples at once: every activation is a
+(width, B) block with one column per sample, and a single sample is a batch
+of one. Pipeline:
 
-  1. one single-direction LSTM per non-text modality; only the final hidden
-     state survives (audio_hidden x 1, vision_hidden x 1)
-  2. text-guided mixing: the text rows are mean-pooled, all three streams are
-     projected to mix_width, and the text projection gates the other two by
-     elementwise product; the gated pair is summed
+  1. one single-direction LSTM per non-text modality over the B sequences,
+     which may differ in length; only each final hidden state survives
+     (audio_hidden x B, vision_hidden x B)
+  2. text-guided mixing: each sample's text rows are mean-pooled, all three
+     streams are projected to mix_width, and the text projection gates the
+     other two by elementwise product; the gated pair is summed
   3. multi-scale fusion: parallel bottlenecks (mix_width / k for each scale
-     divisor k) with exact GELU, stacked as columns and compressed back to one
-     column by a learned 3-weight channel mix plus scalar bias
-  4. token expansion: project to embed_width and take an outer product with a
-     learned n-vector, giving an n x embed_width block of rank at most 1
+     divisor k) with exact GELU, compressed back to one block by a learned
+     weight per scale plus a scalar bias
+  4. token expansion: project to embed_width and take the outer product of a
+     learned n-vector with each sample's column, giving one n x embed_width
+     block of rank at most 1 per sample, stacked
 
 Ablation variants swap pieces of step 2-3 or null a modality; see
 `build_pseudo_tokens`.
@@ -25,6 +28,7 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -193,63 +197,61 @@ def sweep_mix_width(target: int, embed_width: int, audio_width: int, vision_widt
 # forward pieces
 
 
-def lstm_final_state(x: T.Tensor, wih: T.Tensor, whh: T.Tensor, b: T.Tensor,
+Batch = T.Tensor | Sequence[T.Tensor]
+
+
+def _batch(x: Batch) -> list[T.Tensor]:
+    """A batch of per-sample matrices; a single Tensor is a batch of one."""
+    return [x] if isinstance(x, T.Tensor) else list(x)
+
+
+def lstm_final_state(x: Batch, wih: T.Tensor, whh: T.Tensor, b: T.Tensor,
                      hidden: int) -> T.Tensor:
-    """Run a single-direction LSTM over rows of x; return h_last (hidden x 1).
+    """Run a single-direction LSTM over the rows of each sequence in x; return
+    the final hidden states as columns (hidden x B).
 
     Gate order along the stacked weight rows is input, forget, cell, output.
     Initial hidden and cell states are zero.
     """
-    l, width = x.shape
-    if wih.shape != (4 * hidden, width):
-        raise DimensionError(f"lstm: wih {wih.shape} incompatible with input {x.shape}")
+    if whh.shape != (4 * hidden, hidden):
+        raise DimensionError(f"lstm: whh {whh.shape} does not hold {hidden} hidden units")
     return T.lstm_final(x, wih, whh, b)
 
 
-def _project_modalities(params: AdapterParams, vision_final: T.Tensor,
-                        audio_final: T.Tensor) -> tuple[T.Tensor, T.Tensor]:
-    """The vision and audio states projected to mix_width columns."""
-    vision_col = T.add(T.matmul(params["vision_proj.w"], vision_final),
-                       params["vision_proj.b"])
-    audio_col = T.add(T.matmul(params["audio_proj.w"], audio_final),
-                      params["audio_proj.b"])
-    return vision_col, audio_col
+def _linear(params: AdapterParams, name: str, x: T.Tensor) -> T.Tensor:
+    return T.add_colvec(T.matmul(params[f"{name}.w"], x), params[f"{name}.b"])
 
 
-def text_guided_mix(params: AdapterParams, text_rows: T.Tensor,
+def text_guided_mix(params: AdapterParams, text_rows: Batch,
                     vision_final: T.Tensor, audio_final: T.Tensor) -> T.Tensor:
-    """Gate the projected vision/audio states by the projected text mean,
-    then sum the two gated columns."""
-    pooled = T.reduce_mean_rows(text_rows)  # 1 x embed_width
-    text_col = T.add(T.matmul(params["text_proj.w"], T.transpose(pooled)),
-                     params["text_proj.b"])
-    vision_col, audio_col = _project_modalities(params, vision_final, audio_final)
+    """Gate the projected vision/audio states by the projected text means,
+    then sum the two gated blocks."""
+    pooled = T.concat_rows([T.reduce_mean_rows(t) for t in _batch(text_rows)])  # B x embed
+    text_col = _linear(params, "text_proj", T.transpose(pooled))
+    vision_col = _linear(params, "vision_proj", vision_final)
+    audio_col = _linear(params, "audio_proj", audio_final)
     return T.add(T.hadamard(vision_col, text_col), T.hadamard(audio_col, text_col))
 
 
 def ungated_mix(params: AdapterParams, vision_final: T.Tensor,
                 audio_final: T.Tensor) -> T.Tensor:
     """Mixer ablation: two independent linear maps summed, no text gate."""
-    return T.add(*_project_modalities(params, vision_final, audio_final))
+    return T.add(_linear(params, "vision_proj", vision_final),
+                 _linear(params, "audio_proj", audio_final))
 
 
 def fuse_scales(params: AdapterParams, mixed: T.Tensor) -> T.Tensor:
-    """Parallel GELU bottlenecks, stacked and compressed by the channel mix."""
-    cols = []
-    for k in params.config.scale_divisors:
-        down = T.add(T.matmul(params[f"fuse.{k}.down.w"], mixed),
-                     params[f"fuse.{k}.down.b"])
-        cols.append(T.add(T.matmul(params[f"fuse.{k}.up.w"], T.gelu(down)),
-                          params[f"fuse.{k}.up.b"]))
-    stacked = T.stack_columns(cols)  # mix_width x len(divisors)
-    return T.add_scalar(T.matmul(stacked, params["mix.w"]), params["mix.b"])
+    """Parallel GELU bottlenecks, compressed by the per-scale channel mix."""
+    scales = [_linear(params, f"fuse.{k}.up", T.gelu(_linear(params, f"fuse.{k}.down", mixed)))
+              for k in params.config.scale_divisors]
+    return T.add_scalar(T.weighted_sum(scales, params["mix.w"]), params["mix.b"])
 
 
 def expand_tokens(params: AdapterParams, fused: T.Tensor) -> T.Tensor:
-    """Outer product of the learned n-vector with the projected column:
-    an n x embed_width block of rank at most 1."""
-    u = T.add(T.matmul(params["expand.w3"], fused), params["expand.b3"])
-    return T.matmul(params["expand.w4"], T.transpose(u))
+    """Outer product of the learned n-vector with each projected column: one
+    n x embed_width block of rank at most 1 per sample, stacked."""
+    u = T.add_colvec(T.matmul(params["expand.w3"], fused), params["expand.b3"])
+    return T.outer_blocks(params["expand.w4"], u)
 
 
 # ---------------------------------------------------------------------------
@@ -286,45 +288,54 @@ def make_variant_state(variant: str, config: AdapterConfig,
     return VariantState(variant)
 
 
-def build_pseudo_tokens(params: AdapterParams, text_rows: T.Tensor,
-                        audio: T.Tensor, vision: T.Tensor,
-                        state: VariantState | None = None) -> T.Tensor:
-    """Full adapter forward for one sample under an ablation variant.
+def build_pseudo_tokens(params: AdapterParams, text_rows: Batch, audio: Batch,
+                        vision: Batch, state: VariantState | None = None) -> T.Tensor:
+    """Full adapter forward for a batch of samples under an ablation variant;
+    returns their n x embed_width pseudo-token blocks stacked, sample i in
+    rows [i n, (i + 1) n). A single sample's Tensors are a batch of one.
 
     audio/vision are raw feature-row matrices; text_rows are the frozen
-    embedding rows of the sample's text tokens.
+    embedding rows of each sample's text tokens.
     """
     state = state or VariantState()
     c = params.config
-    if audio.shape[1] != c.audio_width:
-        raise DimensionError(f"audio width {audio.shape[1]} != {c.audio_width}")
-    if vision.shape[1] != c.vision_width:
-        raise DimensionError(f"vision width {vision.shape[1]} != {c.vision_width}")
-    if text_rows.shape[1] != c.embed_width:
-        raise DimensionError(f"text width {text_rows.shape[1]} != {c.embed_width}")
+    texts, audios, visions = _batch(text_rows), _batch(audio), _batch(vision)
+    size = len(texts)
+    if not size or len(audios) != size or len(visions) != size:
+        raise DimensionError(f"need one text, audio and vision matrix per sample, got "
+                             f"{len(texts)}, {len(audios)} and {len(visions)}")
+    for what, parts, width in (("audio", audios, c.audio_width),
+                               ("vision", visions, c.vision_width),
+                               ("text", texts, c.embed_width)):
+        for part in parts:
+            if part.shape[1] != width:
+                raise DimensionError(f"{what} width {part.shape[1]} != {width}")
+
+    def constant(column: np.ndarray) -> T.Tensor:
+        return T.Tensor._wrap(np.repeat(column, size, axis=1), False, None)
 
     variant = state.variant
     if variant == "no_audio_vision":
-        vision_final = T.Tensor._wrap(state.subst_vision, False, None)
-        audio_final = T.Tensor._wrap(state.subst_audio, False, None)
+        vision_final = constant(state.subst_vision)
+        audio_final = constant(state.subst_audio)
     else:
         if variant == "no_vision":
-            vision_final = T.Tensor._wrap(np.zeros((c.vision_hidden, 1)), False, None)
+            vision_final = constant(np.zeros((c.vision_hidden, 1)))
         else:
-            vision_final = lstm_final_state(vision, params["vision_lstm.wih"],
+            vision_final = lstm_final_state(visions, params["vision_lstm.wih"],
                                             params["vision_lstm.whh"],
                                             params["vision_lstm.b"], c.vision_hidden)
         if variant == "no_audio":
-            audio_final = T.Tensor._wrap(np.zeros((c.audio_hidden, 1)), False, None)
+            audio_final = constant(np.zeros((c.audio_hidden, 1)))
         else:
-            audio_final = lstm_final_state(audio, params["audio_lstm.wih"],
+            audio_final = lstm_final_state(audios, params["audio_lstm.wih"],
                                            params["audio_lstm.whh"],
                                            params["audio_lstm.b"], c.audio_hidden)
 
     if variant in ("no_mixer", "no_text"):
         mixed = ungated_mix(params, vision_final, audio_final)
     else:
-        mixed = text_guided_mix(params, text_rows, vision_final, audio_final)
+        mixed = text_guided_mix(params, texts, vision_final, audio_final)
 
     fused = mixed if variant == "no_fusion" else fuse_scales(params, mixed)
     return expand_tokens(params, fused)

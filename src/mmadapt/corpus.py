@@ -101,6 +101,10 @@ def load_dataset(root: str | Path, preset: DatasetPreset | None = None) -> Datas
             raise InputError(f"{manifest}:{lineno}: bad record: {exc}") from exc
         if split not in SPLITS:
             raise InputError(f"{manifest}:{lineno}: unknown split {split!r}")
+        if not isinstance(text, str) or not text:
+            # an empty text would pool zero token rows into the adapter's gate
+            raise InputError(f"{manifest}:{lineno}: text must be a non-empty string, "
+                             f"got {text!r}")
         if sid in seen:
             raise InputError(f"{manifest}:{lineno}: duplicate id {sid!r}")
         seen.add(sid)

@@ -6,7 +6,8 @@ Two layers of checking:
                 extrapolated central differences (tolerance 1e-6)
     full        the composed pipeline (feature sequences -> adapter ->
                 frozen backbone -> label loss) checked per parameter group
-                on a deliberately small configuration (tolerance 1e-4)
+                on a deliberately small configuration (tolerance 1e-4), for
+                one sample's loss and for a 3-sample training step
 
 Both are callable from tests and from the command line.
 """
@@ -20,7 +21,7 @@ import numpy as np
 from . import tensor as T
 from .adapter import AdapterConfig, AdapterParams, VariantState
 from .backbone import EOS, BackboneConfig, FrozenBackbone, init_weights, tokenize
-from .trainer import sample_loss, PreparedSample
+from .trainer import PreparedSample, batch_step, block_loss, pseudo_blocks, sample_loss
 
 PRIMITIVE_TOL = 1e-6
 FULL_TOL = 1e-4
@@ -197,12 +198,33 @@ def gradcheck_primitives(seed: int = 0) -> list[GradCheckResult]:
     frozen = {n: T.Tensor._wrap(a, False, None) for n, a in _block_arrays(mat).items()}
     key_bias = {"bk": frozen["bk"]}
     past = (mat(3, 4), mat(3, 4))
+    # the batched adapter's ops; the LSTM batch holds a 1-frame sequence and
+    # its longest sequence is not first
+    checks += [
+        ("add_colvec", lambda t: T.sum_all(T.hadamard(T.add_colvec(t["a"], t["b"]), w)),
+         {"a": mat(4, 5), "b": mat(4, 1)}),
+        ("weighted_sum", lambda t: T.sum_all(T.hadamard(
+            T.weighted_sum([t["a"], t["b"], t["c"]], t["w"]), w)),
+         {"a": mat(4, 5), "b": mat(4, 5), "c": mat(4, 5), "w": mat(3, 1)}),
+        ("outer_blocks", lambda t: T.sum_all(T.hadamard(
+            T.outer_blocks(t["v"], t["u"]), w_outer)),
+         {"v": mat(3, 1), "u": mat(4, 2)}),
+        ("lstm_final_batch", lambda t: T.sum_all(T.hadamard(
+            T.lstm_final([t["x0"], t["x1"], t["x2"]], t["wih"], t["whh"], t["b"]),
+            w_lstm_batch)),
+         {"x0": mat(2, 3), "x1": mat(1, 3), "x2": mat(4, 3), "wih": 0.5 * mat(12, 3),
+          "whh": 0.5 * mat(12, 3), "b": 0.5 * mat(12, 1)}),
+    ]
+    w_outer = T.Tensor._wrap(rng.standard_normal((6, 4)), False, None)
+    w_lstm_batch = T.Tensor._wrap(rng.standard_normal((3, 3)), False, None)
     return [_check(name, build, arrays, PRIMITIVE_TOL)
             for name, build, arrays in checks]
 
 
 def _tiny_pipeline(seed: int):
-    """Deterministic miniature of the full training path."""
+    """Deterministic miniature of the full training path: a backbone, adapter
+    parameters and three prepared samples whose feature sequences differ in
+    length."""
     rng = np.random.default_rng(seed)
     backbone_config = BackboneConfig(embed_width=16, layers=1, heads=2,
                                      ffn_mult=2, max_seq=48)
@@ -212,40 +234,55 @@ def _tiny_pipeline(seed: int):
                                    audio_hidden=8, vision_hidden=7,
                                    mix_width=32, token_count=4, embed_width=16)
     params = AdapterParams.init(adapter_config, rng)
-    text_ids = tokenize("ok")
-    label_ids = tokenize("1") + [EOS]
-    const_rows = backbone.embed(text_ids + tokenize(" label:") + label_ids)
-    prepared = PreparedSample(
-        sid="gradcheck",
-        gold=1.0,
-        audio=rng.standard_normal((5, 6)),
-        vision=rng.standard_normal((4, 5)),
-        text_rows=const_rows[:len(text_ids)],
-        const_rows=const_rows,
-        n_prefix=4,
-        label_ids=label_ids,
-    )
-    return backbone, params, prepared
+    batch = []
+    for text, label, frames in (("ok", "1", (5, 4)), ("no", "0", (1, 6)),
+                                ("fine", "2", (7, 2))):
+        text_ids = tokenize(text)
+        label_ids = tokenize(label) + [EOS]
+        const_rows = backbone.embed(text_ids + tokenize(" label:") + label_ids)
+        batch.append(PreparedSample(
+            sid=f"gradcheck-{text}",
+            gold=float(label),
+            audio=rng.standard_normal((frames[0], 6)),
+            vision=rng.standard_normal((frames[1], 5)),
+            text_rows=const_rows[:len(text_ids)],
+            const_rows=const_rows,
+            n_prefix=4,
+            label_ids=label_ids,
+        ))
+    return backbone, params, batch
 
 
 def gradcheck_full(seed: int = 0) -> list[GradCheckResult]:
     """Per-parameter-group check of the composed adapter->backbone->loss
-    gradient on a small configuration."""
-    backbone, params, prepared = _tiny_pipeline(seed)
+    gradient on a small configuration: of one sample's loss, and of the mean
+    loss of a 3-sample training step (rows named "batch <group>")."""
+    backbone, params, batch = _tiny_pipeline(seed)
     state = VariantState("full")
     with T.Tape() as tape:
-        loss = sample_loss(backbone, params, prepared, state)
-        tape.backward(loss)
-    analytic = {name: tensor.grad.copy() for name, tensor in params.named()}
+        tape.backward(sample_loss(backbone, params, batch[0], state))
+    single = {name: tensor.grad.copy() for name, tensor in params.named()}
+    params.zero_grads()
+    batch_step(backbone, params, batch, state)
+    batched = {name: tensor.grad.copy() for name, tensor in params.named()}
 
-    def value() -> float:
-        return sample_loss(backbone, params, prepared, state).item()
+    def single_value() -> float:
+        return sample_loss(backbone, params, batch[0], state).item()
+
+    def batch_value() -> float:
+        n = params.config.token_count
+        pseudo = pseudo_blocks(params, batch, state).data
+        blocks = [T.Tensor._wrap(pseudo[i * n:(i + 1) * n], False, None)
+                  for i in range(len(batch))]
+        return sum(block_loss(backbone, p, b).item() for p, b in zip(batch, blocks)) / len(batch)
 
     results = []
-    for name, tensor in params.named():
-        numeric = _fd_grad(value, tensor.data, step=FULL_FD_STEP)
-        results.append(GradCheckResult(name, _rel_err(analytic[name], numeric),
-                                       FULL_TOL))
+    for prefix, value, analytic in (("", single_value, single),
+                                    ("batch ", batch_value, batched)):
+        for name, tensor in params.named():
+            numeric = _fd_grad(value, tensor.data, step=FULL_FD_STEP)
+            results.append(GradCheckResult(prefix + name,
+                                           _rel_err(analytic[name], numeric), FULL_TOL))
     return results
 
 

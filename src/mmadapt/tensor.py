@@ -2,10 +2,11 @@
 
 A forward pass runs inside a `Tape` context; every op whose output needs a
 gradient appends one backward closure to the tape. `backward(root)` seeds the
-scalar root with 1 and replays the closures in reverse, accumulating into the
-`.grad` buffer of every reachable tensor that requires a gradient. Tapes are
-single use: a consumed tape refuses a second backward, and re-running the
-forward pass is the supported way to differentiate again.
+scalar root with 1 (or a root of any shape with a given `grad` array) and
+replays the closures in reverse, accumulating into the `.grad` buffer of
+every reachable tensor that requires a gradient. Tapes are single use: a
+consumed tape refuses a second backward, and re-running the forward pass is
+the supported way to differentiate again.
 
 Gradients accumulate across tapes (`+=` semantics) until `zero_grad` runs,
 which is what lets a trainer sum per-sample contributions into shared
@@ -58,16 +59,23 @@ class Tape:
     def _record(self, fn: Callable[[], None]) -> None:
         self._records.append(fn)
 
-    def backward(self, root: "Tensor") -> None:
-        """Propagate d(root)/d(leaf) into every reachable grad buffer."""
+    def backward(self, root: "Tensor", grad: np.ndarray | None = None) -> None:
+        """Propagate d(root)/d(leaf) into every reachable grad buffer. A
+        scalar root is seeded with 1; `grad`, an array of the root's shape,
+        seeds a root of any shape, so the leaves receive grad^T d(root)/d(leaf)."""
         if self._consumed:
             raise TapeStateError("tape already consumed; rebuild the forward pass")
         if root.tape is not self:
             raise TapeStateError("root was not recorded on this tape")
-        if root.data.size != 1:
-            raise DimensionError(f"backward root must be scalar, got shape {root.shape}")
+        if grad is None:
+            if root.data.size != 1:
+                raise DimensionError(f"backward root must be scalar, got shape {root.shape}")
+            grad = np.ones_like(root.data)
+        elif np.shape(grad) != root.shape:
+            raise DimensionError(f"backward seed has shape {np.shape(grad)}, "
+                                 f"root has shape {root.shape}")
         self._consumed = True
-        root._accum(np.ones_like(root.data))
+        root._accum(np.asarray(grad, dtype=np.float64))
         for fn in reversed(self._records):
             fn()
         # each closure holds its output tensor, which holds this tape; dropping
@@ -187,6 +195,21 @@ def add_rowvec(x: Tensor, b: Tensor) -> Tensor:
     return _finish(x.data + b.data, (x, b), back)
 
 
+def add_colvec(x: Tensor, b: Tensor) -> Tensor:
+    """Broadcast a d-by-1 column over every column of x."""
+    _need_2d(x, "add_colvec")
+    if b.data.ndim != 2 or b.shape[1] != 1 or b.shape[0] != x.shape[0]:
+        raise DimensionError(f"add_colvec: column {b.shape} does not broadcast over {x.shape}")
+
+    def back(g: np.ndarray) -> None:
+        if x.requires_grad:
+            x._accum(g)
+        if b.requires_grad:
+            b._accum(g.sum(axis=1, keepdims=True))
+
+    return _finish(x.data + b.data, (x, b), back)
+
+
 def add_scalar(x: Tensor, s: Tensor) -> Tensor:
     """Broadcast a single trainable scalar over every element of x."""
     if s.data.size != 1:
@@ -239,6 +262,30 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
             b._accum(g * ad)
 
     return _finish(ad * bd, (a, b), back)
+
+
+def weighted_sum(parts: Sequence[Tensor], w: Tensor) -> Tensor:
+    """w[0] parts[0] + w[1] parts[1] + ... for equally shaped parts and a
+    (len(parts), 1) weight column, summed in that order."""
+    parts = list(parts)
+    if not parts or w.shape != (len(parts), 1):
+        raise DimensionError(f"weighted_sum: weights {w.shape} for {len(parts)} parts")
+    for p in parts:
+        if p.shape != parts[0].shape:
+            raise DimensionError(f"weighted_sum: shapes differ: {p.shape} vs {parts[0].shape}")
+    wd = w.data[:, 0]
+    out = parts[0].data * wd[0]
+    for p, c in zip(parts[1:], wd[1:]):
+        out = out + p.data * c
+
+    def back(g: np.ndarray) -> None:
+        for p, c in zip(parts, wd):
+            if p.requires_grad:
+                p._accum(g * c)
+        if w.requires_grad:
+            w._accum(np.array([[np.vdot(g, p.data)] for p in parts]))
+
+    return _finish(out, (*parts, w), back)
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +418,26 @@ def stack_columns(parts: Iterable[Tensor]) -> Tensor:
     return _finish(np.concatenate([p.data for p in parts], axis=1), tuple(parts), back)
 
 
+def outer_blocks(v: Tensor, u: Tensor) -> Tensor:
+    """The outer products v u[:, i]^T of an (n, 1) column with each column of
+    a (d, B) matrix, stacked: (B n, d), rows [i n, (i + 1) n) from column i."""
+    _need_2d(v, "outer_blocks")
+    _need_2d(u, "outer_blocks")
+    if v.shape[1] != 1:
+        raise DimensionError(f"outer_blocks: need an (n, 1) column, got {v.shape}")
+    n, (d, b) = v.shape[0], u.shape
+    vd, ud = v.data, u.data
+
+    def back(g: np.ndarray) -> None:
+        gb = g.reshape(b, n, d)
+        if v.requires_grad:
+            v._accum((gb @ ud.T[:, :, None]).sum(axis=0))
+        if u.requires_grad:
+            u._accum((gb.transpose(0, 2, 1) @ vd)[:, :, 0].T)
+
+    return _finish((vd[None, :, :] * ud.T[:, None, :]).reshape(b * n, d), (v, u), back)
+
+
 def embedding_lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
     _need_2d(table, "embedding_lookup")
     idx = np.asarray(list(ids), dtype=np.int64)
@@ -496,66 +563,107 @@ def causal_attention_scores(q: Tensor, k: Tensor, scale_factor: float) -> Tensor
 # fused kernels: one tape record for a whole recurrence or transformer block
 
 
-def lstm_final(x: Tensor, wih: Tensor, whh: Tensor, b: Tensor) -> Tensor:
-    """Single-direction LSTM over the rows of x; returns h_last (hidden x 1).
+def lstm_final(xs: Tensor | Sequence[Tensor], wih: Tensor, whh: Tensor,
+               b: Tensor) -> Tensor:
+    """Single-direction LSTM over the rows of each sequence in xs (a single
+    Tensor is a batch of one); returns the final hidden states as columns,
+    (hidden, B), column i for xs[i].
 
     Gate order along the stacked weight rows is input, forget, cell, output;
-    initial hidden and cell states are zero. The forward keeps the operation
-    order of the per-frame composition of primitives, so it is bit-identical
-    to it; the backward is hand-written BPTT over the saved gates.
+    initial hidden and cell states are zero. The sequences may differ in
+    length. They run longest first, and step t advances only the sequences
+    longer than t, so an ended sequence keeps its state and, in the backward,
+    passes its gradient through unchanged. For one sequence the forward keeps
+    the operation order of the per-frame composition of primitives, so it is
+    bit-identical to it; the backward is hand-written BPTT over the saved
+    gates.
     """
-    for t in (x, wih, whh, b):
+    xs = [xs] if isinstance(xs, Tensor) else list(xs)
+    if not xs:
+        raise DimensionError("lstm_final: need at least one sequence")
+    for t in (*xs, wih, whh, b):
         _need_2d(t, "lstm_final")
-    l, width = x.shape
     four_h, hidden = whh.shape
     if four_h != 4 * hidden:
         raise DimensionError(f"lstm_final: whh {whh.shape} is not (4h, h)")
-    if wih.shape != (four_h, width):
-        raise DimensionError(f"lstm_final: wih {wih.shape} incompatible with input {x.shape}")
+    for x in xs:
+        if wih.shape != (four_h, x.shape[1]):
+            raise DimensionError(f"lstm_final: wih {wih.shape} incompatible with input {x.shape}")
     if b.shape != (four_h, 1):
         raise DimensionError(f"lstm_final: b {b.shape} is not ({four_h}, 1)")
     sig, dsig = _UNARY["sigmoid"]
     tnh, dtnh = _UNARY["tanh"]
-    xd, wd, ud, bd = x.data, wih.data, whh.data, b.data
-    z_in = xd @ wd.T  # l x 4h, one matmul for all steps
-    h = np.zeros((hidden, 1))
-    c = np.zeros((hidden, 1))
+    wd, ud, bd = wih.data, whh.data, b.data
+    lengths = np.array([x.shape[0] for x in xs])
+    order = np.argsort(-lengths, kind="stable")  # longest first
+    frame = np.arange(lengths[order[0]])[:, None]
+    running = lengths[order] > frame  # steps x B; each row is a prefix of `order`
+    active = running.sum(axis=1).tolist()
+    starts = np.cumsum(lengths) - lengths
+    # every frame in step-major order: step t holds frame t of each running sequence
+    pick = (starts[order] + frame)[running]
+    xall = xs[0].data if len(xs) == 1 else np.concatenate([x.data for x in xs])
+    xp = xall[pick]
+    z_in = xp @ wd.T  # frames x 4h, one matmul for all steps
+    h = np.zeros((hidden, active[0]))
+    c = np.zeros((hidden, active[0]))
+    out = np.empty((hidden, len(xs)))
     steps = []
-    for t in range(l):
-        z = (z_in[t:t + 1].T + ud @ h) + bd
+    keep = _begin(*xs, wih, whh, b)[1]  # only a recorded forward keeps its steps
+    lo = 0
+    for n, still in zip(active, active[1:] + [0]):
+        h_prev, c_prev = h[:, :n], c[:, :n]
+        z = (z_in[lo:lo + n].T + ud @ h_prev) + bd
         gi = sig(z[:hidden])
         gf = sig(z[hidden:2 * hidden])
         gg = tnh(z[2 * hidden:3 * hidden])
         go = sig(z[3 * hidden:])
-        c_new = gf * c + gi * gg
-        tc = tnh(c_new)
-        steps.append((z, gi, gf, gg, go, c, h, c_new, tc))
-        c, h = c_new, go * tc
+        c = gf * c_prev + gi * gg
+        tc = tnh(c)
+        h = go * tc
+        if keep:
+            steps.append((gi, gf, gg, go, c_prev, h_prev, tc))
+        # the sequences that end here leave their final state
+        out[:, order[still:n]] = h[:, still:n]
+        lo += n
 
     def back(g: np.ndarray) -> None:
-        dz = np.empty((l, four_h))
-        dh, dc = g, 0.0
-        for t in range(l - 1, -1, -1):
-            z, gi, gf, gg, go, c_prev, _, c_t, tc = steps[t]
-            dc = dc + dh * go * dtnh(c_t, tc)
-            col = dz[t].reshape(four_h, 1)
-            col[:hidden] = dc * gg * dsig(z[:hidden], gi)
-            col[hidden:2 * hidden] = dc * c_prev * dsig(z[hidden:2 * hidden], gf)
-            col[2 * hidden:3 * hidden] = dc * gi * dtnh(z[2 * hidden:3 * hidden], gg)
-            col[3 * hidden:] = dh * tc * dsig(z[3 * hidden:], go)
+        g_sorted = g[:, order]
+        dz = np.empty((len(pick), four_h))
+        dh = dc = np.zeros((hidden, 0))
+        hi = len(pick)
+        for t in range(len(active) - 1, -1, -1):
+            gi, gf, gg, go, c_prev, _, tc = steps[t]
+            n, m = active[t], dh.shape[1]
+            if n > m:  # the sequences that end at step t take their gradient here
+                dh = np.concatenate([dh, g_sorted[:, m:n]], axis=1)
+                dc = np.concatenate([dc, np.zeros((hidden, n - m))], axis=1)
+            # the sigmoid and tanh derivatives read only their outputs, so no
+            # pre-activation is kept
+            dc = dc + dh * go * dtnh(None, tc)
+            col = dz[hi - n:hi].T
+            col[:hidden] = dc * gg * dsig(None, gi)
+            col[hidden:2 * hidden] = dc * c_prev * dsig(None, gf)
+            col[2 * hidden:3 * hidden] = dc * gi * dtnh(None, gg)
+            col[3 * hidden:] = dh * tc * dsig(None, go)
             dh = ud.T @ col
             dc = dc * gf
-        if x.requires_grad:
-            x._accum(dz @ wd)
+            hi -= n
+        if any(x.requires_grad for x in xs):
+            dx = np.empty_like(xall)
+            dx[pick] = dz @ wd
+            for x, s in zip(xs, starts):
+                if x.requires_grad:
+                    x._accum(dx[s:s + x.shape[0]])
         if wih.requires_grad:
-            wih._accum(dz.T @ xd)
+            wih._accum(dz.T @ xp)
         if whh.requires_grad:
-            h_prev = np.concatenate([s[6] for s in steps], axis=1)  # h x l
+            h_prev = np.concatenate([s[5] for s in steps], axis=1)  # h x frames
             whh._accum(dz.T @ h_prev.T)
         if b.requires_grad:
             b._accum(dz.sum(axis=0).reshape(four_h, 1))
 
-    return _finish(h, (x, wih, whh, b), back)
+    return _finish(out, (*xs, wih, whh, b), back)
 
 
 # weight names of one decoder block, after its prefix

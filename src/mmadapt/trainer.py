@@ -165,52 +165,108 @@ def prepare_samples(backbone: FrozenBackbone, samples: list[FeatureSample],
     return prepared
 
 
+def pseudo_blocks(params: AdapterParams, batch: list[PreparedSample],
+                   state: VariantState) -> T.Tensor:
+    """One adapter forward over a batch: the samples' pseudo-token blocks,
+    stacked in batch order."""
+    def wrap(arrays):
+        return [T.Tensor._wrap(a, False, None) for a in arrays]
+
+    return build_pseudo_tokens(params, wrap(p.text_rows for p in batch),
+                               wrap(p.audio for p in batch),
+                               wrap(p.vision for p in batch), state)
+
+
 def _pseudo_for(params: AdapterParams, p: PreparedSample,
                 state: VariantState) -> T.Tensor:
-    return build_pseudo_tokens(
-        params,
-        T.Tensor._wrap(p.text_rows, False, None),
-        T.Tensor._wrap(p.audio, False, None),
-        T.Tensor._wrap(p.vision, False, None),
-        state,
-    )
+    return pseudo_blocks(params, [p], state)
+
+
+def _block_of(pseudo: np.ndarray, i: int, n: int) -> np.ndarray:
+    """Sample i's rows of a stacked pseudo-token array."""
+    return pseudo[i * n:(i + 1) * n]
+
+
+def block_loss(backbone: FrozenBackbone, p: PreparedSample,
+               pseudo: T.Tensor) -> T.Tensor:
+    """Label loss of one sample given its pseudo-token block. The label block
+    ends the input, and each label token is predicted from the row before it,
+    so only the logits of the last len(label) + 1 rows are computed;
+    attention is causal, so they equal those rows of the full forward."""
+    logits = backbone.forward_rows(p.input_rows(pseudo), last=len(p.label_ids) + 1)
+    return label_loss(logits, p.label_ids)
 
 
 def sample_loss(backbone: FrozenBackbone, params: AdapterParams,
                 p: PreparedSample, state: VariantState) -> T.Tensor:
-    """Label loss of one sample. The label block ends the input, and each
-    label token is predicted from the row before it, so only the logits of
-    the last len(label) + 1 rows are computed; attention is causal, so they
-    equal those rows of the full forward."""
-    rows = p.input_rows(_pseudo_for(params, p, state))
-    logits = backbone.forward_rows(rows, last=len(p.label_ids) + 1)
-    return label_loss(logits, p.label_ids)
+    """Label loss of one sample, its adapter forward included."""
+    return block_loss(backbone, p, _pseudo_for(params, p, state))
+
+
+def batch_step(backbone: FrozenBackbone, params: AdapterParams,
+               batch: list[PreparedSample], state: VariantState) -> list[float]:
+    """Accumulate the gradient of the batch's mean label loss into the adapter
+    parameters; return each sample's loss.
+
+    Three steps, so that only one sample's backbone activations are alive at
+    a time: one adapter forward over the whole batch on its own tape; each
+    sample's loss on a tape of its own, with that sample's pseudo-token block
+    as a leaf; then one replay of the adapter tape, seeded with the stacked
+    gradients of the leaves.
+    """
+    n = params.config.token_count
+    inv = 1.0 / len(batch)
+    with T.Tape() as adapter_tape:
+        pseudo = pseudo_blocks(params, batch, state)
+    leaf_grads = np.empty_like(pseudo.data)
+    losses = []
+    for i, p in enumerate(batch):
+        leaf = T.Tensor._wrap(_block_of(pseudo.data, i, n), True, None)
+        with T.Tape() as tape:
+            loss = block_loss(backbone, p, leaf)
+            tape.backward(T.scale(loss, inv))
+        _block_of(leaf_grads, i, n)[:] = leaf.grad
+        losses.append(loss.item())
+    adapter_tape.backward(pseudo, grad=leaf_grads)
+    return losses
 
 
 # ---------------------------------------------------------------------------
 # evaluation
 
 
+# samples whose pseudo tokens evaluation builds in one adapter forward; a
+# block's LSTM states grow with it, so it stays small
+EVAL_BLOCK = 64
+
+
 def evaluate_split(backbone: FrozenBackbone, params: AdapterParams,
                    state: VariantState, prepared: list[PreparedSample],
                    preset: DatasetPreset,
                    max_new: int | None = None) -> MetricReport:
-    """Greedy generation, parsing, and family metrics over prepared samples."""
+    """Greedy generation, parsing, and family metrics over prepared samples.
+    The adapter runs once per block of EVAL_BLOCK samples, then each sample
+    decodes on its own."""
     if not prepared:
         raise InputError("cannot evaluate an empty split")
     budget = max_new if max_new is not None else eval_token_budget(preset)
+    n = params.config.token_count
     preds: list[float] = []
     golds: list[float] = []
     fallbacks = 0
-    for p in prepared:
-        rows = p.input_rows(_pseudo_for(params, p, state), with_label=False)
-        text = generate(backbone, rows, max_new=budget)
-        value, fb = parse_generated(preset.task, text,
-                                    class_count=preset.class_count,
-                                    neutral_class=preset.neutral_class)
-        fallbacks += int(fb)
-        preds.append(value)
-        golds.append(p.gold)
+    for start in range(0, len(prepared), EVAL_BLOCK):
+        block = prepared[start:start + EVAL_BLOCK]
+        pseudo = pseudo_blocks(params, block, state).data
+        for i, p in enumerate(block):
+            rows = p.input_rows(T.Tensor._wrap(_block_of(pseudo, i, n), False, None),
+                                with_label=False)
+            text = generate(backbone, rows, max_new=budget)
+            value, fb = parse_generated(preset.task, text,
+                                        class_count=preset.class_count,
+                                        neutral_class=preset.neutral_class)
+            fallbacks += int(fb)
+            preds.append(value)
+            golds.append(p.gold)
     return score_predictions(preset.metric_family, preds, golds,
                              fallback_count=fallbacks,
                              class_count=preset.class_count)
@@ -318,14 +374,8 @@ def train_run(backbone: FrozenBackbone, dataset: Dataset,
             lr = lr_schedule(step, total_steps, config.learning_rate,
                              config.warmup_fraction)
             params.zero_grads()
-            batch_losses = []
-            inv = 1.0 / len(batch)
-            for idx in batch:
-                with T.Tape() as tape:
-                    loss = sample_loss(backbone, params, prepared_train[int(idx)],
-                                       state)
-                    tape.backward(T.scale(loss, inv))
-                batch_losses.append(loss.item())
+            batch_losses = batch_step(backbone, params,
+                                      [prepared_train[int(i)] for i in batch], state)
             grad_norm = clip_global_norm(params.named(), config.clip_norm)
             adamw_step(params.named(), opt_state, lr,
                        weight_decay=config.weight_decay)
@@ -418,14 +468,13 @@ def multi_seed_run(backbone: FrozenBackbone, dataset: Dataset,
     per_seed: list[dict] = []
     failed: list[dict] = []
     rows: list[dict[str, float | None]] = []
+    prepared = prepare_samples(backbone, dataset[eval_split], dataset.preset,
+                               adapter_config.token_count,
+                               VariantState(config.variant).drops_text_input)
     for seed in config.seeds:
         try:
             result = train_run(backbone, dataset, adapter_config, config, seed,
                                out_dir)
-            prepared = prepare_samples(backbone, dataset[eval_split],
-                                       dataset.preset,
-                                       adapter_config.token_count,
-                                       result.state.drops_text_input)
             report = evaluate_split(backbone, result.params, result.state,
                                     prepared, dataset.preset)
             rows.append(dict(report.values))

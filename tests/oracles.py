@@ -4,8 +4,10 @@ Everything in here is deliberately naive: plain Python loops, math/mpmath
 scalars, no calls into the package's own numeric kernels. Slow is fine,
 wrong is not. The exceptions are at the end: the per-frame LSTM, the
 per-head attention and the per-layer decoder block composed from the tape's
-primitives, which the fused kernels replaced and must reproduce, and greedy
-decoding without a key/value cache.
+primitives, which the fused kernels replaced and must reproduce; the
+adapter's forward for one sample as a chain of column-vector primitives,
+which the batched adapter replaced; and greedy decoding without a key/value
+cache.
 """
 
 from __future__ import annotations
@@ -180,6 +182,50 @@ def decoder_block_chain(x, w, prefix: str, heads: int):
     x = T.add(x, linear(merged, "o"))
     h2 = T.layernorm_rows(x, w[prefix + "ln2.g"], w[prefix + "ln2.b"])
     return T.add(x, linear(T.gelu(linear(h2, "f1")), "f2"))
+
+
+# ---------------------------------------------------------------------------
+# the adapter, one sample at a time
+
+
+def pseudo_tokens_chain(params, text_rows, audio, vision, state):
+    """One sample's (n, embed) pseudo-token block, every activation a column
+    vector and every LSTM frame a recorded op group."""
+    c = params.config
+
+    def linear(name, col):
+        return T.add(T.matmul(params[name + ".w"], col), params[name + ".b"])
+
+    def lstm(tag, x, hidden):
+        return lstm_final_loop(x, params[tag + "_lstm.wih"], params[tag + "_lstm.whh"],
+                               params[tag + "_lstm.b"], hidden)
+
+    def constant(arr):
+        return T.Tensor._wrap(arr, False, None)
+
+    variant = state.variant
+    if variant == "no_audio_vision":
+        vision_final, audio_final = constant(state.subst_vision), constant(state.subst_audio)
+    else:
+        vision_final = (constant(np.zeros((c.vision_hidden, 1))) if variant == "no_vision"
+                        else lstm("vision", vision, c.vision_hidden))
+        audio_final = (constant(np.zeros((c.audio_hidden, 1))) if variant == "no_audio"
+                       else lstm("audio", audio, c.audio_hidden))
+    vision_col = linear("vision_proj", vision_final)
+    audio_col = linear("audio_proj", audio_final)
+    if variant in ("no_mixer", "no_text"):
+        mixed = T.add(vision_col, audio_col)
+    else:
+        text_col = linear("text_proj", T.transpose(T.reduce_mean_rows(text_rows)))
+        mixed = T.add(T.hadamard(vision_col, text_col), T.hadamard(audio_col, text_col))
+    fused = mixed
+    if variant != "no_fusion":
+        cols = [linear(f"fuse.{k}.up", T.gelu(linear(f"fuse.{k}.down", mixed)))
+                for k in c.scale_divisors]
+        fused = T.add_scalar(T.matmul(T.stack_columns(cols), params["mix.w"]),
+                             params["mix.b"])
+    u = T.add(T.matmul(params["expand.w3"], fused), params["expand.b3"])
+    return T.matmul(params["expand.w4"], T.transpose(u))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Adapter stages vs independent loop oracles, ablation variant semantics,
-parameter accounting, checkpoint round trips."""
+"""Adapter stages vs independent loop oracles, the batched adapter vs the
+per-sample chain, ablation variant semantics, parameter accounting,
+checkpoint round trips."""
 
 import math
 
@@ -10,7 +11,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 from mmadapt import adapter as A
 from mmadapt import tensor as T
 from mmadapt.errors import CheckpointError, ConfigError
-from oracles import fd_grad, gelu_scalar, lstm_scalar_step, max_rel_err
+from oracles import (fd_grad, gelu_scalar, lstm_scalar_step, max_rel_err,
+                     pseudo_tokens_chain)
 
 RNG = np.random.default_rng(4242)
 
@@ -277,6 +279,75 @@ def test_dropped_branch_is_detached_from_gradients():
         tape.backward(T.sum_all(p))
     assert params["audio_lstm.wih"].grad is None
     assert params["vision_lstm.wih"].grad is not None
+
+
+# ---------------------------------------------------------------------------
+# the batched adapter vs the per-sample chain
+
+
+def batch_inputs(size, seed):
+    """Per-sample inputs whose audio and vision lengths differ, with a 1-frame
+    sequence among them and the longest sequence last."""
+    rng = np.random.default_rng(seed)
+    la, lv, lt = (rng.integers(2, 9, size) for _ in range(3))
+    la[size // 2], lv[0] = 1, 1
+    la[-1], lv[-1] = 9, 10
+    draw = lambda l, width: T.Tensor(rng.uniform(-1, 1, (int(l), width)))
+    return ([draw(l, CFG.embed_width) for l in lt], [draw(l, CFG.audio_width) for l in la],
+            [draw(l, CFG.vision_width) for l in lv])
+
+
+def assert_close(got, want, what=""):
+    """Equal to 1e-12 of the reference's largest entry (or absolutely below 1)."""
+    err = float(np.max(np.abs(got - want)))
+    assert err <= 1e-12 * max(1.0, float(np.max(np.abs(want)))), f"{what}: {err:.3e}"
+
+
+@pytest.mark.parametrize("size", [1, 3, 32])
+@pytest.mark.parametrize("variant", A.VARIANTS)
+def test_batched_adapter_matches_per_sample_oracle(variant, size):
+    params = make_params(seed=size)
+    state = A.make_variant_state(variant, CFG, np.random.default_rng(size))
+    texts, audios, visions = batch_inputs(size, seed=100 + size)
+    n = CFG.token_count
+    seed = np.random.default_rng(size).uniform(-1, 1, (size * n, CFG.embed_width))
+    with T.Tape() as tape:
+        got = A.build_pseudo_tokens(params, texts, audios, visions, state)
+        tape.backward(got, grad=seed)
+    assert got.shape == (size * n, CFG.embed_width)
+    got_grads = {name: t.grad for name, t in params.named()}
+    params.zero_grads()
+    for i in range(size):
+        rows = slice(i * n, (i + 1) * n)
+        with T.Tape() as tape:
+            want = pseudo_tokens_chain(params, texts[i], audios[i], visions[i], state)
+            tape.backward(T.sum_all(T.hadamard(want, T.Tensor(seed[rows]))))
+        assert_close(got.data[rows], want.data, f"sample {i}")
+        s = np.linalg.svd(got.data[rows], compute_uv=False)
+        assert s[1] <= 1e-9 * s[0], f"sample {i}: singular ratio {s[1] / s[0]:.2e}"
+    for name, t in params.named():
+        if t.grad is None:
+            assert got_grads[name] is None, name
+        else:
+            assert_close(got_grads[name], t.grad, name)
+
+
+def test_single_sample_is_a_batch_of_one():
+    params = make_params()
+    text, audio, vision = sample_inputs()
+    alone = A.build_pseudo_tokens(params, text, audio, vision).data
+    listed = A.build_pseudo_tokens(params, [text], [audio], [vision]).data
+    assert_array_equal(alone, listed)
+    assert alone.shape == (CFG.token_count, CFG.embed_width)
+
+
+def test_batch_needs_one_matrix_of_each_kind_per_sample():
+    params = make_params()
+    text, audio, vision = sample_inputs()
+    with pytest.raises(T.DimensionError):
+        A.build_pseudo_tokens(params, [text, text], [audio, audio], [vision])
+    with pytest.raises(T.DimensionError):
+        A.build_pseudo_tokens(params, [], [], [])
 
 
 # ---------------------------------------------------------------------------

@@ -271,6 +271,24 @@ def test_eval_rejects_feature_path_outside_dataset(tmp_path, cli_workspace, wher
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("text", ["", 5])
+def test_eval_rejects_a_record_without_text(tmp_path, cli_workspace, text):
+    """A manifest text that is empty or not a string exits 1 with the line."""
+    data = tmp_path / "data"
+    shutil.copytree(cli_workspace["data"], data)
+    lines = (data / "manifest.jsonl").read_text(encoding="utf-8").splitlines()
+    rec = json.loads(lines[2])
+    rec["text"] = text
+    lines[2] = json.dumps(rec)
+    (data / "manifest.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    r = run_cli("eval", "--dataset", str(data), "--backbone",
+                str(cli_workspace["backbone"]), "--checkpoint",
+                str(cli_workspace["train"] / "adapter-full-seed5.msea"))
+    assert r.returncode == 1, r.stderr
+    assert "manifest.jsonl:3" in r.stderr and "non-empty string" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 @pytest.mark.parametrize("flag", ["--token-count", "--audio-hidden",
                                   "--vision-hidden", "--learning-rate"])
 def test_train_zero_knob_is_not_replaced_by_preset(tmp_path, capsys,

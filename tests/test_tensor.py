@@ -279,6 +279,31 @@ def test_lstm_final_matches_taped_frame_loop(frames):
         assert max_rel_err(g, ref, floor=1e-12) <= 1e-12, name
 
 
+def test_lstm_final_batch_matches_taped_frame_loop_per_sequence():
+    """Sequences of different lengths in one batch, the longest not first:
+    each output column and every gradient equal the per-sequence frame loop."""
+    width, hidden = 5, 6
+    rng = np.random.default_rng(11)
+    lengths = [3, 1, 7, 7, 2]
+    xs = [rng.uniform(-1, 1, (l, width)) for l in lengths]
+    weights = [rng.uniform(-1, 1, (4 * hidden, width)),
+               rng.uniform(-1, 1, (4 * hidden, hidden)),
+               rng.uniform(-1, 1, (4 * hidden, 1))]
+    w = rng.uniform(-1, 1, (hidden, len(xs)))
+    got, got_grads = run_taped(
+        lambda *t: T.lstm_final(list(t[:len(xs)]), *t[len(xs):]), xs + weights, w)
+    want_grads = [np.zeros_like(a) for a in weights]
+    for i, x in enumerate(xs):
+        want, grads = run_taped(lambda *t: lstm_final_loop(*t, hidden), [x] + weights,
+                                w[:, i:i + 1])
+        assert max_rel_err(got[:, i:i + 1], want, floor=1e-12) <= 1e-12, i
+        assert max_rel_err(got_grads[i], grads[0], floor=1e-12) <= 1e-12, i
+        for acc, g in zip(want_grads, grads[1:]):
+            acc += g
+    for name, g, ref in zip(("wih", "whh", "b"), got_grads[len(xs):], want_grads):
+        assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+
+
 def test_lstm_final_rejects_mismatched_shapes():
     x = T.Tensor(np.ones((3, 2)))
     ok = dict(wih=np.ones((8, 2)), whh=np.ones((8, 2)), b=np.ones((8, 1)))
@@ -488,6 +513,29 @@ def test_backward_requires_scalar_root():
         y = T.scale(x, 2.0)
         with pytest.raises(DimensionError):
             tape.backward(y)
+
+
+def test_backward_seed_gives_the_vector_jacobian_product():
+    """A seeded non-scalar root backpropagates what the scalar root
+    sum(root * seed) does, and a seed of the wrong shape is refused."""
+    xv, wv = RNG.uniform(-2, 2, (3, 4)), RNG.uniform(-2, 2, (4, 2))
+    seed = RNG.uniform(-1, 1, (3, 2))
+    grads = []
+    for seeded in (True, False):
+        x = T.Tensor(xv, requires_grad=True)
+        with T.Tape() as tape:
+            y = T.matmul(T.tanh(x), T.Tensor(wv))
+            if seeded:
+                tape.backward(y, grad=seed)
+            else:
+                tape.backward(loss_of(y, seed))
+        grads.append(x.grad)
+    assert_allclose(grads[0], grads[1], rtol=1e-14)
+    x = T.Tensor(xv, requires_grad=True)
+    with T.Tape() as tape:
+        y = T.tanh(x)
+        with pytest.raises(DimensionError):
+            tape.backward(y, grad=seed)
 
 
 def test_backward_linearity_across_fresh_tapes():

@@ -12,13 +12,14 @@ import mmadapt.trainer as trainer_mod
 from mmadapt import tensor as T
 from mmadapt.adapter import AdapterParams, load_adapter, make_variant_state
 from mmadapt.backbone import EOS, tokenize
-from mmadapt.corpus import FeatureSample
+from mmadapt.corpus import FeatureSample, SyntheticSpec, generate_synthetic
 from mmadapt.errors import ConfigError, DimensionError, InputError, LengthError, NumericError
-from mmadapt.metrics import format_label
+from mmadapt.metrics import format_label, score_predictions
 from mmadapt.presets import get_preset
 from mmadapt.trainer import (
     TrainConfig,
     aggregate_seed_metrics,
+    batch_step,
     build_pretrain_corpus,
     evaluate_split,
     label_loss,
@@ -234,6 +235,29 @@ def test_sample_loss_gradient_reaches_all_params(small_synth, small_backbone,
         assert np.any(tensor.grad != 0.0), name
 
 
+def test_batch_step_gradients_equal_the_sum_over_per_sample_tapes(
+        small_synth, small_backbone, small_adapter_config):
+    rng = np.random.default_rng(4)
+    params = AdapterParams.init(small_adapter_config, rng)
+    state = make_variant_state("full", small_adapter_config, rng)
+    batch = prepare_samples(small_backbone, small_synth["train"][:5],
+                            small_synth.preset, n_prefix=2, drops_text=False)
+    assert len({p.audio.shape[0] for p in batch}) > 1  # the lengths differ
+    losses = batch_step(small_backbone, params, batch, state)
+    got = {name: tensor.grad.copy() for name, tensor in params.named()}
+    params.zero_grads()
+    want = []
+    for p in batch:
+        with T.Tape() as tape:
+            loss = sample_loss(small_backbone, params, p, state)
+            tape.backward(T.scale(loss, 1.0 / len(batch)))
+        want.append(loss.item())
+    assert np.max(np.abs(np.subtract(losses, want))) <= 1e-12 * max(want)
+    for name, tensor in params.named():
+        scale = max(1.0, float(np.max(np.abs(tensor.grad))))
+        assert np.max(np.abs(got[name] - tensor.grad)) <= 1e-12 * scale, name
+
+
 # ---------------------------------------------------------------------------
 # training runs
 
@@ -384,6 +408,45 @@ def test_evaluate_split_deterministic(small_synth, small_backbone,
     assert a.values == b.values
 
 
+def test_evaluate_split_ignores_batch_composition(monkeypatch, tmp_path, small_backbone,
+                                                  small_adapter_config):
+    """The adapter runs on blocks of EVAL_BLOCK samples, so a sample shares
+    its block with different samples when a split is evaluated whole or in
+    50-sample chunks. A batched column may differ in the last bit between the
+    two, but the generated text and the metrics must not."""
+    ds = generate_synthetic(SyntheticSpec(train=2, valid=2, test=150, seed=77), tmp_path)
+    rng = np.random.default_rng(3)
+    params = AdapterParams.init(small_adapter_config, rng)
+    state = make_variant_state("full", small_adapter_config, rng)
+    prepared = prepare_samples(small_backbone, ds["test"], ds.preset, n_prefix=2,
+                               drops_text=False)
+    assert len(prepared) > 2 * trainer_mod.EVAL_BLOCK
+    parse = trainer_mod.parse_generated
+    seen = []
+
+    def record(task, text, **kwargs):
+        value, fallback = parse(task, text, **kwargs)
+        seen.append((text, value, fallback))
+        return value, fallback
+
+    monkeypatch.setattr(trainer_mod, "parse_generated", record)
+    whole = evaluate_split(small_backbone, params, state, prepared, ds.preset)
+    first = list(seen)
+    seen.clear()
+    preset = ds.preset
+    for start in range(0, len(prepared), 50):
+        part = evaluate_split(small_backbone, params, state, prepared[start:start + 50], preset)
+        rows = first[start:start + 50]
+        want = score_predictions(preset.metric_family, [v for _, v, _ in rows],
+                                 [p.gold for p in prepared[start:start + 50]],
+                                 fallback_count=sum(f for *_, f in rows),
+                                 class_count=preset.class_count)
+        assert part.values == want.values
+    assert seen == first
+    assert len({text for text, *_ in first}) > 1
+    assert whole.count == len(prepared)
+
+
 def test_evaluate_split_rejects_empty(small_synth, small_backbone,
                                       small_adapter_config):
     rng = np.random.default_rng(3)
@@ -439,6 +502,21 @@ def test_multi_seed_single_seed_mean_equals_row(small_synth, small_backbone,
     report = multi_seed_run(small_backbone, small_synth, small_adapter_config,
                             config)
     assert report.mean == report.per_seed[0]["metrics"]
+
+
+def test_multi_seed_run_prepares_the_eval_split_once(monkeypatch, small_synth, small_backbone,
+                                                    small_adapter_config):
+    real = trainer_mod.prepare_samples
+    splits = []
+
+    def counting(backbone, samples, *args):
+        splits.append(samples)
+        return real(backbone, samples, *args)
+
+    monkeypatch.setattr(trainer_mod, "prepare_samples", counting)
+    multi_seed_run(small_backbone, small_synth, small_adapter_config,
+                   _tiny_config(seeds=(5, 6), variant="no_text"))
+    assert sum(s is small_synth["test"] for s in splits) == 1
 
 
 def test_multi_seed_marks_failed_seed(monkeypatch, small_synth, small_backbone,
