@@ -34,7 +34,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import CheckpointError, ConfigError, DimensionError
-from .serialize import read_container, write_container
+from .serialize import check_tensors, read_container, write_container
 
 ADAPTER_MAGIC = b"MSEA"
 
@@ -86,9 +86,36 @@ class AdapterConfig:
         return cls(*vals, tuple(ks)), rest
 
 
-def _uniform(rng: np.random.Generator, fan_in: int, shape: tuple[int, ...]) -> np.ndarray:
-    bound = 1.0 / math.sqrt(fan_in)
-    return rng.uniform(-bound, bound, shape)
+def param_table(config: AdapterConfig) -> dict[str, tuple[tuple[int, ...], int | None]]:
+    """Each trainable tensor's shape and fan-in by name, in checkpoint order.
+
+    A fan-in of None marks a bias. Weights multiply columns (w @ x), so their
+    fan-in is their column count, except `mix.w`, whose rows weigh the scales.
+    """
+    c = config
+    table: dict[str, tuple[tuple[int, ...], int | None]] = {}
+
+    def linear(name: str, out: int, fan_in: int, w: str = "w", b: str = "b") -> None:
+        table[f"{name}.{w}"] = ((out, fan_in), fan_in)
+        table[f"{name}.{b}"] = ((out, 1), None)
+
+    for tag, width, hidden in (("audio", c.audio_width, c.audio_hidden),
+                               ("vision", c.vision_width, c.vision_hidden)):
+        table[f"{tag}_lstm.wih"] = ((4 * hidden, width), width)
+        table[f"{tag}_lstm.whh"] = ((4 * hidden, hidden), hidden)
+        table[f"{tag}_lstm.b"] = ((4 * hidden, 1), None)
+    linear("text_proj", c.mix_width, c.embed_width)
+    linear("vision_proj", c.mix_width, c.vision_hidden)
+    linear("audio_proj", c.mix_width, c.audio_hidden)
+    for k in c.scale_divisors:
+        linear(f"fuse.{k}.down", c.mix_width // k, c.mix_width)
+        linear(f"fuse.{k}.up", c.mix_width, c.mix_width // k)
+    scales = len(c.scale_divisors)
+    table["mix.w"] = ((scales, 1), scales)
+    table["mix.b"] = ((1,), None)
+    linear("expand", c.embed_width, c.mix_width, "w3", "b3")
+    table["expand.w4"] = ((c.token_count, 1), 1)
+    return table
 
 
 class AdapterParams:
@@ -100,37 +127,18 @@ class AdapterParams:
 
     @classmethod
     def init(cls, config: AdapterConfig, rng: np.random.Generator) -> "AdapterParams":
-        c = config
+        """Draw the tensors of `param_table` in its order: weights uniform in
+        +-1/sqrt(fan-in), zero biases, and LSTM forget gates open."""
         p: dict[str, T.Tensor] = {}
-
-        def add(name: str, arr: np.ndarray) -> None:
+        for name, (shape, fan_in) in param_table(config).items():
+            if fan_in is None:
+                arr = np.zeros(shape)
+                if name.endswith("_lstm.b"):
+                    arr[shape[0] // 4:shape[0] // 2] = 1.0
+            else:
+                bound = 1.0 / math.sqrt(fan_in)
+                arr = rng.uniform(-bound, bound, shape)
             p[name] = T.Tensor(arr, requires_grad=True)
-
-        for tag, width, hidden in (("audio", c.audio_width, c.audio_hidden),
-                                   ("vision", c.vision_width, c.vision_hidden)):
-            add(f"{tag}_lstm.wih", _uniform(rng, width, (4 * hidden, width)))
-            add(f"{tag}_lstm.whh", _uniform(rng, hidden, (4 * hidden, hidden)))
-            bias = np.zeros((4 * hidden, 1))
-            bias[hidden:2 * hidden] = 1.0  # forget gate opens at init
-            add(f"{tag}_lstm.b", bias)
-        add("text_proj.w", _uniform(rng, c.embed_width, (c.mix_width, c.embed_width)))
-        add("text_proj.b", np.zeros((c.mix_width, 1)))
-        add("vision_proj.w", _uniform(rng, c.vision_hidden, (c.mix_width, c.vision_hidden)))
-        add("vision_proj.b", np.zeros((c.mix_width, 1)))
-        add("audio_proj.w", _uniform(rng, c.audio_hidden, (c.mix_width, c.audio_hidden)))
-        add("audio_proj.b", np.zeros((c.mix_width, 1)))
-        for k in c.scale_divisors:
-            narrow = c.mix_width // k
-            add(f"fuse.{k}.down.w", _uniform(rng, c.mix_width, (narrow, c.mix_width)))
-            add(f"fuse.{k}.down.b", np.zeros((narrow, 1)))
-            add(f"fuse.{k}.up.w", _uniform(rng, narrow, (c.mix_width, narrow)))
-            add(f"fuse.{k}.up.b", np.zeros((c.mix_width, 1)))
-        add("mix.w", _uniform(rng, len(c.scale_divisors),
-                              (len(c.scale_divisors), 1)))
-        add("mix.b", np.zeros((1,)))
-        add("expand.w3", _uniform(rng, c.mix_width, (c.embed_width, c.mix_width)))
-        add("expand.b3", np.zeros((c.embed_width, 1)))
-        add("expand.w4", _uniform(rng, 1, (c.token_count, 1)))
         return cls(config, p)
 
     def named(self) -> list[tuple[str, T.Tensor]]:
@@ -152,21 +160,8 @@ class AdapterParams:
 
 
 def count_trainable(config: AdapterConfig) -> int:
-    """Closed-form parameter count; must equal AdapterParams.count()."""
-    c = config
-    lstm = lambda width, hidden: 4 * (hidden * width + hidden * hidden + hidden)
-    total = lstm(c.audio_width, c.audio_hidden) + lstm(c.vision_width, c.vision_hidden)
-    total += c.mix_width * c.embed_width + c.mix_width        # text projection
-    total += c.mix_width * c.vision_hidden + c.mix_width      # vision projection
-    total += c.mix_width * c.audio_hidden + c.mix_width       # audio projection
-    for k in c.scale_divisors:
-        narrow = c.mix_width // k
-        total += narrow * c.mix_width + narrow                # down
-        total += c.mix_width * narrow + c.mix_width           # up
-    total += len(c.scale_divisors) + 1                        # channel mix + bias
-    total += c.embed_width * c.mix_width + c.embed_width      # expand to embed
-    total += c.token_count                                    # outer-product vector
-    return total
+    """Parameter count of `param_table`; equals AdapterParams.count()."""
+    return sum(math.prod(shape) for shape, _ in param_table(config).values())
 
 
 def sweep_mix_width(target: int, embed_width: int, audio_width: int, vision_width: int,
@@ -276,16 +271,19 @@ class VariantState:
         return self.variant == "no_text"
 
 
+def substitute_shapes(variant: str, config: AdapterConfig) -> dict[str, tuple[int, int]]:
+    """Shapes of the fixed substitute states a variant keeps, in checkpoint
+    order after the parameters."""
+    if variant != "no_audio_vision":
+        return {}
+    return {"subst.vision": (config.vision_hidden, 1), "subst.audio": (config.audio_hidden, 1)}
+
+
 def make_variant_state(variant: str, config: AdapterConfig,
                        rng: np.random.Generator) -> VariantState:
     """Build per-run variant state; substitutes are drawn once per run."""
-    if variant == "no_audio_vision":
-        return VariantState(
-            variant,
-            subst_vision=rng.uniform(-1, 1, (config.vision_hidden, 1)),
-            subst_audio=rng.uniform(-1, 1, (config.audio_hidden, 1)),
-        )
-    return VariantState(variant)
+    return VariantState(variant, *(rng.uniform(-1, 1, shape)
+                                   for shape in substitute_shapes(variant, config).values()))
 
 
 def build_pseudo_tokens(params: AdapterParams, text_rows: Batch, audio: Batch,
@@ -368,16 +366,10 @@ def load_adapter(path: str | Path) -> tuple[AdapterParams, VariantState, int]:
         (backbone_checksum,) = struct.unpack_from("<Q", rest, 4 + vlen)
     except struct.error as exc:
         raise CheckpointError(f"bad adapter variant block: {exc}") from exc
-    subst = {n: arr for n, arr in tensors if n.startswith("subst.")}
-    state = VariantState(variant, subst.get("subst.vision"), subst.get("subst.audio"))
-    weights = {n: T.Tensor(arr, requires_grad=True)
-               for n, arr in tensors if not n.startswith("subst.")}
-    params = AdapterParams(config, weights)
-    ref = AdapterParams.init(config, np.random.default_rng(0))
-    if [n for n, _ in params.named()] != [n for n, _ in ref.named()]:
-        raise CheckpointError("adapter checkpoint weight names do not match config")
-    for (n, got), (_, want) in zip(params.named(), ref.named()):
-        if got.shape != want.shape:
-            raise CheckpointError(f"adapter tensor {n!r} has shape {got.shape}, "
-                                  f"expected {want.shape}")
+    shapes = {n: shape for n, (shape, _) in param_table(config).items()}
+    check_tensors(path, tensors, {**shapes, **substitute_shapes(variant, config)})
+    arrays = dict(tensors)
+    state = VariantState(variant, arrays.pop("subst.vision", None), arrays.pop("subst.audio", None))
+    params = AdapterParams(config, {n: T.Tensor(arr, requires_grad=True)
+                                    for n, arr in arrays.items()})
     return params, state, backbone_checksum

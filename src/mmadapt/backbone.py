@@ -22,7 +22,8 @@ from . import tensor as T
 from .errors import (CheckpointError, ConfigError, FrozenViolation,
                      LengthError, TokenError)
 from .optim import AdamWState, adamw_step, clip_global_norm, lr_schedule
-from .serialize import checksum64, pack_tensors, read_container, write_container
+from .serialize import (check_tensors, checksum64, pack_tensors, read_container,
+                        write_container)
 
 VOCAB_SIZE = 259
 BOS = 256  # reserved; the assembly pipeline never emits it
@@ -77,38 +78,39 @@ class BackboneConfig:
         return cls(ew, layers, heads, ffn, max_seq)
 
 
-def _uniform_linear(rng: np.random.Generator, fan_in: int, shape: tuple[int, ...]) -> np.ndarray:
-    bound = 1.0 / math.sqrt(fan_in)
-    return rng.uniform(-bound, bound, shape)
-
-
-def init_weights(config: BackboneConfig, rng: np.random.Generator,
-                 trainable: bool = True) -> dict[str, T.Tensor]:
+def weight_shapes(config: BackboneConfig) -> dict[str, tuple[int, int]]:
+    """Every backbone tensor's shape by name, in checkpoint order."""
     d = config.embed_width
     f = d * config.ffn_mult
-    w: dict[str, T.Tensor] = {}
-
-    def add(name: str, arr: np.ndarray) -> None:
-        w[name] = T.Tensor(arr, requires_grad=trainable)
-
-    add("embed", rng.normal(0.0, 0.05, (VOCAB_SIZE, d)))
-    add("pos", rng.normal(0.0, 0.05, (config.max_seq, d)))
+    block = {"ln1.g": (1, d), "ln1.b": (1, d),
+             **dict.fromkeys(("wq", "wk", "wv", "wo"), (d, d)),
+             **dict.fromkeys(("bq", "bk", "bv", "bo"), (1, d)),
+             "ln2.g": (1, d), "ln2.b": (1, d),
+             "wf1": (d, f), "bf1": (1, f), "wf2": (f, d), "bf2": (1, d)}
+    shapes = {"embed": (VOCAB_SIZE, d), "pos": (config.max_seq, d)}
     for i in range(config.layers):
-        p = f"h{i}."
-        add(p + "ln1.g", np.ones((1, d)))
-        add(p + "ln1.b", np.zeros((1, d)))
-        for nm in ("wq", "wk", "wv", "wo"):
-            add(p + nm, _uniform_linear(rng, d, (d, d)))
-        for nm in ("bq", "bk", "bv", "bo"):
-            add(p + nm, np.zeros((1, d)))
-        add(p + "ln2.g", np.ones((1, d)))
-        add(p + "ln2.b", np.zeros((1, d)))
-        add(p + "wf1", _uniform_linear(rng, d, (d, f)))
-        add(p + "bf1", np.zeros((1, f)))
-        add(p + "wf2", _uniform_linear(rng, f, (f, d)))
-        add(p + "bf2", np.zeros((1, d)))
-    add("lnf.g", np.ones((1, d)))
-    add("lnf.b", np.zeros((1, d)))
+        shapes.update((f"h{i}.{name}", shape) for name, shape in block.items())
+    shapes.update({"lnf.g": (1, d), "lnf.b": (1, d)})
+    return shapes
+
+
+def init_weights(config: BackboneConfig, rng: np.random.Generator) -> dict[str, T.Tensor]:
+    """Draw the tensors of `weight_shapes` in its order: normal embeddings,
+    unit norm gains, zero biases, and matrices uniform in +-1/sqrt(fan-in),
+    where the fan-in is the row count (rows multiply as x @ w)."""
+    w: dict[str, T.Tensor] = {}
+    for name, shape in weight_shapes(config).items():
+        leaf = name.rsplit(".", 1)[-1]
+        if name in ("embed", "pos"):
+            arr = rng.normal(0.0, 0.05, shape)
+        elif leaf == "g":
+            arr = np.ones(shape)
+        elif leaf.startswith("w"):
+            bound = 1.0 / math.sqrt(shape[0])
+            arr = rng.uniform(-bound, bound, shape)
+        else:
+            arr = np.zeros(shape)
+        w[name] = T.Tensor(arr, requires_grad=True)
     return w
 
 
@@ -190,15 +192,8 @@ class FrozenBackbone:
     def load(cls, path: str | Path) -> "FrozenBackbone":
         config_blob, tensors = read_container(path, BACKBONE_MAGIC)
         config = BackboneConfig.unpack(config_blob)
-        weights = {n: T.Tensor(arr) for n, arr in tensors}
-        expected = init_weights(config, np.random.default_rng(0), False)
-        if set(weights) != set(expected):
-            raise CheckpointError("backbone checkpoint weight names do not match config")
-        for n, want in expected.items():
-            if weights[n].shape != want.shape:
-                raise CheckpointError(f"backbone tensor {n!r} has shape {weights[n].shape}, "
-                                      f"expected {want.shape}")
-        return cls(config, weights)
+        check_tensors(path, tensors, weight_shapes(config))
+        return cls(config, {n: T.Tensor(arr) for n, arr in tensors})
 
 
 def generate(backbone: FrozenBackbone, rows: T.Tensor, max_new: int = 8) -> str:
@@ -242,7 +237,7 @@ def pretrain_backbone(corpus: Sequence[str], steps: int, seed: int,
         if len(ids) > config.max_seq:
             raise LengthError(f"corpus line of {len(ids)} tokens exceeds max_seq")
     rng = np.random.default_rng(seed)
-    weights = init_weights(config, rng, trainable=True)
+    weights = init_weights(config, rng)
     named = list(weights.items())
     state = AdamWState()
     losses: list[float] = []

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import tensor as T
 from .adapter import AdapterConfig, AdapterParams, VariantState
-from .backbone import EOS, BackboneConfig, FrozenBackbone, init_weights, tokenize
+from .backbone import (EOS, BackboneConfig, FrozenBackbone, init_weights, tokenize,
+                       weight_shapes)
 from .trainer import PreparedSample, batch_step, block_loss, pseudo_blocks, sample_loss
 
 PRIMITIVE_TOL = 1e-6
@@ -101,14 +102,11 @@ def _check(name: str, build, arrays: dict[str, np.ndarray],
     return GradCheckResult(name, worst, tolerance)
 
 
-def _block_arrays(mat, d: int = 4, f: int = 8, skip: str = "") -> dict[str, np.ndarray]:
-    """Weights of one decoder block of width d and feed-forward width f,
-    without the one named `skip`."""
-    shapes = dict.fromkeys(("ln1.g", "ln1.b", "bq", "bk", "bv", "bo",
-                            "ln2.g", "ln2.b", "bf2"), (1, d))
-    shapes.update(dict.fromkeys(("wq", "wk", "wv", "wo"), (d, d)),
-                  wf1=(d, f), bf1=(1, f), wf2=(f, d))
-    return {name: 0.5 * mat(*shapes[name]) for name in T.BLOCK_WEIGHTS if name != skip}
+def _block_arrays(mat, skip: str = "") -> dict[str, np.ndarray]:
+    """Weights of one decoder block of width 4 and feed-forward width 8,
+    drawn in BLOCK_WEIGHTS order, without the one named `skip`."""
+    shapes = weight_shapes(BackboneConfig(embed_width=4, layers=1, heads=2, ffn_mult=2))
+    return {name: 0.5 * mat(*shapes["h0." + name]) for name in T.BLOCK_WEIGHTS if name != skip}
 
 
 def gradcheck_primitives(seed: int = 0) -> list[GradCheckResult]:
@@ -228,8 +226,7 @@ def _tiny_pipeline(seed: int):
     rng = np.random.default_rng(seed)
     backbone_config = BackboneConfig(embed_width=16, layers=1, heads=2,
                                      ffn_mult=2, max_seq=48)
-    backbone = FrozenBackbone(backbone_config,
-                              init_weights(backbone_config, rng, trainable=False))
+    backbone = FrozenBackbone(backbone_config, init_weights(backbone_config, rng))
     adapter_config = AdapterConfig(audio_width=6, vision_width=5,
                                    audio_hidden=8, vision_hidden=7,
                                    mix_width=32, token_count=4, embed_width=16)

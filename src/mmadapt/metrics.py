@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InputError
 
@@ -58,7 +58,6 @@ class MetricReport:
     values: dict[str, float | None]
     count: int
     fallback_count: int = 0
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         for key, value in self.values.items():

@@ -19,6 +19,7 @@ Feature matrices use a smaller header-only format:
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 import struct
 from pathlib import Path
@@ -110,6 +111,19 @@ def read_container(path: str | Path, magic: bytes) -> tuple[bytes, list[tuple[st
             raise CheckpointError(f"{path}: malformed tensor record: {exc}") from exc
         tensors.append((name, arr))
     return config, tensors
+
+
+def check_tensors(path: str | Path, tensors: list[tuple[str, np.ndarray]],
+                  shapes: dict[str, tuple[int, ...]]) -> None:
+    """Raise CheckpointError unless `tensors` holds the names of `shapes`,
+    once each and in its order, each with its shape."""
+    for i, (got, want) in enumerate(itertools.zip_longest([n for n, _ in tensors], shapes)):
+        if got != want:
+            raise CheckpointError(f"{path}: tensor record {i} is {got!r}, expected {want!r}")
+    for name, arr in tensors:
+        if arr.shape != shapes[name]:
+            raise CheckpointError(f"{path}: tensor {name!r} has shape {arr.shape}, "
+                                  f"expected {shapes[name]}")
 
 
 def write_features(path: str | Path, features: np.ndarray) -> None:

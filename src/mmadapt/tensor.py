@@ -83,13 +83,6 @@ class Tape:
         self._records.clear()
 
 
-def backward(root: "Tensor") -> None:
-    """Convenience wrapper: run backward on the tape that recorded `root`."""
-    if root.tape is None:
-        raise TapeStateError("tensor was not recorded on any tape")
-    root.tape.backward(root)
-
-
 class Tensor:
     """Dense float64 value with an optional gradient buffer."""
 

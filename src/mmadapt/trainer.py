@@ -242,14 +242,13 @@ EVAL_BLOCK = 64
 
 def evaluate_split(backbone: FrozenBackbone, params: AdapterParams,
                    state: VariantState, prepared: list[PreparedSample],
-                   preset: DatasetPreset,
-                   max_new: int | None = None) -> MetricReport:
+                   preset: DatasetPreset) -> MetricReport:
     """Greedy generation, parsing, and family metrics over prepared samples.
     The adapter runs once per block of EVAL_BLOCK samples, then each sample
     decodes on its own."""
     if not prepared:
         raise InputError("cannot evaluate an empty split")
-    budget = max_new if max_new is not None else eval_token_budget(preset)
+    budget = eval_token_budget(preset)
     n = params.config.token_count
     preds: list[float] = []
     golds: list[float] = []

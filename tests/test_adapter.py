@@ -475,6 +475,47 @@ def test_adapter_checkpoint_corruption_detected(tmp_path):
         A.load_adapter(p)
 
 
+@pytest.mark.parametrize("config", [
+    CFG, A.AdapterConfig(74, 35, 64, 32, 512, 4, 64),
+    A.AdapterConfig(3, 5, 7, 9, 64, 11, 13, (2, 4, 8, 16))])
+def test_init_follows_the_param_table(config):
+    table = A.param_table(config)
+    params = A.AdapterParams.init(config, np.random.default_rng(0))
+    assert [(n, t.shape) for n, t in params.named()] == [
+        (n, shape) for n, (shape, _) in table.items()]
+
+
+def test_adapter_load_draws_no_random_numbers(tmp_path, monkeypatch):
+    params = make_params()
+    state = A.make_variant_state("no_audio_vision", CFG, np.random.default_rng(5))
+    A.save_adapter(tmp_path / "a.msea", params, state)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a checkpoint load drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    loaded, lstate, _ = A.load_adapter(tmp_path / "a.msea")
+    assert_array_equal(lstate.subst_vision, state.subst_vision)
+    assert [n for n, _ in loaded.named()] == list(A.param_table(CFG))
+
+
+@pytest.mark.parametrize("variant, subst_vision, subst_audio, match", [
+    ("no_audio_vision", None, None, r"is None, expected 'subst\.vision'"),
+    ("no_audio_vision", np.zeros((3, 1)), np.zeros((6, 1)),
+     r"'subst\.vision' has shape \(3, 1\), expected \(4, 1\)"),
+    ("no_audio_vision", np.zeros((4, 1)), None, r"is None, expected 'subst\.audio'"),
+    ("full", np.zeros((4, 1)), None, r"record \d+ is 'subst\.vision', expected None"),
+])
+def test_adapter_load_checks_the_variant_substitutes(tmp_path, variant, subst_vision,
+                                                     subst_audio, match):
+    """no_audio_vision files hold both substitute states at their shapes, and
+    other variants hold neither."""
+    state = A.VariantState(variant, subst_vision, subst_audio)
+    A.save_adapter(tmp_path / "a.msea", make_params(), state)
+    with pytest.raises(CheckpointError, match=match):
+        A.load_adapter(tmp_path / "a.msea")
+
+
 def test_adapter_forward_width_validation():
     params = make_params()
     text, audio, vision = sample_inputs()

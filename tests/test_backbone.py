@@ -22,7 +22,7 @@ TINY = B.BackboneConfig(embed_width=16, layers=1, heads=2, ffn_mult=2, max_seq=4
 
 
 def make_frozen(config=TINY, seed=5):
-    w = B.init_weights(config, np.random.default_rng(seed), trainable=True)
+    w = B.init_weights(config, np.random.default_rng(seed))
     return B.FrozenBackbone(config, w)
 
 
@@ -189,7 +189,7 @@ def test_generate_is_deterministic_and_respects_max_new():
 def test_pretrain_zero_steps_keeps_seeded_init():
     frozen, losses = B.pretrain_backbone(["abc"], steps=0, seed=77, config=TINY)
     assert losses == []
-    ref = B.init_weights(TINY, np.random.default_rng(77), trainable=True)
+    ref = B.init_weights(TINY, np.random.default_rng(77))
     for name, t in frozen._weights.items():
         assert_array_equal(t.data, ref[name].data)
 
@@ -317,6 +317,58 @@ def test_checkpoint_load_rejects_wrong_tensor_shape(tmp_path):
     with pytest.raises(CheckpointError, match=r"'h0\.wq' has shape \(16, 8\), "
                                               r"expected \(16, 16\)"):
         B.FrozenBackbone.load(p)
+
+
+def test_checkpoint_load_rejects_duplicated_tensor(tmp_path):
+    """A second record of a tensor is refused, not loaded with the last copy
+    winning."""
+    from mmadapt.serialize import write_container
+    frozen = make_frozen()
+    tensors = [(n, t.data) for n, t in frozen._weights.items()]
+    tensors.append(("embed", np.zeros_like(frozen._weights["embed"].data)))
+    p = tmp_path / "dup.mseb"
+    write_container(p, B.BACKBONE_MAGIC, TINY.pack(), tensors)
+    with pytest.raises(CheckpointError, match=r"'embed'"):
+        B.FrozenBackbone.load(p)
+
+
+def test_checkpoint_load_rejects_missing_and_reordered_tensors(tmp_path):
+    from mmadapt.serialize import write_container
+    tensors = [(n, t.data) for n, t in make_frozen()._weights.items()]
+    p = tmp_path / "bad.mseb"
+    write_container(p, B.BACKBONE_MAGIC, TINY.pack(), tensors[:-1])
+    with pytest.raises(CheckpointError, match=r"record 19 is None, expected 'lnf\.b'"):
+        B.FrozenBackbone.load(p)
+    write_container(p, B.BACKBONE_MAGIC, TINY.pack(), [tensors[1], tensors[0]] + tensors[2:])
+    with pytest.raises(CheckpointError, match=r"record 0 is 'pos', expected 'embed'"):
+        B.FrozenBackbone.load(p)
+
+
+def test_checkpoint_load_draws_no_random_numbers(tmp_path, monkeypatch):
+    frozen = make_frozen()
+    frozen.save(tmp_path / "b.mseb")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a checkpoint load drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    assert B.FrozenBackbone.load(tmp_path / "b.mseb").checksum == frozen.checksum
+
+
+@pytest.mark.parametrize("config", [
+    TINY, B.BackboneConfig(),
+    B.BackboneConfig(embed_width=12, layers=3, heads=3, ffn_mult=3, max_seq=7)])
+def test_init_weights_follow_the_shape_table(config):
+    shapes = B.weight_shapes(config)
+    weights = B.init_weights(config, np.random.default_rng(0))
+    assert [(n, t.shape) for n, t in weights.items()] == list(shapes.items())
+
+
+def test_block_weights_are_the_block_names_of_the_table():
+    names = B.weight_shapes(B.BackboneConfig(layers=2))
+    block = {n[len("h1."):] for n in names if n.startswith("h1.")}
+    assert set(T.BLOCK_WEIGHTS) == block
+    assert len(T.BLOCK_WEIGHTS) == len(block)
 
 
 def test_pretrain_loss_starts_near_uniform():

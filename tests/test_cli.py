@@ -6,8 +6,10 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from mmadapt.adapter import VariantState, load_adapter, save_adapter
 from mmadapt.cli import main
 from mmadapt.corpus import load_dataset
 from mmadapt.errors import FrozenViolation, InputError, NumericError
@@ -287,6 +289,25 @@ def test_eval_rejects_a_record_without_text(tmp_path, cli_workspace, text):
     assert r.returncode == 1, r.stderr
     assert "manifest.jsonl:3" in r.stderr and "non-empty string" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("subst_vision", [None, "wrong"])
+def test_eval_rejects_substitutes_that_do_not_fit(tmp_path, cli_workspace, subst_vision):
+    """A no_audio_vision checkpoint without its substitute states, or with
+    one of the wrong shape, ends in exit 1 with a message."""
+    params, _, checksum = load_adapter(cli_workspace["train"] / "adapter-full-seed5.msea")
+    hidden = params.config.vision_hidden
+    state = VariantState("no_audio_vision",
+                         None if subst_vision is None else np.zeros((hidden + 1, 1)),
+                         np.zeros((params.config.audio_hidden, 1)))
+    ckpt = tmp_path / "bad.msea"
+    save_adapter(ckpt, params, state, backbone_checksum=checksum)
+    r = run_cli("eval", "--checkpoint", str(ckpt),
+                "--backbone", str(cli_workspace["backbone"]),
+                "--dataset", str(cli_workspace["data"]))
+    assert r.returncode == 1, r.stderr
+    assert "Traceback" not in r.stderr
+    assert "subst.vision" in r.stderr
 
 
 @pytest.mark.parametrize("flag", ["--token-count", "--audio-hidden",

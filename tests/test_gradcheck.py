@@ -2,6 +2,8 @@
 
 import time
 
+import pytest
+
 from mmadapt.gradcheck import (
     FULL_TOL,
     PRIMITIVE_TOL,
@@ -27,18 +29,26 @@ def test_primitives_all_within_tolerance():
             assert r.passed, f"seed {seed}: {r.line()}"
 
 
-def test_full_pipeline_within_tolerance():
+@pytest.fixture(scope="module")
+def timed_full_run():
+    """One gradcheck_full(seed=0) run and its wall time, shared by the
+    tolerance and the speed test."""
+    start = time.monotonic()
     results = gradcheck_full(seed=0)
+    return results, time.monotonic() - start
+
+
+def test_full_pipeline_within_tolerance(timed_full_run):
+    results, _ = timed_full_run
     assert len(results) >= 15  # one row per adapter parameter group
     for r in results:
         assert r.tolerance == FULL_TOL
         assert r.passed, r.line()
 
 
-def test_full_pipeline_fast_enough():
-    start = time.monotonic()
-    gradcheck_full(seed=1)
-    assert time.monotonic() - start < 120.0
+def test_full_pipeline_fast_enough(timed_full_run):
+    _, seconds = timed_full_run
+    assert seconds < 120.0
 
 
 def test_render_reports_failures():

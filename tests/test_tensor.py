@@ -504,7 +504,7 @@ def test_consumed_tape_frees_activations_without_cyclic_gc():
 def test_backward_requires_recorded_root():
     x = T.Tensor([1.0], requires_grad=True)
     with pytest.raises(TapeStateError):
-        T.backward(x)
+        T.Tape().backward(x)
 
 
 def test_backward_requires_scalar_root():
@@ -568,7 +568,7 @@ def test_ops_outside_tape_do_not_record():
     y = T.sum_all(x)
     assert y.tape is None and not y.requires_grad
     with pytest.raises(TapeStateError):
-        T.backward(y)
+        T.Tape().backward(y)
 
 
 def test_unreachable_grads_untouched():
