@@ -165,20 +165,18 @@ def count_trainable(config: AdapterConfig) -> int:
 
 
 def sweep_mix_width(target: int, embed_width: int, audio_width: int, vision_width: int,
-                    audio_hidden: int, vision_hidden: int, token_count: int,
-                    scale_divisors: tuple[int, ...] = (8, 16, 32),
-                    max_width: int = 2048) -> dict:
+                    audio_hidden: int, vision_hidden: int, token_count: int) -> dict:
     """Find the mix width whose count lands closest to a published budget.
 
-    Only widths divisible by every scale divisor are admissible. Returns the
-    closest width, its count, the relative gap, and whether it is within 1%.
+    Only widths up to 2048 divisible by every default scale divisor are
+    admissible. Returns the closest width, its count, the relative gap, and
+    whether it is within 1%.
     """
-    step = math.lcm(*scale_divisors)
+    step = math.lcm(*AdapterConfig.scale_divisors)  # the field's default
     best = None
-    for h in range(step, max_width + 1, step):
+    for h in range(step, 2048 + 1, step):
         c = count_trainable(AdapterConfig(audio_width, vision_width, audio_hidden,
-                                          vision_hidden, h, token_count, embed_width,
-                                          scale_divisors))
+                                          vision_hidden, h, token_count, embed_width))
         gap = abs(c - target)
         if best is None or gap < best[2]:
             best = (h, c, gap)

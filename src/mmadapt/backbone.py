@@ -151,6 +151,26 @@ def _forward(config: BackboneConfig, w: dict[str, T.Tensor], rows: T.Tensor,
     return T.matmul(xf, T.transpose(w["embed"]))  # tied unembedding
 
 
+@dataclass
+class DecodeCache:
+    """Each layer's (keys, values) of B samples being decoded, each a
+    (B, heads, cap, embed_width / heads) array, of which sample b's first
+    lengths[b] positions hold its rows."""
+
+    layers: list[tuple[np.ndarray, np.ndarray]]
+    lengths: np.ndarray
+
+    def select(self, keep: list[int]) -> DecodeCache:
+        """The cache of the samples at indices `keep` only."""
+        return DecodeCache([(k[keep], v[keep]) for k, v in self.layers], self.lengths[keep])
+
+
+def _key_mask(lengths: np.ndarray, span: int) -> np.ndarray:
+    """Additive (B, 1, 1, span) attention mask that shows sample b's queries
+    its first lengths[b] key positions only."""
+    return np.where(np.arange(span) < lengths[:, None], 0.0, T.MASK_VALUE)[:, None, None, :]
+
+
 class FrozenBackbone:
     """Immutable backbone: read-only weights plus a pinned content checksum."""
 
@@ -184,6 +204,65 @@ class FrozenBackbone:
         when one is given; see `_forward`."""
         return _forward(self.config, self._weights, rows, last, cache)
 
+    def prefill(self, blocks: Sequence[np.ndarray],
+                room: int) -> tuple[np.ndarray, DecodeCache]:
+        """One untaped forward over B blocks of embedded rows at once, padded
+        to the longest: the next-token logits (B, vocab) of each block's last
+        row, and a cache of every row's keys and values with room for `room`
+        more rows per sample (never more than max_seq).
+
+        The padding follows each block's rows, so causal attention keeps it
+        out of every real row, and each block keeps its own positions. The
+        final layer runs its queries, feed-forward and unembedding on each
+        block's last row only, hiding the padding's keys with a key-length
+        mask.
+        """
+        c = self.config
+        d = c.embed_width
+        for rows in blocks:
+            if rows.ndim != 2 or rows.shape[1] != d:
+                raise T.DimensionError(f"input rows {rows.shape} do not have width {d}")
+        lengths = np.array([rows.shape[0] for rows in blocks])
+        b_count, l = len(blocks), int(lengths.max())
+        if l > c.max_seq:
+            raise LengthError(f"sequence length {l} exceeds max {c.max_seq}")
+        x = np.zeros((b_count, l, d))
+        for b, rows in enumerate(blocks):
+            x[b, :rows.shape[0]] = rows
+        x = (x + self._weights["pos"].data[:l]).reshape(b_count * l, d)
+        shape = (b_count, c.heads, min(l + room, c.max_seq), d // c.heads)
+        cache = DecodeCache([(np.zeros(shape), np.zeros(shape)) for _ in range(c.layers)],
+                            lengths)
+        at = np.zeros(b_count, dtype=np.int64)
+        causal = np.triu(np.full((l, l), T.MASK_VALUE), k=1)
+        last_rows = np.arange(b_count) * l + lengths - 1
+        for i, kv in enumerate(cache.layers):
+            mask, pick = ((causal, slice(None)) if i < c.layers - 1
+                          else (_key_mask(lengths, l), last_rows))
+            x = T.decoder_block_batched(x, self._weights, f"h{i}.", c.heads, kv, at, mask, pick)
+        return self._logits(x), cache
+
+    def step(self, cache: DecodeCache, ids: Sequence[int]) -> np.ndarray:
+        """Append token ids[b] to sample b of a cache, at the sample's next
+        position, with one untaped row per sample; returns the next-token
+        logits (B, vocab) and extends the cache by those rows."""
+        at = cache.lengths
+        cap = cache.layers[0][0].shape[2]
+        if at.max() >= cap:
+            raise LengthError(f"decode cache holds {cap} rows per sample and is full")
+        x = self.embed(ids) + self._weights["pos"].data[at]
+        cache.lengths = at + 1
+        mask = _key_mask(cache.lengths, int(cache.lengths.max()))
+        for i, kv in enumerate(cache.layers):
+            x = T.decoder_block_batched(x, self._weights, f"h{i}.", self.config.heads,
+                                       kv, at, mask)
+        return self._logits(x)
+
+    def _logits(self, x: np.ndarray) -> np.ndarray:
+        """Final norm and tied unembedding of plain rows."""
+        w = self._weights
+        return T._layernorm(x, w["lnf.g"].data, w["lnf.b"].data)[0] @ w["embed"].data.T
+
     def save(self, path: str | Path) -> None:
         write_container(path, BACKBONE_MAGIC, self.config.pack(),
                         [(n, t.data) for n, t in self._weights.items()])
@@ -196,28 +275,50 @@ class FrozenBackbone:
         return cls(config, {n: T.Tensor(arr) for n, arr in tensors})
 
 
-def generate(backbone: FrozenBackbone, rows: T.Tensor, max_new: int = 8) -> str:
-    """Greedy decoding from the end of the input rows.
+# samples that `generate` decodes together; a larger batch makes fewer calls
+# but pads more rows and holds larger temporaries
+DECODE_BLOCK = 16
 
-    The rows run through the backbone once, filling a per-layer key/value
-    cache; each new token then costs one row. Stops at EOS, after max_new
-    tokens, or when the context fills up. Returns the decoded new bytes with
-    EOS stripped.
+
+def generate(backbone: FrozenBackbone, blocks: Sequence[T.Tensor],
+             max_new: int = 8) -> list[str]:
+    """Greedy decoding from the end of each block of input rows; returns one
+    text per block, the decoded new bytes with EOS stripped.
+
+    The blocks decode DECODE_BLOCK at a time: one `prefill` over their rows,
+    then one `step` per new token over the samples still running. A sample
+    stops at EOS, after max_new tokens, or when its context fills up.
     """
-    length = rows.shape[0]
-    cache: list[tuple[np.ndarray, np.ndarray]] = []
-    out: list[int] = []
-    for _ in range(max_new):
-        if length >= backbone.config.max_seq:
-            break
-        logits = backbone.forward_rows(rows, last=1, cache=cache)
-        nxt = int(np.argmax(logits.data[-1]))
-        if nxt == EOS:
-            break
-        out.append(nxt)
-        rows = T.Tensor._wrap(backbone.embed([nxt]), False, None)
-        length += 1
-    return detokenize(out)
+    ids: list[list[int]] = []
+    for start in range(0, len(blocks), DECODE_BLOCK):
+        ids += _greedy_ids(backbone, [rows.data for rows in blocks[start:start + DECODE_BLOCK]],
+                           max_new)
+    return [detokenize(out) for out in ids]
+
+
+def _greedy_ids(backbone: FrozenBackbone, blocks: list[np.ndarray],
+                max_new: int) -> list[list[int]]:
+    """The new token ids of greedy decoding for a batch of row blocks."""
+    max_seq = backbone.config.max_seq
+    out: list[list[int]] = [[] for _ in blocks]
+    live = [i for i, rows in enumerate(blocks) if rows.shape[0] < max_seq and max_new > 0]
+    if not live:
+        return out
+    logits, cache = backbone.prefill([blocks[i] for i in live], max_new - 1)
+    while True:
+        keep = []
+        for j, nxt in enumerate(np.argmax(logits, axis=1)):
+            i = live[j]
+            if nxt != EOS:
+                out[i].append(int(nxt))
+                if len(out[i]) < max_new and cache.lengths[j] + 1 < max_seq:
+                    keep.append(j)
+        if not keep:
+            return out
+        if len(keep) < len(live):
+            live = [live[j] for j in keep]
+            cache = cache.select(keep)
+        logits = backbone.step(cache, [out[i][-1] for i in live])
 
 
 def pretrain_backbone(corpus: Sequence[str], steps: int, seed: int,

@@ -135,7 +135,7 @@ def parse_generated(task: str, text: str, class_count: int = 7,
         return 0.0, True
     if task == "emotion":
         for ch in text:
-            if ch.isdigit() and int(ch) < class_count:
+            if ch.isdecimal() and int(ch) < class_count:
                 return float(int(ch)), False
         return float(neutral_class), True
     raise InputError(f"unknown task {task!r}")

@@ -664,6 +664,60 @@ BLOCK_WEIGHTS = ("ln1.g", "ln1.b", "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo
                  "ln2.g", "ln2.b", "wf1", "bf1", "wf2", "bf2")
 
 
+def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
+    """(..., rows, d) -> contiguous (..., heads, rows, d / heads)."""
+    *lead, rows, d = a.shape
+    return np.ascontiguousarray(a.reshape(*lead, rows, heads, d // heads).swapaxes(-2, -3))
+
+
+def _merge_heads(a: np.ndarray) -> np.ndarray:
+    """(..., heads, rows, dh) -> (..., rows, heads * dh)."""
+    *lead, heads, rows, dh = a.shape
+    return a.swapaxes(-2, -3).reshape(*lead, rows, heads * dh)
+
+
+# The block arithmetic below is shared by the taped `decoder_block` and the
+# untaped `decoder_block_batched`; `wd` is a block's weight arrays in
+# BLOCK_WEIGHTS order.
+
+
+def _block_in(x: np.ndarray, wd: list[np.ndarray], pick) -> tuple[np.ndarray, ...]:
+    """ln1 and the projections of a block's (rows, d) input: (h1, xhat1, inv1,
+    q, k, v), keys and values of every row and queries of the rows x[pick]."""
+    g1, b1, wq, bq, wk, bk, wv, bv = wd[:8]
+    h1, xhat1, inv1 = _layernorm(x, g1, b1)
+    return h1, xhat1, inv1, h1[pick] @ wq + bq, h1 @ wk + bk, h1 @ wv + bv
+
+
+def _attend(qh: np.ndarray, kh: np.ndarray, vh: np.ndarray,
+            mask: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax attention of split-head queries over split-head keys and
+    values, scores scaled by 1 / sqrt(head width) plus an additive `mask`
+    broadcast against them (None: every query sees every key). Returns the
+    probabilities and the heads' outputs merged back into rows."""
+    scores = (qh @ kh.swapaxes(-1, -2)) * (1.0 / math.sqrt(qh.shape[-1]))
+    if mask is not None:
+        scores = scores + mask
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    att = e / e.sum(axis=-1, keepdims=True)
+    return att, _merge_heads(att @ vh)
+
+
+def _block_out(xq: np.ndarray, merged: np.ndarray,
+               wd: list[np.ndarray]) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The rest of a block on its query rows xq, given their attention
+    output: projection and residual, then ln2 and the exact-GELU feed-forward
+    with its residual. Returns the output rows and what the backward reads,
+    (h2, xhat2, inv2, a, t, gl)."""
+    wo, bo, g2, b2, wf1, bf1, wf2, bf2 = wd[8:]
+    x1 = xq + (merged @ wo + bo)
+    h2, xhat2, inv2 = _layernorm(x1, g2, b2)
+    a = h2 @ wf1 + bf1
+    t = 1.0 + _erf(a * _INV_SQRT2)  # 2 Phi(a), kept for the GELU derivative
+    gl = a * (0.5 * t)
+    return x1 + (gl @ wf2 + bf2), (h2, xhat2, inv2, a, t, gl)
+
+
 def decoder_block(x: Tensor, w: dict[str, Tensor], prefix: str, heads: int, last: int,
                   past: tuple[np.ndarray, np.ndarray] | None = None
                   ) -> tuple[Tensor, tuple[np.ndarray, np.ndarray]]:
@@ -699,37 +753,23 @@ def decoder_block(x: Tensor, w: dict[str, Tensor], prefix: str, heads: int, last
                              f"{past[1].shape} must be equal (rows, {d}) arrays")
     ws = [w[prefix + name] for name in BLOCK_WEIGHTS]
     g1, b1, wq, bq, wk, bk, wv, bv, wo, bo, g2, b2, wf1, bf1, wf2, bf2 = ws
-    dh = d // heads
-    s = 1.0 / math.sqrt(dh)
+    wd = [t.data for t in ws]
+    s = 1.0 / math.sqrt(d // heads)
 
-    def split(a: np.ndarray) -> np.ndarray:  # (rows, d) -> contiguous (heads, rows, dh)
-        return np.ascontiguousarray(a.reshape(a.shape[0], heads, dh).transpose(1, 0, 2))
+    def split(a: np.ndarray) -> np.ndarray:
+        return _split_heads(a, heads)
 
-    def merge(a: np.ndarray) -> np.ndarray:  # (heads, rows, dh) -> (rows, d)
-        return a.transpose(1, 0, 2).reshape(a.shape[1], d)
-
-    h1, xhat1, inv1 = _layernorm(x.data, g1.data, b1.data)
+    h1, xhat1, inv1, q, k, v = _block_in(x.data, wd, slice(l - last, None))
     hq = h1[l - last:]
-    q = hq @ wq.data + bq.data
-    k = h1 @ wk.data + bk.data
-    v = h1 @ wv.data + bv.data
     if past is not None:
         k = np.concatenate([past[0], k])
         v = np.concatenate([past[1], v])
     lk = k.shape[0]
     qh, kh, vh = split(q), split(k), split(v)
-    scores = (qh @ kh.transpose(0, 2, 1)) * s
-    if last > 1:  # a lone query row is the newest position and sees every key
-        scores = scores + np.triu(np.full((last, lk), MASK_VALUE), k=1 + lk - last)
-    e = np.exp(scores - scores.max(axis=2, keepdims=True))
-    att = e / e.sum(axis=2, keepdims=True)
-    merged = merge(att @ vh)
-    x1 = x.data[l - last:] + (merged @ wo.data + bo.data)
-    h2, xhat2, inv2 = _layernorm(x1, g2.data, b2.data)
-    a = h2 @ wf1.data + bf1.data
-    t = 1.0 + _erf(a * _INV_SQRT2)  # 2 Phi(a), kept for the GELU derivative
-    gl = a * (0.5 * t)
-    out = x1 + (gl @ wf2.data + bf2.data)
+    # a lone query row is the newest position and sees every key
+    mask = np.triu(np.full((last, lk), MASK_VALUE), k=1 + lk - last) if last > 1 else None
+    att, merged = _attend(qh, kh, vh, mask)
+    out, (h2, xhat2, inv2, a, t, gl) = _block_out(x.data[l - last:], merged, wd)
 
     def linear_back(inp: np.ndarray, wt: Tensor, bt: Tensor, g: np.ndarray) -> np.ndarray:
         """Accumulate the weight and bias gradients of inp @ wt + bt; return dinp."""
@@ -746,16 +786,45 @@ def decoder_block(x: Tensor, w: dict[str, Tensor], prefix: str, heads: int, last
         gh = split(linear_back(merged, wo, bo, dx1))
         datt = gh @ vh.transpose(0, 2, 1)
         dscores = att * (datt - (datt * att).sum(axis=2, keepdims=True)) * s
-        dv = merge(att.transpose(0, 2, 1) @ gh)[lk - l:]
-        dk = merge(dscores.transpose(0, 2, 1) @ qh)[lk - l:]
+        dv = _merge_heads(att.transpose(0, 2, 1) @ gh)[lk - l:]
+        dk = _merge_heads(dscores.transpose(0, 2, 1) @ qh)[lk - l:]
         dh1 = linear_back(h1, wv, bv, dv) + linear_back(h1, wk, bk, dk)
-        dh1[l - last:] += linear_back(hq, wq, bq, merge(dscores @ kh))
+        dh1[l - last:] += linear_back(hq, wq, bq, _merge_heads(dscores @ kh))
         dx = _layernorm_back(dh1, xhat1, inv1, g1, b1)
         dx[l - last:] += dx1
         if x.requires_grad:
             x._accum(dx)
 
     return _finish(out, (x, *ws), back), (k, v)
+
+
+def decoder_block_batched(x: np.ndarray, w: dict[str, Tensor], prefix: str, heads: int,
+                         cache: tuple[np.ndarray, np.ndarray], at: np.ndarray,
+                         mask: np.ndarray, pick=slice(None)) -> np.ndarray:
+    """`decoder_block` untaped, over B samples at once through a key/value
+    cache, on plain arrays.
+
+    x holds l rows of each of the B = len(at) samples, stacked sample after
+    sample, (B * l, d). Their keys and values are written into the cache,
+    a pair of (B, heads, cap, d / heads) arrays, at positions at[b] ..
+    at[b] + l - 1 of sample b. The queries of the rows x[pick] then attend
+    over the first `span` cached positions, span = mask.shape[-1], with the
+    additive mask broadcast against the (B, heads, queries per sample, span)
+    scores; the mask must hide every position a query may not see, written
+    or not. Returns the picked rows' outputs, (B * queries per sample, d).
+    """
+    b_count, d = len(at), x.shape[1]
+    l = x.shape[0] // b_count
+    wd = [w[prefix + name].data for name in BLOCK_WEIGHTS]
+    _, _, _, q, k, v = _block_in(x, wd, pick)
+    keys, values = cache
+    rows, cols = np.arange(b_count)[:, None], at[:, None] + np.arange(l)
+    keys[rows, :, cols] = k.reshape(b_count, l, heads, d // heads)
+    values[rows, :, cols] = v.reshape(b_count, l, heads, d // heads)
+    span = mask.shape[-1]
+    _, merged = _attend(_split_heads(q.reshape(b_count, -1, d), heads),
+                        keys[:, :, :span], values[:, :, :span], mask)
+    return _block_out(x[pick], merged.reshape(-1, d), wd)[0]
 
 
 def softmax_cross_entropy(logits: Tensor, target: int) -> Tensor:

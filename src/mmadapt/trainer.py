@@ -244,8 +244,8 @@ def evaluate_split(backbone: FrozenBackbone, params: AdapterParams,
                    state: VariantState, prepared: list[PreparedSample],
                    preset: DatasetPreset) -> MetricReport:
     """Greedy generation, parsing, and family metrics over prepared samples.
-    The adapter runs once per block of EVAL_BLOCK samples, then each sample
-    decodes on its own."""
+    The adapter runs once per block of EVAL_BLOCK samples, and `generate`
+    decodes the block as a batch."""
     if not prepared:
         raise InputError("cannot evaluate an empty split")
     budget = eval_token_budget(preset)
@@ -256,10 +256,9 @@ def evaluate_split(backbone: FrozenBackbone, params: AdapterParams,
     for start in range(0, len(prepared), EVAL_BLOCK):
         block = prepared[start:start + EVAL_BLOCK]
         pseudo = pseudo_blocks(params, block, state).data
-        for i, p in enumerate(block):
-            rows = p.input_rows(T.Tensor._wrap(_block_of(pseudo, i, n), False, None),
-                                with_label=False)
-            text = generate(backbone, rows, max_new=budget)
+        rows = [p.input_rows(T.Tensor._wrap(_block_of(pseudo, i, n), False, None),
+                             with_label=False) for i, p in enumerate(block)]
+        for p, text in zip(block, generate(backbone, rows, max_new=budget)):
             value, fb = parse_generated(preset.task, text,
                                         class_count=preset.class_count,
                                         neutral_class=preset.neutral_class)

@@ -1,9 +1,12 @@
 """Shared session fixtures: a small synthetic dataset and a small pretrained
-backbone that keep the unit suites fast. The acceptance suite builds its own
-full-size workspace through the command-line interface instead.
+backbone that keep the unit suites fast, and one timed `mmadapt gradcheck`
+run that the command-line and acceptance suites both check. The acceptance
+suite builds its own full-size workspace through the command-line interface.
 """
 
+import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -45,3 +48,14 @@ def small_adapter_config(small_synth, small_backbone):
         token_count=SMALL_TOKENS,
         embed_width=small_backbone.config.embed_width,
     )
+
+
+@pytest.fixture(scope="session")
+def gradcheck_run(tmp_path_factory):
+    """One `mmadapt gradcheck --seed 0 --out <dir>` run: its completed
+    process, wall seconds and output directory."""
+    out = tmp_path_factory.mktemp("gradcheck") / "gc"
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "mmadapt", "gradcheck", "--seed", "0",
+                           "--out", str(out)], capture_output=True, text=True, timeout=600)
+    return {"proc": proc, "seconds": time.monotonic() - start, "out": out}

@@ -6,8 +6,8 @@ wrong is not. The exceptions are at the end: the per-frame LSTM, the
 per-head attention and the per-layer decoder block composed from the tape's
 primitives, which the fused kernels replaced and must reproduce; the
 adapter's forward for one sample as a chain of column-vector primitives,
-which the batched adapter replaced; and greedy decoding without a key/value
-cache.
+which the batched adapter replaced; and greedy decoding of one sample at a
+time, with and without a key/value cache.
 """
 
 from __future__ import annotations
@@ -229,7 +229,27 @@ def pseudo_tokens_chain(params, text_rows, audio, vision, state):
 
 
 # ---------------------------------------------------------------------------
-# uncached greedy decoding
+# greedy decoding one sample at a time
+
+
+def generate_cached_ids(backbone, rows, max_new: int = 8) -> list[int]:
+    """Greedy decoding of one sample from a per-layer key/value cache: the
+    rows run through `forward_rows` once, then each new token costs one row.
+    The per-sample loop that the batched `backbone.generate` replaced."""
+    length = rows.shape[0]
+    cache: list = []
+    out: list[int] = []
+    for _ in range(max_new):
+        if length >= backbone.config.max_seq:
+            break
+        logits = backbone.forward_rows(rows, last=1, cache=cache)
+        nxt = int(np.argmax(logits.data[-1]))
+        if nxt == EOS:
+            break
+        out.append(nxt)
+        rows = T.Tensor._wrap(backbone.embed([nxt]), False, None)
+        length += 1
+    return out
 
 
 def generate_uncached_ids(backbone, rows, max_new: int = 8) -> list[int]:

@@ -158,10 +158,8 @@ def test_frozen_backbone_invariance(workspace, capsys):
             f"{seconds:.0f}s (< 300s)")
 
 
-def test_gradient_suite(capsys):
-    t0 = time.monotonic()
-    rc = cli_main(["gradcheck", "--seed", "0"])
-    seconds = time.monotonic() - t0
+def test_gradient_suite(capsys, gradcheck_run):
+    rc, seconds = gradcheck_run["proc"].returncode, gradcheck_run["seconds"]
     ok = (rc == 0 and seconds < 120.0
           and G.PRIMITIVE_TOL == 1e-6 and G.FULL_TOL == 1e-4)
     _report(capsys, "gradient suite", ok,

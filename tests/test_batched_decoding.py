@@ -1,0 +1,199 @@
+"""Batched greedy decoding: `prefill` and `step` against the per-sample
+cached forward, and `generate` over blocks of samples against the
+per-sample cached loop and the uncached oracle."""
+
+import numpy as np
+import pytest
+
+import mmadapt.trainer as trainer_mod
+from mmadapt import backbone as B
+from mmadapt import tensor as T
+from mmadapt.adapter import AdapterConfig, AdapterParams, make_variant_state
+from mmadapt.trainer import EVAL_BLOCK, eval_token_budget, prepare_samples
+
+from oracles import generate_cached_ids, generate_uncached_ids
+from test_cached_decoding import make_frozen, preset_samples
+
+# a greedy step whose top two logits are this close may take either token
+TIE = 1e-9
+
+
+def assert_rows_close(got, want):
+    """Logit rows equal to 1e-12, relative to each row's largest logit."""
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+
+
+def random_blocks(frozen, lengths, seed=0):
+    rng = np.random.default_rng(seed)
+    return [rng.uniform(-1, 1, (n, frozen.config.embed_width)) for n in lengths]
+
+
+def assert_same_greedy(backbone, rows, got, want):
+    """`got` equals the oracle's ids `want`, or first leaves them at a step
+    where the uncached forward's top two logits are within TIE."""
+    if got == want:
+        return
+    ends = [B.EOS] * (len(got) + len(want) + 1)
+    t = next(i for i, (a, b) in enumerate(zip(got + ends, want + ends)) if a != b)
+    prefix = np.concatenate([rows.data, backbone.embed(want[:t])])
+    top = np.sort(backbone.forward_rows(T.Tensor(prefix)).data[-1])
+    assert top[-1] - top[-2] <= TIE, f"ids {got} vs {want}"
+
+
+def check_block(backbone, blocks, budget):
+    """generate over the whole block against both one-sample oracles."""
+    got = B.generate(backbone, blocks, budget)
+    assert len(got) == len(blocks)
+    for rows, ids in zip(blocks, got):
+        assert_same_greedy(backbone, rows, ids, generate_cached_ids(backbone, rows, budget))
+        assert_same_greedy(backbone, rows, ids, generate_uncached_ids(backbone, rows, budget))
+    return got
+
+
+# ---------------------------------------------------------------------------
+# prefill and step
+
+
+@pytest.mark.parametrize("config", [
+    B.BackboneConfig(embed_width=16, layers=1, heads=2, ffn_mult=2, max_seq=24),
+    B.BackboneConfig(embed_width=16, layers=2, heads=2, ffn_mult=2, max_seq=24),
+    B.BackboneConfig()], ids=["one-layer", "two-layer", "default"])
+def test_prefill_and_steps_equal_the_per_sample_cached_forward(config):
+    frozen = make_frozen(config, seed=config.layers)
+    blocks = random_blocks(frozen, [7, 12, 3, 12, 9], seed=config.layers)
+    logits, cache = frozen.prefill(blocks, room=4)
+    assert logits.shape == (5, B.VOCAB_SIZE)
+    # the longest prefill plus the room
+    assert cache.layers[0][0].shape == (5, 2, 16, config.embed_width // 2)
+    caches = [[] for _ in blocks]
+    assert_rows_close(logits, [frozen.forward_rows(T.Tensor(rows), last=1, cache=c).data[-1]
+                               for rows, c in zip(blocks, caches)])
+    rng = np.random.default_rng(config.layers)
+    live = list(range(5))
+    for keep in (None, [0, 2, 3], None, [2]):
+        if keep is not None:  # some samples leave
+            live = [live[j] for j in keep]
+            cache = cache.select(keep)
+        ids = [int(i) for i in rng.integers(0, 256, len(live))]
+        logits = frozen.step(cache, ids)
+        assert_rows_close(logits, [
+            frozen.forward_rows(T.Tensor(frozen.embed([i])), last=1, cache=caches[s]).data[-1]
+            for s, i in zip(live, ids)])
+        assert list(cache.lengths) == [caches[s][0][0].shape[0] for s in live]
+    assert cache.lengths[0] == 16  # sample 3 filled its room
+    with pytest.raises(B.LengthError, match="full"):
+        frozen.step(cache, [65])
+
+
+def test_prefill_checks_its_input():
+    frozen = make_frozen()
+    with pytest.raises(T.DimensionError):
+        frozen.prefill([np.zeros((3, 15))], room=1)
+    with pytest.raises(B.LengthError):
+        frozen.prefill([np.zeros((49, 16))], room=1)
+
+
+# ---------------------------------------------------------------------------
+# generate over blocks
+
+
+@pytest.mark.parametrize("name", ["mosei", "sims_v2", "meld", "cherma"])
+def test_batched_generate_matches_both_oracles_on_every_corpus_preset(monkeypatch, name):
+    rng = np.random.default_rng(len(name) + 1)
+    config = B.BackboneConfig(embed_width=32, layers=2, heads=2, ffn_mult=2, max_seq=256)
+    frozen = make_frozen(config, seed=len(name) + 1)
+    # more samples than one decode block, of different lengths
+    preset, samples = preset_samples(name, B.DECODE_BLOCK + 5, rng)
+    acfg = AdapterConfig(audio_width=preset.audio_width, vision_width=preset.vision_width,
+                         audio_hidden=8, vision_hidden=8, mix_width=32,
+                         token_count=preset.adapter_defaults.token_count, embed_width=32)
+    params = AdapterParams.init(acfg, rng)
+    state = make_variant_state("full", acfg, rng)
+    prepared = prepare_samples(frozen, samples, preset, acfg.token_count, False)
+    pseudo = trainer_mod.pseudo_blocks(params, prepared, state).data
+    blocks = [p.input_rows(T.Tensor(trainer_mod._block_of(pseudo, i, acfg.token_count)),
+                           with_label=False) for i, p in enumerate(prepared)]
+    assert len({rows.shape[0] for rows in blocks}) > 1
+    monkeypatch.setattr(B, "detokenize", list)
+    for budget in (eval_token_budget(preset), 8):
+        check_block(frozen, blocks, budget)
+
+
+def test_batched_generate_matches_both_oracles_on_the_synthetic_preset(
+        monkeypatch, small_synth, small_backbone, small_adapter_config):
+    rng = np.random.default_rng(8)
+    params = AdapterParams.init(small_adapter_config, rng)
+    state = make_variant_state("full", small_adapter_config, rng)
+    prepared = prepare_samples(small_backbone, small_synth["test"] + small_synth["valid"],
+                               small_synth.preset, small_adapter_config.token_count, False)
+    blocks = [p.input_rows(trainer_mod._pseudo_for(params, p, state), with_label=False)
+              for p in prepared]
+    monkeypatch.setattr(B, "detokenize", list)
+    for budget in (eval_token_budget(small_synth.preset), 8):
+        got = check_block(small_backbone, blocks, budget)
+        assert any(len(ids) < budget for ids in got)  # the backbone ends some labels
+
+
+def test_samples_leave_at_eos_budget_and_max_seq_while_others_run_on(monkeypatch):
+    config = B.BackboneConfig(embed_width=16, layers=2, heads=2, ffn_mult=2, max_seq=20)
+    plain = make_frozen(config, seed=28)
+    blocks = [T.Tensor(rows) for rows in random_blocks(plain, [6, 19, 12, 20, 5, 18, 9], 28)]
+    # point the EOS row of the tied unembedding from sample 4's first hidden
+    # state towards sample 0's, so that some samples end with EOS
+    embed = plain._weights["embed"].data
+    hidden = [np.linalg.lstsq(embed, plain.forward_rows(rows, last=1).data[0], rcond=None)[0]
+              for rows in (blocks[0], blocks[4])]
+    toward = hidden[0] - hidden[1]
+    weights = {n: T.Tensor(t.data.copy()) for n, t in plain._weights.items()}
+    weights["embed"].data[B.EOS] = 50.0 * toward / np.linalg.norm(toward)
+    frozen = B.FrozenBackbone(config, weights)
+    monkeypatch.setattr(B, "detokenize", list)
+    got = check_block(frozen, blocks, 8)
+    # 0 and 2 end with EOS at steps 1 and 3; 1 and 5 fill max_seq; 3 has no
+    # room; 4 and 6 run out of budget
+    assert [len(ids) for ids in got] == [0, 1, 2, 0, 8, 2, 8]
+    # a block of one decodes as in the batch
+    assert [B.generate(frozen, [rows], 8)[0] for rows in blocks] == got
+    assert B.generate(frozen, blocks, 0) == [[]] * len(blocks)
+
+
+def test_evaluate_split_hands_every_sample_to_detokenize_and_parse_in_order(monkeypatch):
+    """The benchmark records each sample's ids and prediction by rebinding
+    `backbone.detokenize` and `trainer.parse_generated`."""
+    rng = np.random.default_rng(11)
+    config = B.BackboneConfig(embed_width=32, layers=2, heads=2, ffn_mult=2, max_seq=256)
+    frozen = make_frozen(config, seed=11)
+    # the last eval block holds 6 samples, so its one decode block is short
+    preset, samples = preset_samples("mosei", EVAL_BLOCK + 6, rng)
+    acfg = AdapterConfig(audio_width=preset.audio_width, vision_width=preset.vision_width,
+                         audio_hidden=8, vision_hidden=8, mix_width=32,
+                         token_count=preset.adapter_defaults.token_count, embed_width=32)
+    params = AdapterParams.init(acfg, rng)
+    state = make_variant_state("full", acfg, rng)
+    prepared = prepare_samples(frozen, samples, preset, acfg.token_count, False)
+    tokens, texts = [], []
+    detokenize, parse = B.detokenize, trainer_mod.parse_generated
+
+    def record_ids(ids):
+        tokens.append([int(i) for i in ids])
+        return detokenize(ids)
+
+    def record_pred(task, text, **kwargs):
+        texts.append(text)
+        return parse(task, text, **kwargs)
+
+    monkeypatch.setattr(B, "detokenize", record_ids)
+    monkeypatch.setattr(trainer_mod, "parse_generated", record_pred)
+    trainer_mod.evaluate_split(frozen, params, state, prepared, preset)
+    assert len(tokens) == len(texts) == len(prepared)
+    assert texts == [detokenize(ids) for ids in tokens]
+    budget = eval_token_budget(preset)
+    for start in range(0, len(prepared), EVAL_BLOCK):
+        block = prepared[start:start + EVAL_BLOCK]
+        pseudo = trainer_mod.pseudo_blocks(params, block, state).data
+        for i, p in enumerate(block):
+            rows = p.input_rows(T.Tensor(trainer_mod._block_of(pseudo, i, acfg.token_count)),
+                                with_label=False)
+            assert_same_greedy(frozen, rows, tokens[start + i],
+                               generate_uncached_ids(frozen, rows, budget))

@@ -113,7 +113,7 @@ def test_cached_generate_matches_uncached_on_every_corpus_preset(monkeypatch, na
         rows = p.input_rows(trainer_mod._pseudo_for(params, p, state), with_label=False)
         for budget in (eval_token_budget(preset), 8):
             want = generate_uncached_ids(frozen, rows, budget)
-            assert B.generate(frozen, rows, budget) == want, p.sid
+            assert B.generate(frozen, [rows], budget) == [want], p.sid
 
 
 def test_cached_generate_matches_uncached_on_the_synthetic_preset(
@@ -129,7 +129,7 @@ def test_cached_generate_matches_uncached_on_the_synthetic_preset(
         rows = p.input_rows(trainer_mod._pseudo_for(params, p, state), with_label=False)
         for budget in (eval_token_budget(small_synth.preset), 8):
             want = generate_uncached_ids(small_backbone, rows, budget)
-            assert B.generate(small_backbone, rows, budget) == want, p.sid
+            assert B.generate(small_backbone, [rows], budget) == [want], p.sid
             stopped_at_eos += len(want) < budget
     assert stopped_at_eos > 0  # the pretrained backbone ends some labels itself
 
@@ -144,7 +144,7 @@ def test_cached_generate_stops_when_the_context_fills(monkeypatch, room):
     capture_ids(monkeypatch)
     want = generate_uncached_ids(frozen, rows, max_new=8)
     assert len(want) == room
-    assert B.generate(frozen, rows, max_new=8) == want
+    assert B.generate(frozen, [rows], max_new=8) == [want]
 
 
 # ---------------------------------------------------------------------------

@@ -348,9 +348,8 @@ def test_ablate_all_variants(tmp_path, cli_workspace):
 # gradcheck
 
 
-def test_gradcheck_cli(tmp_path):
-    out = tmp_path / "gc"
-    r = run_cli("gradcheck", "--seed", "0", "--out", str(out))
+def test_gradcheck_cli(gradcheck_run):
+    r, out = gradcheck_run["proc"], gradcheck_run["out"]
     assert r.returncode == 0, r.stderr
     assert "PASS" in r.stdout
     assert (out / "gradcheck.txt").read_text().splitlines()[-1].startswith("PASS")

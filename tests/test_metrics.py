@@ -88,6 +88,14 @@ def test_parse_emotion_skips_invalid_digits():
     assert parse_generated("emotion", "9 then 2", class_count=3) == (2.0, False)
 
 
+def test_parse_emotion_reads_decimal_digits_only():
+    # superscript and circled digits are digits but not decimals: int() refuses them
+    for text in ("\u00b2", "\u2460"):
+        assert parse_generated("emotion", text, neutral_class=1) == (1.0, True)
+    assert parse_generated("emotion", "\u00b2 then 4") == (4.0, False)
+    assert parse_generated("emotion", "\u0663") == (3.0, False)  # Arabic-Indic three
+
+
 def test_parse_emotion_fallback_neutral():
     value, fallback = parse_generated("emotion", "none", class_count=3,
                                       neutral_class=1)

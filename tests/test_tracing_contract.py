@@ -52,12 +52,12 @@ def test_training_and_eval_calls_pass_through_the_spanned_names(
     finally:
         tracer.uninstall()
     # one training sample plus two evaluated ones, whose pseudo tokens come
-    # from one adapter call
+    # from one adapter call and which decode as one batch
     assert tracer.count("trainer.sample_loss") == 1
     assert tracer.count("trainer.label_loss") == 1
-    assert tracer.count("backbone.generate") == 2
+    assert tracer.count("backbone.generate") == 1
     assert tracer.count("adapter.build_pseudo_tokens") == 2
-    assert tracer.count("backbone.forward_rows") >= 3
+    assert tracer.count("backbone.forward_rows") == 1  # decoding runs inside generate
     assert tracer.count("tensor.backward") == 1
     assert tracer.rows_in > 0
 
