@@ -22,7 +22,7 @@ from . import tensor as T
 from .errors import (CheckpointError, ConfigError, FrozenViolation,
                      LengthError, TokenError)
 from .optim import AdamWState, adamw_step, clip_global_norm, lr_schedule
-from .serialize import (check_tensors, checksum64, pack_tensors, read_container,
+from .serialize import (check_tensors, checksum64, read_container, tensor_parts,
                         write_container)
 
 VOCAB_SIZE = 259
@@ -115,38 +115,27 @@ def init_weights(config: BackboneConfig, rng: np.random.Generator) -> dict[str, 
 
 
 def _forward(config: BackboneConfig, w: dict[str, T.Tensor], rows: T.Tensor,
-             last: int | None = None,
-             cache: list[tuple[np.ndarray, np.ndarray]] | None = None) -> T.Tensor:
+             last: int | None = None) -> T.Tensor:
     """Embedded rows -> next-token logits of the last `last` rows (all rows
     when None).
 
     Each layer is one `T.decoder_block`, one tape record. Every block
     computes keys and values for all rows; the final block runs its queries,
     output projection and feed-forward, and then the final norm and the
-    unembedding, on the rows returned only. A `cache` holds each layer's
-    keys and values of the rows that came before `rows`, as plain arrays
-    that are constants to the tape: they are attended to, positions continue
-    after them, and the call appends the new rows' keys and values to it.
-    An empty list starts a cache.
+    unembedding, on the rows returned only.
     """
     l, d = rows.shape
     if d != config.embed_width:
         raise T.DimensionError(f"input width {d} != embed width {config.embed_width}")
-    past = cache[0][0].shape[0] if cache else 0
-    if past + l > config.max_seq:
-        raise LengthError(f"sequence length {past + l} exceeds max {config.max_seq}")
+    if l > config.max_seq:
+        raise LengthError(f"sequence length {l} exceeds max {config.max_seq}")
     n = l if last is None else last
     if not 1 <= n <= l:
         raise T.DimensionError(f"cannot return the last {n} of {l} rows")
-    x = T.add(rows, T.slice_rows(w["pos"], past, past + l))
+    x = T.add(rows, T.slice_rows(w["pos"], 0, l))
     for i in range(config.layers):
-        x, kv = T.decoder_block(x, w, f"h{i}.", config.heads,
-                                n if i == config.layers - 1 else l,
-                                cache[i] if past else None)
-        if past:
-            cache[i] = kv
-        elif cache is not None:
-            cache.append(kv)
+        x, _ = T.decoder_block(x, w, f"h{i}.", config.heads,
+                               n if i == config.layers - 1 else l)
     xf = T.layernorm_rows(x, w["lnf.g"], w["lnf.b"])
     return T.matmul(xf, T.transpose(w["embed"]))  # tied unembedding
 
@@ -182,9 +171,25 @@ class FrozenBackbone:
             t.data.setflags(write=False)
         self.checksum = self.content_checksum()
 
+    @classmethod
+    def rebuild(cls, config: BackboneConfig, arrays: list[tuple[str, np.ndarray]],
+                checksum: int) -> "FrozenBackbone":
+        """A backbone from the config and `arrays()` of another, in another
+        process; FrozenViolation unless its checksum is that backbone's."""
+        backbone = cls(config, {n: T.Tensor(arr) for n, arr in arrays})
+        if backbone.checksum != checksum:
+            raise FrozenViolation(f"rebuilt backbone has checksum {backbone.checksum:016x}, "
+                                  f"expected {checksum:016x}")
+        return backbone
+
+    def arrays(self) -> list[tuple[str, np.ndarray]]:
+        """The read-only weights by name, in checkpoint order."""
+        return [(n, t.data) for n, t in self._weights.items()]
+
     def content_checksum(self) -> int:
-        packed = pack_tensors([(n, t.data) for n, t in self._weights.items()])
-        return checksum64(self.config.pack() + packed)
+        """The checksum of the packed config and tensor records, hashed
+        piece by piece rather than packed into one copy."""
+        return checksum64(self.config.pack(), *tensor_parts(self.arrays()))
 
     def verify(self) -> None:
         if self.content_checksum() != self.checksum:
@@ -197,19 +202,18 @@ class FrozenBackbone:
             raise TokenError(f"id outside vocabulary 0..{VOCAB_SIZE - 1}")
         return self._weights["embed"].data[idx]
 
-    def forward_rows(self, rows: T.Tensor, *, last: int | None = None,
-                     cache: list[tuple[np.ndarray, np.ndarray]] | None = None) -> T.Tensor:
-        """Logits of the last `last` rows (all rows when None), extending a
-        per-layer key/value `cache` of plain arrays, constants to the tape,
-        when one is given; see `_forward`."""
-        return _forward(self.config, self._weights, rows, last, cache)
+    def forward_rows(self, rows: T.Tensor, *, last: int | None = None) -> T.Tensor:
+        """Logits of the last `last` rows (all rows when None); see `_forward`."""
+        return _forward(self.config, self._weights, rows, last)
 
-    def prefill(self, blocks: Sequence[np.ndarray],
+    def prefill(self, blocks: Sequence[Sequence[np.ndarray]],
                 room: int) -> tuple[np.ndarray, DecodeCache]:
         """One untaped forward over B blocks of embedded rows at once, padded
         to the longest: the next-token logits (B, vocab) of each block's last
         row, and a cache of every row's keys and values with room for `room`
-        more rows per sample (never more than max_seq).
+        more rows per sample (never more than max_seq). A block is a
+        sequence of row arrays that follow one another; they are copied
+        straight into the padded input.
 
         The padding follows each block's rows, so causal attention keeps it
         out of every real row, and each block keeps its own positions. The
@@ -219,16 +223,20 @@ class FrozenBackbone:
         """
         c = self.config
         d = c.embed_width
-        for rows in blocks:
-            if rows.ndim != 2 or rows.shape[1] != d:
-                raise T.DimensionError(f"input rows {rows.shape} do not have width {d}")
-        lengths = np.array([rows.shape[0] for rows in blocks])
+        for pieces in blocks:
+            for rows in pieces:
+                if rows.ndim != 2 or rows.shape[1] != d:
+                    raise T.DimensionError(f"input rows {rows.shape} do not have width {d}")
+        lengths = np.array([sum(rows.shape[0] for rows in pieces) for pieces in blocks])
         b_count, l = len(blocks), int(lengths.max())
         if l > c.max_seq:
             raise LengthError(f"sequence length {l} exceeds max {c.max_seq}")
         x = np.zeros((b_count, l, d))
-        for b, rows in enumerate(blocks):
-            x[b, :rows.shape[0]] = rows
+        for b, pieces in enumerate(blocks):
+            at = 0
+            for rows in pieces:
+                x[b, at:at + rows.shape[0]] = rows
+                at += rows.shape[0]
         x = (x + self._weights["pos"].data[:l]).reshape(b_count * l, d)
         shape = (b_count, c.heads, min(l + room, c.max_seq), d // c.heads)
         cache = DecodeCache([(np.zeros(shape), np.zeros(shape)) for _ in range(c.layers)],
@@ -264,8 +272,7 @@ class FrozenBackbone:
         return T._layernorm(x, w["lnf.g"].data, w["lnf.b"].data)[0] @ w["embed"].data.T
 
     def save(self, path: str | Path) -> None:
-        write_container(path, BACKBONE_MAGIC, self.config.pack(),
-                        [(n, t.data) for n, t in self._weights.items()])
+        write_container(path, BACKBONE_MAGIC, self.config.pack(), self.arrays())
 
     @classmethod
     def load(cls, path: str | Path) -> "FrozenBackbone":
@@ -280,10 +287,11 @@ class FrozenBackbone:
 DECODE_BLOCK = 16
 
 
-def generate(backbone: FrozenBackbone, blocks: Sequence[T.Tensor],
+def generate(backbone: FrozenBackbone, blocks: Sequence[Sequence[np.ndarray]],
              max_new: int = 8) -> list[str]:
     """Greedy decoding from the end of each block of input rows; returns one
-    text per block, the decoded new bytes with EOS stripped.
+    text per block, the decoded new bytes with EOS stripped. A block is a
+    sequence of row arrays that follow one another, as `prefill` takes it.
 
     The blocks decode DECODE_BLOCK at a time: one `prefill` over their rows,
     then one `step` per new token over the samples still running. A sample
@@ -291,17 +299,17 @@ def generate(backbone: FrozenBackbone, blocks: Sequence[T.Tensor],
     """
     ids: list[list[int]] = []
     for start in range(0, len(blocks), DECODE_BLOCK):
-        ids += _greedy_ids(backbone, [rows.data for rows in blocks[start:start + DECODE_BLOCK]],
-                           max_new)
+        ids += _greedy_ids(backbone, blocks[start:start + DECODE_BLOCK], max_new)
     return [detokenize(out) for out in ids]
 
 
-def _greedy_ids(backbone: FrozenBackbone, blocks: list[np.ndarray],
+def _greedy_ids(backbone: FrozenBackbone, blocks: Sequence[Sequence[np.ndarray]],
                 max_new: int) -> list[list[int]]:
     """The new token ids of greedy decoding for a batch of row blocks."""
     max_seq = backbone.config.max_seq
     out: list[list[int]] = [[] for _ in blocks]
-    live = [i for i, rows in enumerate(blocks) if rows.shape[0] < max_seq and max_new > 0]
+    live = [i for i, pieces in enumerate(blocks)
+            if sum(rows.shape[0] for rows in pieces) < max_seq and max_new > 0]
     if not live:
         return out
     logits, cache = backbone.prefill([blocks[i] for i in live], max_new - 1)

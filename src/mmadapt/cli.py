@@ -6,8 +6,9 @@ by the matching command-line flag; the merged effective configuration is
 archived as JSON next to the outputs before any work starts.
 
 Exit codes: 0 success; 1 configuration or input validation failure; 2
-numeric or unexpected runtime failure; 3 broken internal guarantee (frozen
-weights drifted, or the gradient suite fails).
+numeric or unexpected runtime failure, or a worker process that died; 3
+broken internal guarantee (frozen weights drifted, or the gradient suite
+fails).
 
 The default output root is ./runs, overridable with the MMADAPT_OUTPUT_ROOT
 environment variable.
@@ -33,6 +34,7 @@ from .errors import (
     MmadaptError,
     NumericError,
     TapeStateError,
+    WorkerError,
 )
 from .gradcheck import gradcheck_full, gradcheck_primitives, render_results
 from .metrics import MetricReport, ablation_report
@@ -43,6 +45,7 @@ from .trainer import (
     build_pretrain_corpus,
     evaluate_split,
     multi_seed_run,
+    multi_variant_run,
     prepare_samples,
 )
 
@@ -68,6 +71,8 @@ _TRAIN_KNOBS: dict[str, tuple] = {
     "vision_hidden": (int, None, "vision summary width (default: preset)"),
     "mix_width": (int, 64, "shared mixing width"),
     "token_count": (int, None, "pseudo tokens (default: preset)"),
+    "workers": (int, None, "worker processes, one (variant, seed) cell each at a time "
+                           "(default: usable CPUs); outputs do not depend on it"),
 }
 
 # flat schemas: key -> (type, default, help); None defaults marked required
@@ -287,7 +292,7 @@ def cmd_train(cfg: dict) -> int:
     adapter_config = _resolve_adapter_config(cfg, dataset, backbone)
     train_config = _resolve_train_config(cfg, dataset)
     report = multi_seed_run(backbone, dataset, adapter_config, train_config,
-                            out_dir=out)
+                            out_dir=out, workers=cfg["workers"])
     for row in report.per_seed:
         print(f"seed {row['seed']}: best epoch {row['best_epoch']}, "
               f"valid {row['best_valid']}, test {row['metrics']}")
@@ -333,10 +338,11 @@ def cmd_ablate(cfg: dict) -> int:
     results: dict[str, MetricReport] = {}
     payload: dict[str, dict] = {}
     count = len(dataset["test"])
-    for variant in VARIANTS:
-        train_config = _resolve_train_config({**cfg, "variant": variant}, dataset)
-        report = multi_seed_run(backbone, dataset, adapter_config, train_config,
-                                out_dir=out)
+    configs = [_resolve_train_config({**cfg, "variant": variant}, dataset)
+               for variant in VARIANTS]
+    reports = multi_variant_run(backbone, dataset, adapter_config, configs,
+                                out_dir=out, workers=cfg["workers"])
+    for variant, report in zip(VARIANTS, reports):
         results[variant] = MetricReport(dataset.preset.metric_family,
                                         report.mean, count)
         payload[variant] = report.to_json()
@@ -388,7 +394,7 @@ def main(argv: list[str] | None = None) -> int:
     except FrozenViolation as exc:
         print(f"invariant breach: {exc}", file=sys.stderr)
         return 3
-    except (NumericError, TapeStateError) as exc:
+    except (NumericError, TapeStateError, WorkerError) as exc:
         print(f"runtime failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except MmadaptError as exc:

@@ -48,3 +48,7 @@ class NumericError(MmadaptError, RuntimeError):
 
 class FrozenViolation(MmadaptError, RuntimeError):
     """Frozen backbone weights drifted; aborting is the only safe response."""
+
+
+class WorkerError(MmadaptError, RuntimeError):
+    """A worker process died before it returned its task's result."""

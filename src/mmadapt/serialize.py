@@ -32,8 +32,12 @@ CONTAINER_VERSION = 1
 FEATURE_MAGIC = b"MSEF"
 
 
-def checksum64(payload: bytes) -> int:
-    return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "little")
+def checksum64(*parts) -> int:
+    """64-bit blake2b of the concatenation of the bytes-like `parts`."""
+    h = hashlib.blake2b(digest_size=8)
+    for part in parts:
+        h.update(part)
+    return int.from_bytes(h.digest(), "little")
 
 
 def write_atomic(path: str | Path, data: bytes) -> None:
@@ -51,17 +55,20 @@ def write_atomic(path: str | Path, data: bytes) -> None:
         raise
 
 
-def pack_tensors(tensors: list[tuple[str, np.ndarray]]) -> bytes:
-    out = bytearray()
+def tensor_parts(tensors: list[tuple[str, np.ndarray]]):
+    """Each tensor's record header, then its values as one contiguous
+    little-endian float64 array: the pieces `pack_tensors` joins, which a
+    hash can take one by one without that copy."""
     for name, arr in tensors:
         if arr.dtype != np.float64:
             raise CheckpointError(f"tensor {name!r} must be float64, got {arr.dtype}")
         nb = name.encode("utf-8")
-        out += struct.pack("<I", len(nb)) + nb
-        out += struct.pack("<I", arr.ndim)
-        out += struct.pack(f"<{arr.ndim}I", *arr.shape)
-        out += np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    return bytes(out)
+        yield struct.pack(f"<I{len(nb)}sI{arr.ndim}I", len(nb), nb, arr.ndim, *arr.shape)
+        yield np.ascontiguousarray(arr, dtype="<f8")
+
+
+def pack_tensors(tensors: list[tuple[str, np.ndarray]]) -> bytes:
+    return b"".join(tensor_parts(tensors))
 
 
 def write_container(path: str | Path, magic: bytes, config: bytes,

@@ -39,6 +39,7 @@ from .corpus import Dataset, FeatureSample, subsample_train
 from .errors import ConfigError, InputError, LengthError, MmadaptError
 from .metrics import MetricReport, format_label, parse_generated, score_predictions
 from .optim import AdamWState, adamw_step, clip_global_norm, lr_schedule
+from .parallel import run_in_pool, usable_workers
 from .presets import SEEDS, DatasetPreset
 from .serialize import write_atomic
 
@@ -118,16 +119,21 @@ class PreparedSample:
     n_prefix: int
     label_ids: list[int]
 
-    def input_rows(self, pseudo: T.Tensor, with_label: bool = True) -> T.Tensor:
-        """The pseudo rows in front of the constant rows, with or without the
-        label block."""
-        if pseudo.shape[0] != self.n_prefix:
-            raise T.DimensionError(
-                f"pseudo prefix must have {self.n_prefix} rows, got {pseudo.shape}")
-        const = self.const_rows
-        if not with_label:
-            const = const[:const.shape[0] - len(self.label_ids)]
-        return T.concat_rows([pseudo, T.Tensor._wrap(const, False, None)])
+    def input_rows(self, pseudo: T.Tensor) -> T.Tensor:
+        """The training input: the pseudo rows in front of the constant rows."""
+        self._check_prefix(pseudo.shape)
+        return T.concat_rows([pseudo, T.Tensor._wrap(self.const_rows, False, None)])
+
+    def eval_rows(self, pseudo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The evaluation input, which ends before the label block, as the
+        two row arrays that `generate` places one after the other: the
+        pseudo rows, then a view of the text and prompt rows."""
+        self._check_prefix(pseudo.shape)
+        return pseudo, self.const_rows[:self.const_rows.shape[0] - len(self.label_ids)]
+
+    def _check_prefix(self, shape: tuple[int, ...]) -> None:
+        if shape[0] != self.n_prefix:
+            raise T.DimensionError(f"pseudo prefix must have {self.n_prefix} rows, got {shape}")
 
 
 def label_text(preset: DatasetPreset, value: float) -> str:
@@ -245,7 +251,8 @@ def evaluate_split(backbone: FrozenBackbone, params: AdapterParams,
                    preset: DatasetPreset) -> MetricReport:
     """Greedy generation, parsing, and family metrics over prepared samples.
     The adapter runs once per block of EVAL_BLOCK samples, and `generate`
-    decodes the block as a batch."""
+    decodes the block as a batch, reading each sample's rows where they
+    are."""
     if not prepared:
         raise InputError("cannot evaluate an empty split")
     budget = eval_token_budget(preset)
@@ -256,8 +263,7 @@ def evaluate_split(backbone: FrozenBackbone, params: AdapterParams,
     for start in range(0, len(prepared), EVAL_BLOCK):
         block = prepared[start:start + EVAL_BLOCK]
         pseudo = pseudo_blocks(params, block, state).data
-        rows = [p.input_rows(T.Tensor._wrap(_block_of(pseudo, i, n), False, None),
-                             with_label=False) for i, p in enumerate(block)]
+        rows = [p.eval_rows(_block_of(pseudo, i, n)) for i, p in enumerate(block)]
         for p, text in zip(block, generate(backbone, rows, max_new=budget)):
             value, fb = parse_generated(preset.task, text,
                                         class_count=preset.class_count,
@@ -454,41 +460,93 @@ def aggregate_seed_metrics(rows: list[dict[str, float | None]]):
     return mean, std
 
 
-def multi_seed_run(backbone: FrozenBackbone, dataset: Dataset,
-                   adapter_config: AdapterConfig, config: TrainConfig,
-                   out_dir: str | Path | None = None,
-                   eval_split: str = "test") -> RunReport:
-    """Train once per seed, evaluate each best checkpoint, report the average.
+def run_cell(backbone: FrozenBackbone, dataset: Dataset, adapter_config: AdapterConfig,
+             config: TrainConfig, seed: int, prepared: list[PreparedSample],
+             out_dir: str | Path | None) -> dict:
+    """Train one (variant, seed) cell and evaluate its best parameters on the
+    prepared eval split: the seed's row of the report, or its failed row
+    {"seed", "error"} when the run raised a package error."""
+    try:
+        result = train_run(backbone, dataset, adapter_config, config, seed, out_dir)
+        report = evaluate_split(backbone, result.params, result.state, prepared,
+                                dataset.preset)
+    except MmadaptError as exc:
+        return {"seed": seed, "error": f"{type(exc).__name__}: {exc}"}
+    return {"seed": seed, "metrics": dict(report.values), "best_epoch": result.best_epoch,
+            "best_valid": result.best_valid, "fallbacks": report.fallback_count}
 
-    A failing seed is recorded with its error and excluded from the average;
-    at least one seed must succeed.
-    """
-    per_seed: list[dict] = []
-    failed: list[dict] = []
-    rows: list[dict[str, float | None]] = []
-    prepared = prepare_samples(backbone, dataset[eval_split], dataset.preset,
-                               adapter_config.token_count,
-                               VariantState(config.variant).drops_text_input)
-    for seed in config.seeds:
-        try:
-            result = train_run(backbone, dataset, adapter_config, config, seed,
-                               out_dir)
-            report = evaluate_split(backbone, result.params, result.state,
-                                    prepared, dataset.preset)
-            rows.append(dict(report.values))
-            per_seed.append({"seed": seed, "metrics": dict(report.values),
-                             "best_epoch": result.best_epoch,
-                             "best_valid": result.best_valid,
-                             "fallbacks": report.fallback_count})
-        except MmadaptError as exc:
-            failed.append({"seed": seed, "error": f"{type(exc).__name__}: {exc}"})
-    if not rows:
+
+# the backbone a pool worker rebuilt last, by checksum: the cells of a run,
+# and repeated runs against one checkpoint, ship the same weights
+_rebuilt: dict[int, FrozenBackbone] = {}
+
+
+def _run_cell_in_worker(shipped: tuple, *cell) -> dict:
+    """`run_cell` in a pool worker, on the backbone rebuilt from `shipped`,
+    its (config, arrays, checksum)."""
+    checksum = shipped[2]
+    if checksum not in _rebuilt:
+        backbone = FrozenBackbone.rebuild(*shipped)
+        _rebuilt.clear()
+        _rebuilt[checksum] = backbone
+    return run_cell(_rebuilt[checksum], *cell)
+
+
+def _seed_report(variant: str, eval_split: str, rows: list[dict],
+                 out_dir: str | Path | None) -> RunReport:
+    per_seed = [r for r in rows if "error" not in r]
+    failed = [r for r in rows if "error" in r]
+    if not per_seed:
         raise InputError(f"every seed failed: {failed}")
-    mean, std = aggregate_seed_metrics(rows)
-    report = RunReport(config.variant, eval_split, per_seed, mean, std, failed)
+    mean, std = aggregate_seed_metrics([r["metrics"] for r in per_seed])
+    report = RunReport(variant, eval_split, per_seed, mean, std, failed)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        path = out / f"report-{config.variant}.json"
+        path = out / f"report-{variant}.json"
         write_atomic(path, (json.dumps(report.to_json(), indent=2) + "\n").encode("utf-8"))
     return report
+
+
+def multi_variant_run(backbone: FrozenBackbone, dataset: Dataset,
+                      adapter_config: AdapterConfig, configs: list[TrainConfig],
+                      out_dir: str | Path | None = None, eval_split: str = "test",
+                      workers: int | None = None) -> list[RunReport]:
+    """Every (variant, seed) cell of `configs` in one go; one report per
+    config, in order.
+
+    Each config's eval split is prepared once. The cells run in `workers`
+    pool processes (default: the usable CPUs), at most one per cell; with
+    one worker they run in this process. The workers write the checkpoints
+    and step logs; the reports are written here, with the seeds in their
+    order, so every output is the same whatever the worker count.
+    """
+    cells = []
+    for config in configs:
+        prepared = prepare_samples(backbone, dataset[eval_split], dataset.preset,
+                                   adapter_config.token_count,
+                                   VariantState(config.variant).drops_text_input)
+        cells += [(dataset, adapter_config, config, seed, prepared, out_dir)
+                  for seed in config.seeds]
+    workers = usable_workers(len(cells), workers)
+    if workers == 1:
+        rows = [run_cell(backbone, *cell) for cell in cells]
+    else:
+        shipped = (backbone.config, backbone.arrays(), backbone.checksum)
+        rows = run_in_pool(_run_cell_in_worker, [(shipped, *cell) for cell in cells], workers)
+    rows = iter(rows)
+    return [_seed_report(config.variant, eval_split, [next(rows) for _ in config.seeds], out_dir)
+            for config in configs]
+
+
+def multi_seed_run(backbone: FrozenBackbone, dataset: Dataset,
+                   adapter_config: AdapterConfig, config: TrainConfig,
+                   out_dir: str | Path | None = None,
+                   eval_split: str = "test", workers: int | None = None) -> RunReport:
+    """Train once per seed, evaluate each best checkpoint, report the average.
+
+    A failing seed is recorded with its error and excluded from the average;
+    at least one seed must succeed. See `multi_variant_run` for `workers`.
+    """
+    return multi_variant_run(backbone, dataset, adapter_config, [config], out_dir,
+                             eval_split, workers)[0]

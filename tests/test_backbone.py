@@ -14,6 +14,7 @@ from mmadapt import tensor as T
 from mmadapt.adapter import AdapterParams, make_variant_state
 from mmadapt.errors import (CheckpointError, FrozenViolation, LengthError,
                             TokenError)
+from mmadapt.serialize import checksum64, pack_tensors
 from mmadapt.trainer import prepare_samples, sample_loss
 
 RNG = np.random.default_rng(99)
@@ -173,9 +174,9 @@ def test_embed_single_id_equals_table_row():
 
 def test_generate_is_deterministic_and_respects_max_new():
     frozen = make_frozen()
-    rows = T.Tensor(frozen.embed(B.tokenize("hello ans:")))
-    [a] = B.generate(frozen, [rows], max_new=5)
-    [b] = B.generate(frozen, [rows], max_new=5)
+    rows = frozen.embed(B.tokenize("hello ans:"))
+    [a] = B.generate(frozen, [[rows]], max_new=5)
+    [b] = B.generate(frozen, [[rows[:3], rows[3:]]], max_new=5)
     assert a == b
     # at most 5 byte ids were emitted, and replacement decoding never
     # yields more characters than bytes
@@ -215,8 +216,8 @@ def test_pretrain_memorizes_constant_label():
     corpus = [t + " judge:+1.0" for t in
               ["the sky is wide", "rain came early", "we left at noon"]]
     frozen, _ = B.pretrain_backbone(corpus, steps=450, seed=21, config=TINY, lr=4e-3)
-    rows = T.Tensor(frozen.embed(B.tokenize("the sky is wide judge:")))
-    assert B.generate(frozen, [rows], max_new=6) == ["+1.0"]
+    rows = frozen.embed(B.tokenize("the sky is wide judge:"))
+    assert B.generate(frozen, [[rows]], max_new=6) == ["+1.0"]
 
 
 def records_per_tape(monkeypatch, run) -> list[int]:
@@ -277,6 +278,28 @@ def test_verify_detects_forced_drift():
     w[0, 0] += 1.0
     with pytest.raises(FrozenViolation):
         frozen.verify()
+
+
+@pytest.mark.parametrize("config", [TINY, B.BackboneConfig()], ids=["tiny", "default"])
+def test_checksum_hashes_the_packed_config_and_tensors(config):
+    frozen = make_frozen(config, seed=12)
+    packed = pack_tensors([(n, t.data) for n, t in frozen._weights.items()])
+    assert frozen.content_checksum() == checksum64(config.pack() + packed)
+    assert frozen.checksum == frozen.content_checksum()
+
+
+def test_rebuild_keeps_the_weights_and_checks_the_checksum():
+    frozen = make_frozen(seed=13)
+    arrays = [(n, a.copy()) for n, a in frozen.arrays()]
+    rebuilt = B.FrozenBackbone.rebuild(frozen.config, arrays, frozen.checksum)
+    assert rebuilt.checksum == frozen.checksum
+    rows = RNG.uniform(-1, 1, (4, 16))
+    assert_array_equal(rebuilt.forward_rows(T.Tensor(rows)).data,
+                       frozen.forward_rows(T.Tensor(rows)).data)
+    drifted = [(n, a.copy()) for n, a in arrays]
+    drifted[-1][1][0, 0] += 1e-12
+    with pytest.raises(FrozenViolation, match="expected"):
+        B.FrozenBackbone.rebuild(frozen.config, drifted, frozen.checksum)
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):

@@ -1,6 +1,7 @@
 """Batched greedy decoding: `prefill` and `step` against the per-sample
 cached forward, and `generate` over blocks of samples against the
-per-sample cached loop and the uncached oracle."""
+per-sample cached loop and the uncached oracle. A block is a list of row
+arrays, as `generate` takes it."""
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from mmadapt import tensor as T
 from mmadapt.adapter import AdapterConfig, AdapterParams, make_variant_state
 from mmadapt.trainer import EVAL_BLOCK, eval_token_budget, prepare_samples
 
-from oracles import generate_cached_ids, generate_uncached_ids
-from test_cached_decoding import make_frozen, preset_samples
+from oracles import forward_rows_cached, generate_cached_ids, generate_uncached_ids
+from test_cached_decoding import eval_pieces, make_frozen, preset_samples
 
 # a greedy step whose top two logits are this close may take either token
 TIE = 1e-9
@@ -45,7 +46,8 @@ def check_block(backbone, blocks, budget):
     """generate over the whole block against both one-sample oracles."""
     got = B.generate(backbone, blocks, budget)
     assert len(got) == len(blocks)
-    for rows, ids in zip(blocks, got):
+    for pieces, ids in zip(blocks, got):
+        rows = T.Tensor(np.concatenate(pieces))
         assert_same_greedy(backbone, rows, ids, generate_cached_ids(backbone, rows, budget))
         assert_same_greedy(backbone, rows, ids, generate_uncached_ids(backbone, rows, budget))
     return got
@@ -62,12 +64,12 @@ def check_block(backbone, blocks, budget):
 def test_prefill_and_steps_equal_the_per_sample_cached_forward(config):
     frozen = make_frozen(config, seed=config.layers)
     blocks = random_blocks(frozen, [7, 12, 3, 12, 9], seed=config.layers)
-    logits, cache = frozen.prefill(blocks, room=4)
+    logits, cache = frozen.prefill([[rows[:2], rows[2:]] for rows in blocks], room=4)
     assert logits.shape == (5, B.VOCAB_SIZE)
     # the longest prefill plus the room
     assert cache.layers[0][0].shape == (5, 2, 16, config.embed_width // 2)
     caches = [[] for _ in blocks]
-    assert_rows_close(logits, [frozen.forward_rows(T.Tensor(rows), last=1, cache=c).data[-1]
+    assert_rows_close(logits, [forward_rows_cached(frozen, T.Tensor(rows), c, last=1).data[-1]
                                for rows, c in zip(blocks, caches)])
     rng = np.random.default_rng(config.layers)
     live = list(range(5))
@@ -78,7 +80,7 @@ def test_prefill_and_steps_equal_the_per_sample_cached_forward(config):
         ids = [int(i) for i in rng.integers(0, 256, len(live))]
         logits = frozen.step(cache, ids)
         assert_rows_close(logits, [
-            frozen.forward_rows(T.Tensor(frozen.embed([i])), last=1, cache=caches[s]).data[-1]
+            forward_rows_cached(frozen, T.Tensor(frozen.embed([i])), caches[s], last=1).data[-1]
             for s, i in zip(live, ids)])
         assert list(cache.lengths) == [caches[s][0][0].shape[0] for s in live]
     assert cache.lengths[0] == 16  # sample 3 filled its room
@@ -89,9 +91,11 @@ def test_prefill_and_steps_equal_the_per_sample_cached_forward(config):
 def test_prefill_checks_its_input():
     frozen = make_frozen()
     with pytest.raises(T.DimensionError):
-        frozen.prefill([np.zeros((3, 15))], room=1)
+        frozen.prefill([[np.zeros((3, 16)), np.zeros((3, 15))]], room=1)
+    with pytest.raises(T.DimensionError):
+        frozen.prefill([[np.zeros(16)]], room=1)
     with pytest.raises(B.LengthError):
-        frozen.prefill([np.zeros((49, 16))], room=1)
+        frozen.prefill([[np.zeros((40, 16)), np.zeros((9, 16))]], room=1)
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +116,9 @@ def test_batched_generate_matches_both_oracles_on_every_corpus_preset(monkeypatc
     state = make_variant_state("full", acfg, rng)
     prepared = prepare_samples(frozen, samples, preset, acfg.token_count, False)
     pseudo = trainer_mod.pseudo_blocks(params, prepared, state).data
-    blocks = [p.input_rows(T.Tensor(trainer_mod._block_of(pseudo, i, acfg.token_count)),
-                           with_label=False) for i, p in enumerate(prepared)]
-    assert len({rows.shape[0] for rows in blocks}) > 1
+    blocks = [p.eval_rows(trainer_mod._block_of(pseudo, i, acfg.token_count))
+              for i, p in enumerate(prepared)]
+    assert len({sum(len(rows) for rows in pieces) for pieces in blocks}) > 1
     monkeypatch.setattr(B, "detokenize", list)
     for budget in (eval_token_budget(preset), 8):
         check_block(frozen, blocks, budget)
@@ -127,8 +131,7 @@ def test_batched_generate_matches_both_oracles_on_the_synthetic_preset(
     state = make_variant_state("full", small_adapter_config, rng)
     prepared = prepare_samples(small_backbone, small_synth["test"] + small_synth["valid"],
                                small_synth.preset, small_adapter_config.token_count, False)
-    blocks = [p.input_rows(trainer_mod._pseudo_for(params, p, state), with_label=False)
-              for p in prepared]
+    blocks = [eval_pieces(params, p, state) for p in prepared]
     monkeypatch.setattr(B, "detokenize", list)
     for budget in (eval_token_budget(small_synth.preset), 8):
         got = check_block(small_backbone, blocks, budget)
@@ -138,12 +141,13 @@ def test_batched_generate_matches_both_oracles_on_the_synthetic_preset(
 def test_samples_leave_at_eos_budget_and_max_seq_while_others_run_on(monkeypatch):
     config = B.BackboneConfig(embed_width=16, layers=2, heads=2, ffn_mult=2, max_seq=20)
     plain = make_frozen(config, seed=28)
-    blocks = [T.Tensor(rows) for rows in random_blocks(plain, [6, 19, 12, 20, 5, 18, 9], 28)]
+    blocks = [[rows] for rows in random_blocks(plain, [6, 19, 12, 20, 5, 18, 9], 28)]
     # point the EOS row of the tied unembedding from sample 4's first hidden
     # state towards sample 0's, so that some samples end with EOS
     embed = plain._weights["embed"].data
-    hidden = [np.linalg.lstsq(embed, plain.forward_rows(rows, last=1).data[0], rcond=None)[0]
-              for rows in (blocks[0], blocks[4])]
+    hidden = [np.linalg.lstsq(embed, plain.forward_rows(T.Tensor(rows), last=1).data[0],
+                              rcond=None)[0]
+              for (rows,) in (blocks[0], blocks[4])]
     toward = hidden[0] - hidden[1]
     weights = {n: T.Tensor(t.data.copy()) for n, t in plain._weights.items()}
     weights["embed"].data[B.EOS] = 50.0 * toward / np.linalg.norm(toward)
@@ -154,7 +158,7 @@ def test_samples_leave_at_eos_budget_and_max_seq_while_others_run_on(monkeypatch
     # room; 4 and 6 run out of budget
     assert [len(ids) for ids in got] == [0, 1, 2, 0, 8, 2, 8]
     # a block of one decodes as in the batch
-    assert [B.generate(frozen, [rows], 8)[0] for rows in blocks] == got
+    assert [B.generate(frozen, [pieces], 8)[0] for pieces in blocks] == got
     assert B.generate(frozen, blocks, 0) == [[]] * len(blocks)
 
 
@@ -193,7 +197,7 @@ def test_evaluate_split_hands_every_sample_to_detokenize_and_parse_in_order(monk
         block = prepared[start:start + EVAL_BLOCK]
         pseudo = trainer_mod.pseudo_blocks(params, block, state).data
         for i, p in enumerate(block):
-            rows = p.input_rows(T.Tensor(trainer_mod._block_of(pseudo, i, acfg.token_count)),
-                                with_label=False)
+            rows = T.Tensor(np.concatenate(
+                p.eval_rows(trainer_mod._block_of(pseudo, i, acfg.token_count))))
             assert_same_greedy(frozen, rows, tokens[start + i],
                                generate_uncached_ids(frozen, rows, budget))

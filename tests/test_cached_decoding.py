@@ -1,6 +1,6 @@
-"""Row pruning and the key/value cache: `forward_rows(..., last=, cache=)`
-against the full forward, cached greedy decoding against the uncached
-oracle, and the pruned label loss against the full-row one."""
+"""Row pruning and the key/value cache: `forward_rows(..., last=)` and the
+per-sample cache oracle against the full forward, greedy decoding against
+the uncached oracle, and the pruned label loss against the full-row one."""
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from mmadapt.presets import get_preset
 from mmadapt.trainer import (eval_token_budget, label_loss, prepare_samples,
                              sample_loss)
 
-from oracles import generate_uncached_ids
+from oracles import forward_rows_cached, generate_uncached_ids
 
 TWO_LAYERS = B.BackboneConfig(embed_width=16, layers=2, heads=2, ffn_mult=2, max_seq=48)
 
@@ -53,10 +53,10 @@ def test_cache_prefill_then_single_rows_equal_full_forward(layers):
     rows = rows_of(frozen, 12, seed=layers)
     full = frozen.forward_rows(T.Tensor(rows)).data
     cache = []
-    got = [frozen.forward_rows(T.Tensor(rows[:7]), cache=cache).data]
+    got = [forward_rows_cached(frozen, T.Tensor(rows[:7]), cache).data]
     assert len(cache) == layers and cache[0][0].shape == (7, 16)
     for i in range(7, 12):
-        got.append(frozen.forward_rows(T.Tensor(rows[i:i + 1]), last=1, cache=cache).data)
+        got.append(forward_rows_cached(frozen, T.Tensor(rows[i:i + 1]), cache, last=1).data)
     assert cache[-1][1].shape == (12, 16)
     assert_allclose(np.concatenate(got), full, rtol=0, atol=1e-12)
 
@@ -64,10 +64,12 @@ def test_cache_prefill_then_single_rows_equal_full_forward(layers):
 def test_cache_counts_toward_max_seq_and_last_is_checked():
     frozen = make_frozen()
     cache = []
-    frozen.forward_rows(T.Tensor(rows_of(frozen, 46)), last=1, cache=cache)
-    frozen.forward_rows(T.Tensor(rows_of(frozen, 2)), last=1, cache=cache)
+    forward_rows_cached(frozen, T.Tensor(rows_of(frozen, 46)), cache, last=1)
+    forward_rows_cached(frozen, T.Tensor(rows_of(frozen, 2)), cache, last=1)
     with pytest.raises(LengthError, match="49 exceeds max 48"):
-        frozen.forward_rows(T.Tensor(rows_of(frozen, 1)), last=1, cache=cache)
+        forward_rows_cached(frozen, T.Tensor(rows_of(frozen, 1)), cache, last=1)
+    with pytest.raises(LengthError, match="49 exceeds max 48"):
+        frozen.forward_rows(T.Tensor(rows_of(frozen, 49)), last=1)
     for bad in (0, 4):
         with pytest.raises(DimensionError):
             frozen.forward_rows(T.Tensor(rows_of(frozen, 3)), last=bad)
@@ -75,6 +77,11 @@ def test_cache_counts_toward_max_seq_and_last_is_checked():
 
 # ---------------------------------------------------------------------------
 # greedy decoding
+
+
+def eval_pieces(params, p, state):
+    """One sample's evaluation input as the row pieces `generate` takes."""
+    return p.eval_rows(trainer_mod._pseudo_for(params, p, state).data)
 
 
 def capture_ids(monkeypatch):
@@ -110,10 +117,11 @@ def test_cached_generate_matches_uncached_on_every_corpus_preset(monkeypatch, na
     state = make_variant_state("full", acfg, rng)
     capture_ids(monkeypatch)
     for p in prepare_samples(frozen, samples, preset, acfg.token_count, False):
-        rows = p.input_rows(trainer_mod._pseudo_for(params, p, state), with_label=False)
+        pieces = eval_pieces(params, p, state)
+        rows = T.Tensor(np.concatenate(pieces))
         for budget in (eval_token_budget(preset), 8):
             want = generate_uncached_ids(frozen, rows, budget)
-            assert B.generate(frozen, [rows], budget) == [want], p.sid
+            assert B.generate(frozen, [pieces], budget) == [want], p.sid
 
 
 def test_cached_generate_matches_uncached_on_the_synthetic_preset(
@@ -126,10 +134,11 @@ def test_cached_generate_matches_uncached_on_the_synthetic_preset(
     capture_ids(monkeypatch)
     stopped_at_eos = 0
     for p in prepared:
-        rows = p.input_rows(trainer_mod._pseudo_for(params, p, state), with_label=False)
+        pieces = eval_pieces(params, p, state)
+        rows = T.Tensor(np.concatenate(pieces))
         for budget in (eval_token_budget(small_synth.preset), 8):
             want = generate_uncached_ids(small_backbone, rows, budget)
-            assert B.generate(small_backbone, [rows], budget) == [want], p.sid
+            assert B.generate(small_backbone, [pieces], budget) == [want], p.sid
             stopped_at_eos += len(want) < budget
     assert stopped_at_eos > 0  # the pretrained backbone ends some labels itself
 
@@ -144,7 +153,7 @@ def test_cached_generate_stops_when_the_context_fills(monkeypatch, room):
     capture_ids(monkeypatch)
     want = generate_uncached_ids(frozen, rows, max_new=8)
     assert len(want) == room
-    assert B.generate(frozen, [rows], max_new=8) == [want]
+    assert B.generate(frozen, [[rows.data]], max_new=8) == [want]
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 """Command-line interface: subcommands, config merging, exit codes,
 process-level reproducibility."""
 
+import hashlib
 import json
+import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -327,14 +332,24 @@ def test_train_zero_knob_is_not_replaced_by_preset(tmp_path, capsys,
 
 
 def test_ablate_all_variants(tmp_path, cli_workspace):
-    out = tmp_path / "ablate"
-    r = run_cli("ablate", "--dataset", str(cli_workspace["data"]),
-                "--backbone", str(cli_workspace["backbone"]),
-                "--out", str(out), "--epochs", "1", "--batch-size", "8",
-                "--seed", "5", "--mix-width", "32", "--audio-hidden", "8",
-                "--vision-hidden", "8", "--token-count", "2",
-                "--learning-rate", "0.005")
-    assert r.returncode == 0, r.stderr
+    runs = {}
+    for workers in ("1", "2"):
+        out = tmp_path / f"ablate-{workers}"
+        r = run_cli("ablate", "--dataset", str(cli_workspace["data"]),
+                    "--backbone", str(cli_workspace["backbone"]),
+                    "--out", str(out), "--epochs", "1", "--batch-size", "8",
+                    "--seed", "5", "--mix-width", "32", "--audio-hidden", "8",
+                    "--vision-hidden", "8", "--token-count", "2",
+                    "--learning-rate", "0.005", "--workers", workers)
+        assert r.returncode == 0, r.stderr
+        # every output but the archived config, which records the knob
+        runs[workers] = (r.stdout.replace(str(out), "<out>"),
+                         {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                          for p in out.iterdir() if p.name != "ablate-config.json"})
+    assert runs["1"] == runs["2"]
+    # the ablation report and table, and per variant a report, a checkpoint
+    # and a step log
+    assert len(runs["1"][1]) == 2 + 3 * 7
     table = (out / "ablate-table.txt").read_text()
     for label in ("w/o A", "w/o V", "w/o T", "w/o A,V", "w/o mixer",
                   "w/o fusion", "full"):
@@ -342,6 +357,76 @@ def test_ablate_all_variants(tmp_path, cli_workspace):
     payload = json.loads((out / "ablate-report.json").read_text())
     assert set(payload) == {"full", "no_mixer", "no_fusion", "no_text",
                             "no_audio", "no_vision", "no_audio_vision"}
+
+
+# ---------------------------------------------------------------------------
+# worker processes
+
+
+def group_gone(pgid, timeout=20.0) -> bool:
+    """Whether every process of the group has exited within `timeout` s. A
+    worker's resource tracker exits once it sees its parent's end, and an
+    orphan is reaped by the init process, so both can take a moment."""
+    deadline = time.monotonic() + timeout
+    while True:
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return True
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+
+
+def pool_workers(pid) -> list[int]:
+    """The pool worker processes among pid's children."""
+    found = []
+    for children in Path(f"/proc/{pid}/task").glob("*/children"):
+        for child in children.read_text().split():
+            cmdline = Path(f"/proc/{child}/cmdline").read_bytes()
+            if b"spawn_main" in cmdline:
+                found.append(int(child))
+    return found
+
+
+def two_seed_train(cli_workspace, out, epochs="1"):
+    """`mmadapt train` on seeds 5 and 6 in two workers, in a session and
+    process group of its own."""
+    flags = list(TRAIN_FLAGS)
+    flags[flags.index("--seed"):flags.index("--seed") + 2] = ["--seeds", "5,6"]
+    flags[flags.index("--epochs") + 1] = epochs
+    return subprocess.Popen(
+        [sys.executable, "-m", "mmadapt", "train", "--dataset", str(cli_workspace["data"]),
+         "--backbone", str(cli_workspace["backbone"]), "--out", str(out), *flags,
+         "--workers", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True)
+
+
+def test_train_in_two_workers_leaves_no_process_behind(tmp_path, cli_workspace):
+    proc = two_seed_train(cli_workspace, tmp_path)
+    _, err = proc.communicate(timeout=600)
+    assert proc.returncode == 0, err
+    assert len(json.loads((tmp_path / "report-full.json").read_text())["per_seed"]) == 2
+    assert group_gone(proc.pid)
+
+
+def test_a_killed_worker_ends_train_with_exit_2(tmp_path, cli_workspace):
+    proc = two_seed_train(cli_workspace, tmp_path, epochs="400")  # long enough to catch
+    try:
+        deadline = time.monotonic() + 120
+        while not pool_workers(proc.pid) and proc.poll() is None:
+            assert time.monotonic() < deadline, "no worker process started"
+            time.sleep(0.05)
+        os.kill(pool_workers(proc.pid)[0], signal.SIGKILL)
+        _, err = proc.communicate(timeout=600)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+    assert proc.returncode == 2, err
+    assert "runtime failure: WorkerError: a worker process died" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "report-full.json").exists()
+    assert group_gone(proc.pid)
 
 
 # ---------------------------------------------------------------------------

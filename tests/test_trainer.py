@@ -184,7 +184,7 @@ def test_prepared_layout_boundaries(small_backbone):
     assert_array_equal(train.data[:4], pseudo.data)
     assert_array_equal(train.data[4:], p.const_rows)
     # without the label block the input ends with the prompt
-    assert_array_equal(p.input_rows(pseudo, with_label=False).data, train.data[:-5])
+    assert_array_equal(np.concatenate(p.eval_rows(pseudo.data)), train.data[:-5])
 
 
 def test_prepare_samples_drops_text(small_synth, small_backbone):
@@ -217,7 +217,7 @@ def test_input_rows_validates_prefix_shape(small_synth, small_backbone):
         with pytest.raises(DimensionError):
             p.input_rows(T.Tensor(np.full((bad, width), 0.1)))
         with pytest.raises(DimensionError):
-            p.input_rows(T.Tensor(np.full((bad, width), 0.1)), with_label=False)
+            p.eval_rows(np.full((bad, width), 0.1))
 
 
 def test_sample_loss_gradient_reaches_all_params(small_synth, small_backbone,
@@ -515,7 +515,7 @@ def test_multi_seed_run_prepares_the_eval_split_once(monkeypatch, small_synth, s
 
     monkeypatch.setattr(trainer_mod, "prepare_samples", counting)
     multi_seed_run(small_backbone, small_synth, small_adapter_config,
-                   _tiny_config(seeds=(5, 6), variant="no_text"))
+                   _tiny_config(seeds=(5, 6), variant="no_text"), workers=1)
     assert sum(s is small_synth["test"] for s in splits) == 1
 
 
@@ -531,7 +531,7 @@ def test_multi_seed_marks_failed_seed(monkeypatch, small_synth, small_backbone,
     monkeypatch.setattr(trainer_mod, "train_run", flaky)
     config = _tiny_config(epochs=1, seeds=(5, 6))
     report = multi_seed_run(small_backbone, small_synth, small_adapter_config,
-                            config)
+                            config, workers=1)
     assert len(report.per_seed) == 1
     assert len(report.failed_seeds) == 1
     assert report.failed_seeds[0]["seed"] == 6
@@ -546,4 +546,4 @@ def test_multi_seed_all_failed_raises(monkeypatch, small_synth, small_backbone,
     monkeypatch.setattr(trainer_mod, "train_run", broken)
     with pytest.raises(InputError, match="every seed failed"):
         multi_seed_run(small_backbone, small_synth, small_adapter_config,
-                       _tiny_config(seeds=(5, 6)))
+                       _tiny_config(seeds=(5, 6)), workers=1)
