@@ -71,8 +71,6 @@ _TRAIN_KNOBS: dict[str, tuple] = {
     "vision_hidden": (int, None, "vision summary width (default: preset)"),
     "mix_width": (int, 64, "shared mixing width"),
     "token_count": (int, None, "pseudo tokens (default: preset)"),
-    "workers": (int, None, "worker processes, one (variant, seed) cell each at a time "
-                           "(default: usable CPUs); outputs do not depend on it"),
 }
 
 # flat schemas: key -> (type, default, help); None defaults marked required
@@ -292,7 +290,7 @@ def cmd_train(cfg: dict) -> int:
     adapter_config = _resolve_adapter_config(cfg, dataset, backbone)
     train_config = _resolve_train_config(cfg, dataset)
     report = multi_seed_run(backbone, dataset, adapter_config, train_config,
-                            out_dir=out, workers=cfg["workers"])
+                            out_dir=out)
     for row in report.per_seed:
         print(f"seed {row['seed']}: best epoch {row['best_epoch']}, "
               f"valid {row['best_valid']}, test {row['metrics']}")
@@ -341,7 +339,7 @@ def cmd_ablate(cfg: dict) -> int:
     configs = [_resolve_train_config({**cfg, "variant": variant}, dataset)
                for variant in VARIANTS]
     reports = multi_variant_run(backbone, dataset, adapter_config, configs,
-                                out_dir=out, workers=cfg["workers"])
+                                out_dir=out)
     for variant, report in zip(VARIANTS, reports):
         results[variant] = MetricReport(dataset.preset.metric_family,
                                         report.mean, count)

@@ -17,6 +17,7 @@ raw text when the prefix is uninformative.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -510,16 +511,16 @@ def _seed_report(variant: str, eval_split: str, rows: list[dict],
 
 def multi_variant_run(backbone: FrozenBackbone, dataset: Dataset,
                       adapter_config: AdapterConfig, configs: list[TrainConfig],
-                      out_dir: str | Path | None = None, eval_split: str = "test",
-                      workers: int | None = None) -> list[RunReport]:
+                      out_dir: str | Path | None = None,
+                      eval_split: str = "test") -> list[RunReport]:
     """Every (variant, seed) cell of `configs` in one go; one report per
-    config, in order.
+    config, in order, each written as soon as its cells are done.
 
-    Each config's eval split is prepared once. The cells run in `workers`
-    pool processes (default: the usable CPUs), at most one per cell; with
-    one worker they run in this process. The workers write the checkpoints
+    Each config's eval split is prepared once. The cells run in the worker
+    pool, as many at once as there are usable CPUs; a single cell, or a
+    single CPU, runs them in this process. The workers write the checkpoints
     and step logs; the reports are written here, with the seeds in their
-    order, so every output is the same whatever the worker count.
+    order, so every output is the same whatever the number of CPUs.
     """
     cells = []
     for config in configs:
@@ -528,25 +529,27 @@ def multi_variant_run(backbone: FrozenBackbone, dataset: Dataset,
                                    VariantState(config.variant).drops_text_input)
         cells += [(dataset, adapter_config, config, seed, prepared, out_dir)
                   for seed in config.seeds]
-    workers = usable_workers(len(cells), workers)
-    if workers == 1:
-        rows = [run_cell(backbone, *cell) for cell in cells]
+    if usable_workers(len(cells)) == 1:
+        rows = (run_cell(backbone, *cell) for cell in cells)
     else:
         shipped = (backbone.config, backbone.arrays(), backbone.checksum)
-        rows = run_in_pool(_run_cell_in_worker, [(shipped, *cell) for cell in cells], workers)
-    rows = iter(rows)
-    return [_seed_report(config.variant, eval_split, [next(rows) for _ in config.seeds], out_dir)
-            for config in configs]
+        rows = run_in_pool(_run_cell_in_worker, [(shipped, *cell) for cell in cells])
+    # closing stops the cells still running when a report raises
+    with contextlib.closing(rows):
+        return [_seed_report(config.variant, eval_split, [next(rows) for _ in config.seeds],
+                             out_dir)
+                for config in configs]
 
 
 def multi_seed_run(backbone: FrozenBackbone, dataset: Dataset,
                    adapter_config: AdapterConfig, config: TrainConfig,
                    out_dir: str | Path | None = None,
-                   eval_split: str = "test", workers: int | None = None) -> RunReport:
+                   eval_split: str = "test") -> RunReport:
     """Train once per seed, evaluate each best checkpoint, report the average.
 
     A failing seed is recorded with its error and excluded from the average;
-    at least one seed must succeed. See `multi_variant_run` for `workers`.
+    at least one seed must succeed. The seeds run side by side as
+    `multi_variant_run` describes.
     """
     return multi_variant_run(backbone, dataset, adapter_config, [config], out_dir,
-                             eval_split, workers)[0]
+                             eval_split)[0]

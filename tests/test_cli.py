@@ -18,13 +18,18 @@ from mmadapt.adapter import VariantState, load_adapter, save_adapter
 from mmadapt.cli import main
 from mmadapt.corpus import load_dataset
 from mmadapt.errors import FrozenViolation, InputError, NumericError
+from mmadapt.parallel import usable_cpus
 from mmadapt.trainer import build_pretrain_corpus
 
 
-def run_cli(*args, env=None, cwd=None):
+def run_cli(*args, env=None, cwd=None, preexec_fn=None):
     return subprocess.run([sys.executable, "-m", "mmadapt", *args],
                           capture_output=True, text=True, env=env, cwd=cwd,
-                          timeout=600)
+                          preexec_fn=preexec_fn, timeout=600)
+
+
+def digests(out):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
 
 
 SYNTH_FLAGS = ("--train", "24", "--valid", "9", "--test", "12", "--seed", "97")
@@ -332,24 +337,28 @@ def test_train_zero_knob_is_not_replaced_by_preset(tmp_path, capsys,
 
 
 def test_ablate_all_variants(tmp_path, cli_workspace):
+    # the default run trains the cells in a worker per usable CPU; one pinned
+    # to a single CPU trains them in its own process and must write the same
+    # bytes to the same place, the archived config included
+    pins = {"default": None}
+    if usable_cpus() >= 2:
+        pins["one-cpu"] = lambda: os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    out = tmp_path / "ablate"
     runs = {}
-    for workers in ("1", "2"):
-        out = tmp_path / f"ablate-{workers}"
+    for name, pin in pins.items():
+        shutil.rmtree(out, ignore_errors=True)
         r = run_cli("ablate", "--dataset", str(cli_workspace["data"]),
                     "--backbone", str(cli_workspace["backbone"]),
                     "--out", str(out), "--epochs", "1", "--batch-size", "8",
                     "--seed", "5", "--mix-width", "32", "--audio-hidden", "8",
                     "--vision-hidden", "8", "--token-count", "2",
-                    "--learning-rate", "0.005", "--workers", workers)
+                    "--learning-rate", "0.005", preexec_fn=pin)
         assert r.returncode == 0, r.stderr
-        # every output but the archived config, which records the knob
-        runs[workers] = (r.stdout.replace(str(out), "<out>"),
-                         {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                          for p in out.iterdir() if p.name != "ablate-config.json"})
-    assert runs["1"] == runs["2"]
-    # the ablation report and table, and per variant a report, a checkpoint
-    # and a step log
-    assert len(runs["1"][1]) == 2 + 3 * 7
+        runs[name] = (r.stdout, digests(out))
+    assert all(run == runs["default"] for run in runs.values())
+    # the archived config, the ablation report and table, and per variant a
+    # report, a checkpoint and a step log
+    assert len(runs["default"][1]) == 3 + 3 * 7
     table = (out / "ablate-table.txt").read_text()
     for label in ("w/o A", "w/o V", "w/o T", "w/o A,V", "w/o mixer",
                   "w/o fusion", "full"):
@@ -389,16 +398,19 @@ def pool_workers(pid) -> list[int]:
     return found
 
 
-def two_seed_train(cli_workspace, out, epochs="1"):
-    """`mmadapt train` on seeds 5 and 6 in two workers, in a session and
-    process group of its own."""
+needs_two_cpus = pytest.mark.skipif(usable_cpus() < 2,
+                                    reason="the worker pool needs two usable CPUs")
+
+
+def two_seed_train(cli_workspace, out, epochs="1", program=("-m", "mmadapt")):
+    """`mmadapt train` on seeds 5 and 6, in a session and process group of
+    its own; with two usable CPUs the seeds train in two workers."""
     flags = list(TRAIN_FLAGS)
     flags[flags.index("--seed"):flags.index("--seed") + 2] = ["--seeds", "5,6"]
     flags[flags.index("--epochs") + 1] = epochs
     return subprocess.Popen(
-        [sys.executable, "-m", "mmadapt", "train", "--dataset", str(cli_workspace["data"]),
-         "--backbone", str(cli_workspace["backbone"]), "--out", str(out), *flags,
-         "--workers", "2"],
+        [sys.executable, *program, "train", "--dataset", str(cli_workspace["data"]),
+         "--backbone", str(cli_workspace["backbone"]), "--out", str(out), *flags],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True)
 
 
@@ -410,6 +422,7 @@ def test_train_in_two_workers_leaves_no_process_behind(tmp_path, cli_workspace):
     assert group_gone(proc.pid)
 
 
+@needs_two_cpus
 def test_a_killed_worker_ends_train_with_exit_2(tmp_path, cli_workspace):
     proc = two_seed_train(cli_workspace, tmp_path, epochs="400")  # long enough to catch
     try:
@@ -426,6 +439,46 @@ def test_a_killed_worker_ends_train_with_exit_2(tmp_path, cli_workspace):
     assert "runtime failure: WorkerError: a worker process died" in err
     assert "Traceback" not in err
     assert not (tmp_path / "report-full.json").exists()
+    assert group_gone(proc.pid)
+
+
+# `mmadapt train` with a bug planted in seed 6; seed 5 would sleep ten minutes
+PLANTED_BUG = """
+import sys
+import time
+
+import mmadapt.trainer as trainer
+
+
+def train_run(backbone, dataset, adapter_config, config, seed, out_dir=None):
+    if seed == 6:
+        raise RuntimeError("planted bug in seed 6")
+    time.sleep(600)
+
+
+# spawn runs this module in every pool worker too, so the plant reaches them
+trainer.train_run = train_run
+
+if __name__ == "__main__":
+    from mmadapt.cli import main
+    sys.exit(main(sys.argv[1:]))
+"""
+
+
+@needs_two_cpus
+def test_a_cell_that_raises_ends_train_without_waiting_for_the_others(tmp_path, cli_workspace):
+    script = tmp_path / "planted.py"
+    script.write_text(PLANTED_BUG)
+    start = time.monotonic()
+    proc = two_seed_train(cli_workspace, tmp_path / "out", program=(str(script),))
+    try:
+        _, err = proc.communicate(timeout=120)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+    assert proc.returncode == 2, err
+    assert "RuntimeError: planted bug in seed 6" in err
+    assert time.monotonic() - start < 60
     assert group_gone(proc.pid)
 
 

@@ -1,8 +1,9 @@
 """Training cells in the worker pool: the same outputs in and out of it, a
 real per-seed failure inside a worker, one BLAS thread per worker, and the
-errors a worker can end with."""
+errors that stop a pool's tasks."""
 
 import hashlib
+import multiprocessing
 import os
 import signal
 import time
@@ -13,23 +14,41 @@ import pytest
 import mmadapt.trainer as trainer_mod
 from mmadapt import parallel
 from mmadapt.corpus import Dataset, subsample_train
-from mmadapt.errors import ConfigError, FrozenViolation, WorkerError
-from mmadapt.trainer import TrainConfig, multi_seed_run
+from mmadapt.errors import FrozenViolation, WorkerError
+from mmadapt.trainer import TrainConfig, multi_seed_run, multi_variant_run
+
+needs_two_cpus = pytest.mark.skipif(parallel.usable_cpus() < 2,
+                                    reason="tasks side by side need two usable CPUs")
 
 
 def digests(out):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
 
 
+def in_and_out_of_the_pool(monkeypatch, run):
+    """run(out_name) with every cell in this process, then with the cells in
+    the pool (which has one worker per usable CPU)."""
+    results = []
+    for workers in (1, 2):
+        monkeypatch.setattr(trainer_mod, "usable_workers", lambda tasks: workers)
+        results.append(run(str(workers)))
+    return results
+
+
+def fresh_pool():
+    """Throw the shared pool away, so the next call starts its processes."""
+    if parallel._pool is not None:
+        parallel._discard(parallel._pool)
+
+
 @pytest.mark.parametrize("variant", ["full", "no_text", "no_audio_vision"])
-def test_outputs_are_byte_identical_in_and_out_of_the_pool(tmp_path, small_synth, small_backbone,
-                                                           small_adapter_config, variant):
+def test_outputs_are_byte_identical_in_and_out_of_the_pool(monkeypatch, tmp_path, small_synth,
+                                                           small_backbone, small_adapter_config,
+                                                           variant):
     config = TrainConfig(learning_rate=5e-3, epochs=2, batch_size=8, seeds=(5, 6, 7),
                          variant=variant)
-    reports = []
-    for workers in (1, 2):
-        reports.append(multi_seed_run(small_backbone, small_synth, small_adapter_config, config,
-                                      out_dir=tmp_path / str(workers), workers=workers))
+    reports = in_and_out_of_the_pool(monkeypatch, lambda name: multi_seed_run(
+        small_backbone, small_synth, small_adapter_config, config, out_dir=tmp_path / name))
     assert reports[0] == reports[1]
     alone, pooled = digests(tmp_path / "1"), digests(tmp_path / "2")
     # a report, and a checkpoint and a step log per seed
@@ -38,7 +57,7 @@ def test_outputs_are_byte_identical_in_and_out_of_the_pool(tmp_path, small_synth
 
 
 def test_a_seed_that_draws_an_overlong_sample_fails_alike_in_a_worker(
-        tmp_path, small_synth, small_backbone, small_adapter_config):
+        monkeypatch, tmp_path, small_synth, small_backbone, small_adapter_config):
     train = list(small_synth["train"])
     long_text = "x" * small_backbone.config.max_seq
     train[0] = replace(train[0], text=long_text)
@@ -49,9 +68,8 @@ def test_a_seed_that_draws_an_overlong_sample_fails_alike_in_a_worker(
     assert 0 < len(drawn) < len(seeds)
     config = TrainConfig(learning_rate=5e-3, epochs=1, batch_size=8, seeds=seeds,
                          train_fraction=0.5)
-    reports = [multi_seed_run(small_backbone, dataset, small_adapter_config, config,
-                              out_dir=tmp_path / str(workers), workers=workers)
-               for workers in (1, 2)]
+    reports = in_and_out_of_the_pool(monkeypatch, lambda name: multi_seed_run(
+        small_backbone, dataset, small_adapter_config, config, out_dir=tmp_path / name))
     assert reports[0] == reports[1]
     failed = reports[1].failed_seeds
     assert [row["seed"] for row in failed] == drawn
@@ -60,29 +78,86 @@ def test_a_seed_that_draws_an_overlong_sample_fails_alike_in_a_worker(
     assert digests(tmp_path / "1") == digests(tmp_path / "2")
 
 
+def test_finished_variants_keep_their_reports_when_a_later_cell_raises(
+        monkeypatch, tmp_path, small_synth, small_backbone, small_adapter_config):
+    real = trainer_mod.train_run
+
+    def buggy(backbone, dataset, adapter_config, config, seed, out_dir=None):
+        if config.variant == "no_text":
+            raise RuntimeError("planted bug")
+        return real(backbone, dataset, adapter_config, config, seed, out_dir)
+
+    monkeypatch.setattr(trainer_mod, "train_run", buggy)
+    monkeypatch.setattr(trainer_mod, "usable_workers", lambda tasks: 1)
+    configs = [TrainConfig(learning_rate=5e-3, epochs=1, batch_size=8, seeds=(5,),
+                           variant=variant) for variant in ("full", "no_text")]
+    with pytest.raises(RuntimeError, match="planted bug"):
+        multi_variant_run(small_backbone, small_synth, small_adapter_config, configs,
+                          out_dir=tmp_path)
+    assert (tmp_path / "report-full.json").exists()
+    assert not (tmp_path / "report-no_text.json").exists()
+
+
 def test_pool_workers_run_one_blas_thread_and_the_parent_keeps_its_environment(monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    # three workers: a pool of its own, whose processes start here
-    seen = parallel.run_in_pool(os.getenv, [("OPENBLAS_NUM_THREADS",), ("OMP_NUM_THREADS",)] * 3,
-                                workers=3)
+    fresh_pool()
+    seen = list(parallel.run_in_pool(os.getenv,
+                                     [("OPENBLAS_NUM_THREADS",), ("OMP_NUM_THREADS",)] * 3))
     assert seen == ["1", "1"] * 3
     assert os.environ["OPENBLAS_NUM_THREADS"] == "4"
     assert "OMP_NUM_THREADS" not in os.environ
 
 
+def test_the_pool_starts_no_more_processes_than_tasks():
+    fresh_pool()
+    assert len(set(parallel.run_in_pool(os.getpid, [()]))) == 1
+    assert len(parallel._pool._processes) == 1
+
+
 def test_a_worker_that_dies_raises_worker_error_and_the_pool_recovers():
+    # fresh workers: an idle one could die while the pool still starts another
+    fresh_pool()
     with pytest.raises(WorkerError, match="worker process died"):
-        parallel.run_in_pool(os._exit, [(3,), (3,)], workers=2)
-    pids = parallel.run_in_pool(os.getpid, [()] * 4, workers=2)
+        list(parallel.run_in_pool(os._exit, [(3,), (3,)]))
+    pids = list(parallel.run_in_pool(os.getpid, [()] * 4))
     assert os.getpid() not in pids
     # a worker killed while the pool is idle fails the next call, not every later one
     for pid in set(pids):
         os.kill(pid, signal.SIGKILL)
     time.sleep(1.0)
     with pytest.raises(WorkerError, match="worker process died"):
-        parallel.run_in_pool(os.getpid, [()] * 2, workers=2)
-    assert os.getpid() not in parallel.run_in_pool(os.getpid, [()] * 2, workers=2)
+        list(parallel.run_in_pool(os.getpid, [()] * 2))
+    assert os.getpid() not in parallel.run_in_pool(os.getpid, [()] * 2)
+
+
+@needs_two_cpus
+def test_a_failing_task_kills_the_tasks_still_running():
+    fresh_pool()
+    start = time.monotonic()
+    # the first task would sleep a minute; the second fails at once
+    with pytest.raises(ValueError, match="non-negative"):
+        list(parallel.run_in_pool(time.sleep, [(60,), (-1,)]))
+    assert time.monotonic() - start < 30
+    assert parallel._pool is None
+    assert multiprocessing.active_children() == []
+
+
+def test_a_caller_that_stops_reading_kills_the_tasks_still_running():
+    fresh_pool()
+    start = time.monotonic()
+    rows = parallel.run_in_pool(time.sleep, [(0,), (60,)])
+    assert next(rows) is None
+    rows.close()
+    assert time.monotonic() - start < 30
+    assert multiprocessing.active_children() == []
+    # a caller that read every result keeps the pool
+    assert list(parallel.run_in_pool(abs, [(-1,), (-2,)])) == [1, 2]
+    pool = parallel._pool
+    rows = parallel.run_in_pool(abs, [(-3,)])
+    assert next(rows) == 3
+    rows.close()
+    assert parallel._pool is pool
 
 
 def test_a_worker_rejects_a_backbone_whose_checksum_differs(small_synth, small_backbone,
@@ -90,13 +165,14 @@ def test_a_worker_rejects_a_backbone_whose_checksum_differs(small_synth, small_b
     shipped = (small_backbone.config, small_backbone.arrays(), small_backbone.checksum ^ 1)
     cell = (small_synth, small_adapter_config, TrainConfig(epochs=1, seeds=(5,)), 5, [], None)
     with pytest.raises(FrozenViolation, match="rebuilt backbone"):
-        parallel.run_in_pool(trainer_mod._run_cell_in_worker, [(shipped, *cell)], workers=2)
+        list(parallel.run_in_pool(trainer_mod._run_cell_in_worker, [(shipped, *cell)]))
 
 
-def test_worker_count_defaults_to_usable_cpus_capped_at_the_cells():
+def test_usable_workers_are_the_usable_cpus_capped_at_the_tasks(monkeypatch):
     cpus = len(os.sched_getaffinity(0))
+    assert parallel.usable_cpus() == cpus
     assert parallel.usable_workers(100) == min(cpus, 100)
     assert parallel.usable_workers(1) == 1
-    assert parallel.usable_workers(3, workers=8) == 3
-    with pytest.raises(ConfigError, match="workers"):
-        parallel.usable_workers(3, workers=0)
+    # a platform without CPU affinity counts every CPU
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert parallel.usable_cpus() == os.cpu_count()

@@ -200,7 +200,7 @@ def test_interrupted_run_log_or_report_keeps_previous(tmp_path, monkeypatch, sma
     def run(lr):
         multi_seed_run(small_backbone, small_synth, small_adapter_config,
                        TrainConfig(learning_rate=lr, epochs=1, batch_size=8, seeds=(5,)),
-                       out_dir=tmp_path, workers=1)
+                       out_dir=tmp_path)
 
     run(5e-3)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}

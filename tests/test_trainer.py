@@ -504,6 +504,12 @@ def test_multi_seed_single_seed_mean_equals_row(small_synth, small_backbone,
     assert report.mean == report.per_seed[0]["metrics"]
 
 
+def in_process(tasks):
+    """A `usable_workers` that keeps every cell in this process, where a
+    monkeypatched function reaches it."""
+    return 1
+
+
 def test_multi_seed_run_prepares_the_eval_split_once(monkeypatch, small_synth, small_backbone,
                                                     small_adapter_config):
     real = trainer_mod.prepare_samples
@@ -514,8 +520,9 @@ def test_multi_seed_run_prepares_the_eval_split_once(monkeypatch, small_synth, s
         return real(backbone, samples, *args)
 
     monkeypatch.setattr(trainer_mod, "prepare_samples", counting)
+    monkeypatch.setattr(trainer_mod, "usable_workers", in_process)
     multi_seed_run(small_backbone, small_synth, small_adapter_config,
-                   _tiny_config(seeds=(5, 6), variant="no_text"), workers=1)
+                   _tiny_config(seeds=(5, 6), variant="no_text"))
     assert sum(s is small_synth["test"] for s in splits) == 1
 
 
@@ -529,9 +536,10 @@ def test_multi_seed_marks_failed_seed(monkeypatch, small_synth, small_backbone,
         return real(backbone, dataset, adapter_config, config, seed, out_dir)
 
     monkeypatch.setattr(trainer_mod, "train_run", flaky)
+    monkeypatch.setattr(trainer_mod, "usable_workers", in_process)
     config = _tiny_config(epochs=1, seeds=(5, 6))
     report = multi_seed_run(small_backbone, small_synth, small_adapter_config,
-                            config, workers=1)
+                            config)
     assert len(report.per_seed) == 1
     assert len(report.failed_seeds) == 1
     assert report.failed_seeds[0]["seed"] == 6
@@ -544,6 +552,7 @@ def test_multi_seed_all_failed_raises(monkeypatch, small_synth, small_backbone,
         raise NumericError("boom")
 
     monkeypatch.setattr(trainer_mod, "train_run", broken)
+    monkeypatch.setattr(trainer_mod, "usable_workers", in_process)
     with pytest.raises(InputError, match="every seed failed"):
         multi_seed_run(small_backbone, small_synth, small_adapter_config,
-                       _tiny_config(seeds=(5, 6)), workers=1)
+                       _tiny_config(seeds=(5, 6)))
