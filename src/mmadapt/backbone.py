@@ -134,8 +134,8 @@ def _forward(config: BackboneConfig, w: dict[str, T.Tensor], rows: T.Tensor,
         raise T.DimensionError(f"cannot return the last {n} of {l} rows")
     x = T.add(rows, T.slice_rows(w["pos"], 0, l))
     for i in range(config.layers):
-        x, _ = T.decoder_block(x, w, f"h{i}.", config.heads,
-                               n if i == config.layers - 1 else l)
+        x = T.decoder_block(x, w, f"h{i}.", config.heads,
+                            n if i == config.layers - 1 else l)
     xf = T.layernorm_rows(x, w["lnf.g"], w["lnf.b"])
     return T.matmul(xf, T.transpose(w["embed"]))  # tied unembedding
 

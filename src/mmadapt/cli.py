@@ -137,6 +137,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_value(command: str, key: str, value) -> None:
+    """ConfigError unless a config-file value's JSON type fits its knob: an
+    int knob takes an integer, a float knob any number, a str knob a string
+    (seeds also a list of integers), and null only where the default is
+    unset. Booleans are not numbers here."""
+    typ, default, _ = _SCHEMAS[command][key]
+    if value is None:
+        ok, want = default is None, "set"
+    elif typ is int:
+        ok, want = _is_int(value), "an integer"
+    elif typ is float:
+        ok, want = _is_int(value) or isinstance(value, float), "a number"
+    elif key == "seeds":
+        ok = isinstance(value, str) or (isinstance(value, list)
+                                        and all(_is_int(s) for s in value))
+        want = "a string or a list of integers"
+    else:
+        ok, want = isinstance(value, str), "a string"
+    if not ok:
+        raise ConfigError(f"config key {key!r} for {command} must be {want}, "
+                          f"got {json.dumps(value)}")
+
+
 def _effective_config(command: str, args: argparse.Namespace) -> dict:
     """defaults <- config file <- explicit flags, validated against the schema."""
     schema = _SCHEMAS[command]
@@ -155,6 +182,7 @@ def _effective_config(command: str, args: argparse.Namespace) -> dict:
             if key not in schema:
                 raise ConfigError(f"unknown config key {key!r} for {command}; "
                                   f"known keys: {sorted(schema)}")
+            _check_value(command, key, value)
             merged[key] = value
     for key in schema:
         flag = getattr(args, key)

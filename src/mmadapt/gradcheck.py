@@ -173,29 +173,26 @@ def gradcheck_primitives(seed: int = 0) -> list[GradCheckResult]:
             T.lstm_final(t["x"], t["wih"], t["whh"], t["b"]), w_lstm)),
          {"x": mat(4, 3), "wih": 0.5 * mat(12, 3), "whh": 0.5 * mat(12, 3),
           "b": 0.5 * mat(12, 1)}),
-        # the key bias shifts every score of a query row alike, so without
-        # past keys its gradient is identically zero and central differences
-        # would see only roundoff; the cached row checks it
+        # the key bias shifts every score of a query row alike, so its
+        # gradient is identically zero and central differences would see
+        # only roundoff; test_decoder_block_key_bias_gradient_is_zero in
+        # tests/test_tensor.py pins that zero against bq's gradient
         ("decoder_block", lambda t: T.sum_all(T.hadamard(
-            T.decoder_block(t["x"], {**key_bias, **t}, "", 2, 4)[0], w_block)),
+            T.decoder_block(t["x"], {**key_bias, **t}, "", 2, 4), w_block)),
          {"x": mat(4, 4), **_block_arrays(mat, skip="bk")}),
         ("decoder_block_frozen", lambda t: T.sum_all(T.hadamard(
-            T.decoder_block(t["x"], frozen, "", 2, 4)[0], w_block)),
+            T.decoder_block(t["x"], frozen, "", 2, 4), w_block)),
          {"x": mat(4, 4)}),
         ("decoder_block_pruned", lambda t: T.sum_all(T.hadamard(
-            T.decoder_block(t["x"], {**key_bias, **t}, "", 2, 2)[0],
+            T.decoder_block(t["x"], {**key_bias, **t}, "", 2, 2),
             T.slice_rows(w_block, 0, 2))),
          {"x": mat(4, 4), **_block_arrays(mat, skip="bk")}),
-        ("decoder_block_cached", lambda t: T.sum_all(T.hadamard(
-            T.decoder_block(t["x"], t, "", 2, 2, past)[0], T.slice_rows(w_block, 0, 2))),
-         {"x": mat(2, 4), **_block_arrays(mat)}),
     ]
     # drawn after every input above, so the older rows keep their instances
     w_lstm = T.Tensor._wrap(rng.standard_normal((3, 1)), False, None)
     w_block = T.Tensor._wrap(rng.standard_normal((4, 4)), False, None)
     frozen = {n: T.Tensor._wrap(a, False, None) for n, a in _block_arrays(mat).items()}
     key_bias = {"bk": frozen["bk"]}
-    past = (mat(3, 4), mat(3, 4))
     # the batched adapter's ops; the LSTM batch holds a 1-frame sequence and
     # its longest sequence is not first
     checks += [

@@ -82,7 +82,10 @@ def write_container(path: str | Path, magic: bytes, config: bytes,
 
 
 def read_container(path: str | Path, magic: bytes) -> tuple[bytes, list[tuple[str, np.ndarray]]]:
-    blob = Path(path).read_bytes()
+    try:
+        blob = Path(path).read_bytes()
+    except OSError as exc:
+        raise CheckpointError(f"{path}: cannot read: {exc.strerror or exc}") from exc
     if len(blob) < 20:
         raise CheckpointError(f"{path}: truncated container")
     if blob[:4] != magic:
@@ -146,8 +149,11 @@ def write_features(path: str | Path, features: np.ndarray) -> None:
 
 def read_features(path: str | Path) -> np.ndarray:
     """Load a feature matrix, promoted to float64 for all in-memory math."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read: {exc.strerror or exc}") from exc
     if len(blob) < 20 or blob[:4] != FEATURE_MAGIC:
         raise InputError(f"{path}: not a feature file")
     rows, cols = struct.unpack_from("<II", blob, 4)

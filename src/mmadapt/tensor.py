@@ -718,9 +718,8 @@ def _block_out(xq: np.ndarray, merged: np.ndarray,
     return x1 + (gl @ wf2 + bf2), (h2, xhat2, inv2, a, t, gl)
 
 
-def decoder_block(x: Tensor, w: dict[str, Tensor], prefix: str, heads: int, last: int,
-                  past: tuple[np.ndarray, np.ndarray] | None = None
-                  ) -> tuple[Tensor, tuple[np.ndarray, np.ndarray]]:
+def decoder_block(x: Tensor, w: dict[str, Tensor], prefix: str, heads: int,
+                  last: int) -> Tensor:
     """One pre-norm transformer block over the (l, d) rows of x:
 
         h1 = ln1(x);  q, k, v = h1 wq + bq, h1 wk + bk, h1 wv + bv
@@ -731,16 +730,13 @@ def decoder_block(x: Tensor, w: dict[str, Tensor], prefix: str, heads: int, last
     GELU. Attention is causal and multi-head: each head owns d / heads
     adjacent columns and attends with softmax of q k^T / sqrt(d / heads),
     future positions masked to MASK_VALUE. Keys and values come from every
-    row, after the rows of `past` (their keys and values, attended to and
-    returned in front); queries, the output projection and the feed-forward
-    run only on the last `last` rows, which is all the result holds.
+    row; queries, the output projection and the feed-forward run only on
+    the last `last` rows, which are the output rows returned.
 
-    Returns the output rows and the (keys, values) arrays of past and
-    present rows. Those are plain arrays: a cache built from them is a
-    constant to the tape. The block is one tape record. The forward keeps
-    the operation order of the chain of primitives it replaces, so it is
-    bit-identical to it; the backward always computes dx and computes a
-    weight's gradient only when that weight requires one.
+    The block is one tape record. The forward keeps the operation order of
+    the chain of primitives it replaces, so it is bit-identical to it; the
+    backward always computes dx and computes a weight's gradient only when
+    that weight requires one.
     """
     _need_2d(x, "decoder_block")
     l, d = x.shape
@@ -748,9 +744,6 @@ def decoder_block(x: Tensor, w: dict[str, Tensor], prefix: str, heads: int, last
         raise DimensionError(f"decoder_block: width {d} not divisible by {heads} heads")
     if not 1 <= last <= l:
         raise DimensionError(f"decoder_block: cannot return the last {last} of {l} rows")
-    if past is not None and (past[0].shape != past[1].shape or past[0].shape[1] != d):
-        raise DimensionError(f"decoder_block: past keys {past[0].shape} and values "
-                             f"{past[1].shape} must be equal (rows, {d}) arrays")
     ws = [w[prefix + name] for name in BLOCK_WEIGHTS]
     g1, b1, wq, bq, wk, bk, wv, bv, wo, bo, g2, b2, wf1, bf1, wf2, bf2 = ws
     wd = [t.data for t in ws]
@@ -761,13 +754,9 @@ def decoder_block(x: Tensor, w: dict[str, Tensor], prefix: str, heads: int, last
 
     h1, xhat1, inv1, q, k, v = _block_in(x.data, wd, slice(l - last, None))
     hq = h1[l - last:]
-    if past is not None:
-        k = np.concatenate([past[0], k])
-        v = np.concatenate([past[1], v])
-    lk = k.shape[0]
     qh, kh, vh = split(q), split(k), split(v)
     # a lone query row is the newest position and sees every key
-    mask = np.triu(np.full((last, lk), MASK_VALUE), k=1 + lk - last) if last > 1 else None
+    mask = np.triu(np.full((last, l), MASK_VALUE), k=1 + l - last) if last > 1 else None
     att, merged = _attend(qh, kh, vh, mask)
     out, (h2, xhat2, inv2, a, t, gl) = _block_out(x.data[l - last:], merged, wd)
 
@@ -786,8 +775,8 @@ def decoder_block(x: Tensor, w: dict[str, Tensor], prefix: str, heads: int, last
         gh = split(linear_back(merged, wo, bo, dx1))
         datt = gh @ vh.transpose(0, 2, 1)
         dscores = att * (datt - (datt * att).sum(axis=2, keepdims=True)) * s
-        dv = _merge_heads(att.transpose(0, 2, 1) @ gh)[lk - l:]
-        dk = _merge_heads(dscores.transpose(0, 2, 1) @ qh)[lk - l:]
+        dv = _merge_heads(att.transpose(0, 2, 1) @ gh)
+        dk = _merge_heads(dscores.transpose(0, 2, 1) @ qh)
         dh1 = linear_back(h1, wv, bv, dv) + linear_back(h1, wk, bk, dk)
         dh1[l - last:] += linear_back(hq, wq, bq, _merge_heads(dscores @ kh))
         dx = _layernorm_back(dh1, xhat1, inv1, g1, b1)
@@ -795,7 +784,7 @@ def decoder_block(x: Tensor, w: dict[str, Tensor], prefix: str, heads: int, last
         if x.requires_grad:
             x._accum(dx)
 
-    return _finish(out, (x, *ws), back), (k, v)
+    return _finish(out, (x, *ws), back)
 
 
 def decoder_block_batched(x: np.ndarray, w: dict[str, Tensor], prefix: str, heads: int,

@@ -6,8 +6,9 @@ wrong is not. The exceptions are at the end: the per-frame LSTM, the
 per-head attention and the per-layer decoder block composed from the tape's
 primitives, which the fused kernels replaced and must reproduce; the
 adapter's forward for one sample as a chain of column-vector primitives,
-which the batched adapter replaced; and greedy decoding of one sample at a
-time, with and without a per-layer key/value cache.
+which the batched adapter replaced; and greedy decoding of one sample that
+runs the full forward again for every new token, the reference that the
+batched key/value-cached decoding is checked against.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 
 from mmadapt import tensor as T
 from mmadapt.backbone import EOS
-from mmadapt.errors import LengthError
 
 
 def matmul_loops(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -233,55 +233,9 @@ def pseudo_tokens_chain(params, text_rows, audio, vision, state):
 # greedy decoding one sample at a time
 
 
-def forward_rows_cached(backbone, rows, cache: list, last: int | None = None):
-    """`backbone.forward_rows` after the rows whose keys and values `cache`
-    holds, one (keys, values) pair of plain arrays per layer, constants to
-    the tape: the new rows attend to them and take the positions after
-    them, and their own keys and values are appended. An empty list starts
-    a cache. The per-sample cache that batched decoding replaced."""
-    config, w = backbone.config, backbone._weights
-    l = rows.shape[0]
-    past = cache[0][0].shape[0] if cache else 0
-    if past + l > config.max_seq:
-        raise LengthError(f"sequence length {past + l} exceeds max {config.max_seq}")
-    n = l if last is None else last
-    x = T.add(rows, T.slice_rows(w["pos"], past, past + l))
-    for i in range(config.layers):
-        x, kv = T.decoder_block(x, w, f"h{i}.", config.heads,
-                                n if i == config.layers - 1 else l,
-                                cache[i] if past else None)
-        if past:
-            cache[i] = kv
-        else:
-            cache.append(kv)
-    xf = T.layernorm_rows(x, w["lnf.g"], w["lnf.b"])
-    return T.matmul(xf, T.transpose(w["embed"]))
-
-
-def generate_cached_ids(backbone, rows, max_new: int = 8) -> list[int]:
-    """Greedy decoding of one sample from a per-layer key/value cache: the
-    rows run through `forward_rows_cached` once, then each new token costs
-    one row. The per-sample loop that the batched `backbone.generate`
-    replaced."""
-    length = rows.shape[0]
-    cache: list = []
-    out: list[int] = []
-    for _ in range(max_new):
-        if length >= backbone.config.max_seq:
-            break
-        logits = forward_rows_cached(backbone, rows, cache, last=1)
-        nxt = int(np.argmax(logits.data[-1]))
-        if nxt == EOS:
-            break
-        out.append(nxt)
-        rows = T.Tensor._wrap(backbone.embed([nxt]), False, None)
-        length += 1
-    return out
-
-
 def generate_uncached_ids(backbone, rows, max_new: int = 8) -> list[int]:
     """Greedy decoding that runs the full forward again for every new token;
-    the ids `backbone.generate` must emit from its key/value cache."""
+    the ids `backbone.generate` must emit from its batched key/value cache."""
     rows = rows.data
     out: list[int] = []
     for _ in range(max_new):

@@ -1,7 +1,7 @@
-"""Batched greedy decoding: `prefill` and `step` against the per-sample
-cached forward, and `generate` over blocks of samples against the
-per-sample cached loop and the uncached oracle. A block is a list of row
-arrays, as `generate` takes it."""
+"""Batched greedy decoding: `prefill` and `step` against the full forward
+of each sample's rows so far, and `generate` over blocks of samples against
+the uncached one-sample oracle. A block is a list of row arrays, as
+`generate` takes it."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ from mmadapt import tensor as T
 from mmadapt.adapter import AdapterConfig, AdapterParams, make_variant_state
 from mmadapt.trainer import EVAL_BLOCK, eval_token_budget, prepare_samples
 
-from oracles import forward_rows_cached, generate_cached_ids, generate_uncached_ids
+from oracles import generate_uncached_ids
 from test_cached_decoding import eval_pieces, make_frozen, preset_samples
 
 # a greedy step whose top two logits are this close may take either token
@@ -43,12 +43,11 @@ def assert_same_greedy(backbone, rows, got, want):
 
 
 def check_block(backbone, blocks, budget):
-    """generate over the whole block against both one-sample oracles."""
+    """generate over the whole block against the uncached one-sample oracle."""
     got = B.generate(backbone, blocks, budget)
     assert len(got) == len(blocks)
     for pieces, ids in zip(blocks, got):
         rows = T.Tensor(np.concatenate(pieces))
-        assert_same_greedy(backbone, rows, ids, generate_cached_ids(backbone, rows, budget))
         assert_same_greedy(backbone, rows, ids, generate_uncached_ids(backbone, rows, budget))
     return got
 
@@ -68,9 +67,12 @@ def test_prefill_and_steps_equal_the_per_sample_cached_forward(config):
     assert logits.shape == (5, B.VOCAB_SIZE)
     # the longest prefill plus the room
     assert cache.layers[0][0].shape == (5, 2, 16, config.embed_width // 2)
-    caches = [[] for _ in blocks]
-    assert_rows_close(logits, [forward_rows_cached(frozen, T.Tensor(rows), c, last=1).data[-1]
-                               for rows, c in zip(blocks, caches)])
+    seen = list(blocks)  # each sample's rows so far
+
+    def last_logits(live):
+        return [frozen.forward_rows(T.Tensor(seen[s])).data[-1] for s in live]
+
+    assert_rows_close(logits, last_logits(range(5)))
     rng = np.random.default_rng(config.layers)
     live = list(range(5))
     for keep in (None, [0, 2, 3], None, [2]):
@@ -78,11 +80,11 @@ def test_prefill_and_steps_equal_the_per_sample_cached_forward(config):
             live = [live[j] for j in keep]
             cache = cache.select(keep)
         ids = [int(i) for i in rng.integers(0, 256, len(live))]
+        for s, i in zip(live, ids):
+            seen[s] = np.concatenate([seen[s], frozen.embed([i])])
         logits = frozen.step(cache, ids)
-        assert_rows_close(logits, [
-            forward_rows_cached(frozen, T.Tensor(frozen.embed([i])), caches[s], last=1).data[-1]
-            for s, i in zip(live, ids)])
-        assert list(cache.lengths) == [caches[s][0][0].shape[0] for s in live]
+        assert_rows_close(logits, last_logits(live))
+        assert list(cache.lengths) == [len(seen[s]) for s in live]
     assert cache.lengths[0] == 16  # sample 3 filled its room
     with pytest.raises(B.LengthError, match="full"):
         frozen.step(cache, [65])

@@ -1,6 +1,6 @@
-"""Row pruning and the key/value cache: `forward_rows(..., last=)` and the
-per-sample cache oracle against the full forward, greedy decoding against
-the uncached oracle, and the pruned label loss against the full-row one."""
+"""Row pruning and cached decoding: `forward_rows(..., last=)` against the
+full forward, greedy decoding against the uncached oracle, and the pruned
+label loss against the full-row one."""
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from mmadapt.presets import get_preset
 from mmadapt.trainer import (eval_token_budget, label_loss, prepare_samples,
                              sample_loss)
 
-from oracles import forward_rows_cached, generate_uncached_ids
+from oracles import generate_uncached_ids
 
 TWO_LAYERS = B.BackboneConfig(embed_width=16, layers=2, heads=2, ffn_mult=2, max_seq=48)
 
@@ -45,29 +45,14 @@ def test_last_rows_equal_full_forward(n):
         assert np.array_equal(got, full)
 
 
-@pytest.mark.parametrize("layers", [1, 2])
-def test_cache_prefill_then_single_rows_equal_full_forward(layers):
-    config = B.BackboneConfig(embed_width=16, layers=layers, heads=2, ffn_mult=2,
-                              max_seq=48)
-    frozen = make_frozen(config)
-    rows = rows_of(frozen, 12, seed=layers)
-    full = frozen.forward_rows(T.Tensor(rows)).data
-    cache = []
-    got = [forward_rows_cached(frozen, T.Tensor(rows[:7]), cache).data]
-    assert len(cache) == layers and cache[0][0].shape == (7, 16)
-    for i in range(7, 12):
-        got.append(forward_rows_cached(frozen, T.Tensor(rows[i:i + 1]), cache, last=1).data)
-    assert cache[-1][1].shape == (12, 16)
-    assert_allclose(np.concatenate(got), full, rtol=0, atol=1e-12)
-
-
 def test_cache_counts_toward_max_seq_and_last_is_checked():
     frozen = make_frozen()
-    cache = []
-    forward_rows_cached(frozen, T.Tensor(rows_of(frozen, 46)), cache, last=1)
-    forward_rows_cached(frozen, T.Tensor(rows_of(frozen, 2)), cache, last=1)
-    with pytest.raises(LengthError, match="49 exceeds max 48"):
-        forward_rows_cached(frozen, T.Tensor(rows_of(frozen, 1)), cache, last=1)
+    # the room asked for past max_seq is cut: 46 + 2 rows fill the cache
+    _, cache = frozen.prefill([[rows_of(frozen, 46)]], room=8)
+    frozen.step(cache, [65])
+    frozen.step(cache, [66])
+    with pytest.raises(LengthError, match="holds 48 rows per sample and is full"):
+        frozen.step(cache, [67])
     with pytest.raises(LengthError, match="49 exceeds max 48"):
         frozen.forward_rows(T.Tensor(rows_of(frozen, 49)), last=1)
     for bad in (0, 4):

@@ -248,7 +248,61 @@ def test_eval_missing_checkpoint(cli_workspace):
     r = run_cli("eval", "--checkpoint", "/nonexistent.msea",
                 "--backbone", str(cli_workspace["backbone"]),
                 "--dataset", str(cli_workspace["data"]))
-    assert r.returncode in (1, 2)
+    assert r.returncode == 1, r.stderr
+    assert "/nonexistent.msea" in r.stderr and "Traceback" not in r.stderr
+
+
+def missing_feature_file(tmp_path, ws):
+    """A copy of the dataset whose first record's audio file is deleted."""
+    data = tmp_path / "data"
+    shutil.copytree(ws["data"], data)
+    first = json.loads((data / "manifest.jsonl").read_text(encoding="utf-8").splitlines()[0])
+    (data / first["audio"]).unlink()
+    return ["pretrain-backbone", "--dataset", str(data), "--out", str(tmp_path / "bb")]
+
+
+def config_file(command, values, *paths):
+    """Arguments that run `command` with `values` in a config file and the
+    workspace's dataset and backbone for the flags named in `paths`."""
+    def args(tmp_path, ws):
+        (tmp_path / "cfg.json").write_text(json.dumps(values))
+        flags = [a for flag in paths
+                 for a in (f"--{flag}", str(ws["data" if flag == "dataset" else flag]))]
+        return [command, "--config", str(tmp_path / "cfg.json"),
+                "--out", str(tmp_path / "out"), *flags]
+    return args
+
+
+def train_config(values):
+    return config_file("train", values, "dataset", "backbone")
+
+
+BAD_INPUTS = {
+    "missing-backbone": lambda tmp_path, ws: [
+        "train", "--dataset", str(ws["data"]), "--backbone", str(tmp_path / "nope.mseb"),
+        "--out", str(tmp_path / "out")],
+    "missing-checkpoint": lambda tmp_path, ws: [
+        "eval", "--checkpoint", str(tmp_path / "nope.msea"), "--backbone",
+        str(ws["backbone"]), "--dataset", str(ws["data"])],
+    "missing-feature-file": missing_feature_file,
+    "seeds-not-integers": train_config({"seeds": ["a"]}),
+    "seeds-not-a-list": train_config({"seeds": 5}),
+    "int-as-string": config_file("synth", {"classes": "3"}),
+    "int-as-real": config_file("pretrain-backbone", {"steps": 1.5}, "dataset"),
+    "int-as-boolean": train_config({"epochs": True}),
+    "float-as-string": train_config({"clip_norm": "1.0"}),
+    "null-with-a-default": train_config({"variant": None}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_one_without_traceback(tmp_path, cli_workspace, case):
+    """A missing artifact file, or a config-file value whose JSON type does
+    not fit its knob, exits 1 with a one-line message."""
+    r = run_cli(*BAD_INPUTS[case](tmp_path, cli_workspace))
+    assert r.returncode == 1, r.stderr
+    assert "Traceback" not in r.stderr
+    assert len(r.stderr.strip().splitlines()) == 1, r.stderr
 
 
 @pytest.mark.parametrize("meta", ["{not json", '{"task": "emotion"}',
