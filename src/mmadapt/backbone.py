@@ -115,27 +115,41 @@ def init_weights(config: BackboneConfig, rng: np.random.Generator) -> dict[str, 
 
 
 def _forward(config: BackboneConfig, w: dict[str, T.Tensor], rows: T.Tensor,
-             last: int | None = None) -> T.Tensor:
-    """Embedded rows -> next-token logits of the last `last` rows (all rows
-    when None).
+             last: int | None = None, first: Sequence[int] | None = None) -> T.Tensor:
+    """Embedded rows -> next-token logits of `last` rows per sample (all
+    rows when None).
+
+    `rows` holds one sample's rows or, with `first`, the rows of
+    B = len(first) samples stacked, each right-padded to the same count l
+    and each at positions 0 .. l - 1. Sample b's logits are those of its
+    rows first[b] .. first[b] + last - 1 (its last `last` rows without
+    `first`), stacked in sample order. Causal attention keeps each sample's
+    padding out of its real rows.
 
     Each layer is one `T.decoder_block`, one tape record. Every block
     computes keys and values for all rows; the final block runs its queries,
     output projection and feed-forward, and then the final norm and the
     unembedding, on the rows returned only.
     """
-    l, d = rows.shape
+    b_count = 1 if first is None else len(first)
+    total, d = rows.shape
     if d != config.embed_width:
         raise T.DimensionError(f"input width {d} != embed width {config.embed_width}")
+    if b_count == 0 or total % b_count:
+        raise T.DimensionError(f"{total} rows do not split into {b_count} samples")
+    l = total // b_count
     if l > config.max_seq:
         raise LengthError(f"sequence length {l} exceeds max {config.max_seq}")
     n = l if last is None else last
     if not 1 <= n <= l:
         raise T.DimensionError(f"cannot return the last {n} of {l} rows")
-    x = T.add(rows, T.slice_rows(w["pos"], 0, l))
+    pos = T.slice_rows(w["pos"], 0, l)
+    x = T.add(rows, pos if first is None else T.concat_rows([pos] * b_count))
+    every = None if first is None else [0] * b_count
     for i in range(config.layers):
-        x = T.decoder_block(x, w, f"h{i}.", config.heads,
-                            n if i == config.layers - 1 else l)
+        final = i == config.layers - 1
+        x = T.decoder_block(x, w, f"h{i}.", config.heads, n if final else l,
+                            first if final else every)
     xf = T.layernorm_rows(x, w["lnf.g"], w["lnf.b"])
     return T.matmul(xf, T.transpose(w["embed"]))  # tied unembedding
 
@@ -202,9 +216,11 @@ class FrozenBackbone:
             raise TokenError(f"id outside vocabulary 0..{VOCAB_SIZE - 1}")
         return self._weights["embed"].data[idx]
 
-    def forward_rows(self, rows: T.Tensor, *, last: int | None = None) -> T.Tensor:
-        """Logits of the last `last` rows (all rows when None); see `_forward`."""
-        return _forward(self.config, self._weights, rows, last)
+    def forward_rows(self, rows: T.Tensor, *, last: int | None = None,
+                     first: Sequence[int] | None = None) -> T.Tensor:
+        """Logits of `last` rows per sample (all rows when None) of one
+        sample's rows, or of a padded batch with `first`; see `_forward`."""
+        return _forward(self.config, self._weights, rows, last, first)
 
     def prefill(self, blocks: Sequence[Sequence[np.ndarray]],
                 room: int) -> tuple[np.ndarray, DecodeCache]:
@@ -329,6 +345,17 @@ def _greedy_ids(backbone: FrozenBackbone, blocks: Sequence[Sequence[np.ndarray]]
         logits = backbone.step(cache, [out[i][-1] for i in live])
 
 
+def check_pretrain_knobs(steps: int, lr: float, weight_decay: float) -> None:
+    """ConfigError unless the pretraining steps, learning rate and weight
+    decay can train: steps >= 0, lr > 0 and weight_decay >= 0."""
+    if steps < 0:
+        raise ConfigError(f"pretraining steps must be >= 0, got {steps}")
+    if not lr > 0:
+        raise ConfigError(f"pretraining learning rate must be > 0, got {lr}")
+    if not weight_decay >= 0:
+        raise ConfigError(f"weight decay must be >= 0, got {weight_decay}")
+
+
 def pretrain_backbone(corpus: Sequence[str], steps: int, seed: int,
                       config: BackboneConfig | None = None, lr: float = 3e-3,
                       weight_decay: float = 0.0) -> tuple[FrozenBackbone, list[float]]:
@@ -337,6 +364,7 @@ def pretrain_backbone(corpus: Sequence[str], steps: int, seed: int,
     Each step draws one corpus line (seeded), appends EOS, and supervises
     every position. steps=0 freezes the seeded initialization untouched.
     """
+    check_pretrain_knobs(steps, lr, weight_decay)
     config = config or BackboneConfig()
     lines = [str(s) for s in corpus]
     if not lines or any(len(s) == 0 for s in lines):

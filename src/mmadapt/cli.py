@@ -25,7 +25,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .adapter import VARIANTS, AdapterConfig, load_adapter
-from .backbone import BackboneConfig, FrozenBackbone, pretrain_backbone
+from .backbone import BackboneConfig, FrozenBackbone, check_pretrain_knobs, pretrain_backbone
 from .corpus import Dataset, SyntheticSpec, generate_synthetic, load_dataset
 from .errors import (
     CheckpointError,
@@ -285,14 +285,15 @@ def cmd_synth(cfg: dict) -> int:
 def cmd_pretrain_backbone(cfg: dict) -> int:
     _require(cfg, "pretrain-backbone", "dataset")
     dataset = load_dataset(cfg["dataset"])
-    out = _output_dir(cfg, "pretrain-backbone")
-    _archive(out, "pretrain-backbone", cfg)
     token_count = _or_preset(cfg, "token_count",
                              dataset.preset.adapter_defaults.token_count)
     corpus = build_pretrain_corpus(dataset, dataset.preset, token_count)
     config = BackboneConfig(embed_width=cfg["embed_width"], layers=cfg["layers"],
                             heads=cfg["heads"], ffn_mult=cfg["ffn_mult"],
                             max_seq=cfg["max_seq"])
+    check_pretrain_knobs(cfg["steps"], cfg["lr"], cfg["weight_decay"])
+    out = _output_dir(cfg, "pretrain-backbone")
+    _archive(out, "pretrain-backbone", cfg)
     backbone, losses = pretrain_backbone(corpus, cfg["steps"], cfg["seed"],
                                          config=config, lr=cfg["lr"],
                                          weight_decay=cfg["weight_decay"])
@@ -313,10 +314,10 @@ def cmd_pretrain_backbone(cfg: dict) -> int:
 def cmd_train(cfg: dict) -> int:
     _require(cfg, "train", "dataset", "backbone")
     dataset, backbone = _load_pair(cfg)
-    out = _output_dir(cfg, "train")
-    _archive(out, "train", cfg)
     adapter_config = _resolve_adapter_config(cfg, dataset, backbone)
     train_config = _resolve_train_config(cfg, dataset)
+    out = _output_dir(cfg, "train")
+    _archive(out, "train", cfg)
     report = multi_seed_run(backbone, dataset, adapter_config, train_config,
                             out_dir=out)
     for row in report.per_seed:
@@ -358,14 +359,14 @@ def cmd_eval(cfg: dict) -> int:
 def cmd_ablate(cfg: dict) -> int:
     _require(cfg, "ablate", "dataset", "backbone")
     dataset, backbone = _load_pair(cfg)
+    adapter_config = _resolve_adapter_config(cfg, dataset, backbone)
+    configs = [_resolve_train_config({**cfg, "variant": variant}, dataset)
+               for variant in VARIANTS]
     out = _output_dir(cfg, "ablate")
     _archive(out, "ablate", cfg)
-    adapter_config = _resolve_adapter_config(cfg, dataset, backbone)
     results: dict[str, MetricReport] = {}
     payload: dict[str, dict] = {}
     count = len(dataset["test"])
-    configs = [_resolve_train_config({**cfg, "variant": variant}, dataset)
-               for variant in VARIANTS]
     reports = multi_variant_run(backbone, dataset, adapter_config, configs,
                                 out_dir=out)
     for variant, report in zip(VARIANTS, reports):

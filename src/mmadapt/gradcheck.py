@@ -22,7 +22,7 @@ from . import tensor as T
 from .adapter import AdapterConfig, AdapterParams, VariantState
 from .backbone import (EOS, BackboneConfig, FrozenBackbone, init_weights, tokenize,
                        weight_shapes)
-from .trainer import PreparedSample, batch_step, block_loss, pseudo_blocks, sample_loss
+from .trainer import PreparedSample, batch_step, block_losses, pseudo_blocks, sample_loss
 
 PRIMITIVE_TOL = 1e-6
 FULL_TOL = 1e-4
@@ -212,6 +212,20 @@ def gradcheck_primitives(seed: int = 0) -> list[GradCheckResult]:
     ]
     w_outer = T.Tensor._wrap(rng.standard_normal((6, 4)), False, None)
     w_lstm_batch = T.Tensor._wrap(rng.standard_normal((3, 3)), False, None)
+    # the block over a ragged batch as training runs its frozen final layer:
+    # samples of 4, 6 and 3 rows padded to 6 with zero rows, and label
+    # windows of 2, 3 and 1 rows padded to 3, from rows min(length - window,
+    # 6 - 3); the padding and the rows outside the windows weigh nothing
+    lengths, windows = (4, 6, 3), (2, 3, 1)
+    first = [min(n - k, 6 - 3) for n, k in zip(lengths, windows)]
+    x_batch = mat(18, 4)
+    w_windows = rng.standard_normal((9, 4))
+    for b, (length, window) in enumerate(zip(lengths, windows)):
+        x_batch[6 * b + length:6 * (b + 1)] = 0.0
+        w_windows[3 * b + window:3 * (b + 1)] = 0.0
+    w_windows = T.Tensor._wrap(w_windows, False, None)
+    checks.append(("decoder_block_batch", lambda t: T.sum_all(T.hadamard(
+        T.decoder_block(t["x"], frozen, "", 2, 3, first), w_windows)), {"x": x_batch}))
     return [_check(name, build, arrays, PRIMITIVE_TOL)
             for name, build, arrays in checks]
 
@@ -264,11 +278,8 @@ def gradcheck_full(seed: int = 0) -> list[GradCheckResult]:
         return sample_loss(backbone, params, batch[0], state).item()
 
     def batch_value() -> float:
-        n = params.config.token_count
-        pseudo = pseudo_blocks(params, batch, state).data
-        blocks = [T.Tensor._wrap(pseudo[i * n:(i + 1) * n], False, None)
-                  for i in range(len(batch))]
-        return sum(block_loss(backbone, p, b).item() for p, b in zip(batch, blocks)) / len(batch)
+        pseudo = pseudo_blocks(params, batch, state)
+        return float(block_losses(backbone, batch, pseudo).data.sum()) / len(batch)
 
     results = []
     for prefix, value, analytic in (("", single_value, single),

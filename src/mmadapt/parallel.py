@@ -12,7 +12,12 @@ Workers start from `spawn`, never `fork`, so they share no thread or lock
 state with the parent. Each starts with one BLAS and one OpenMP thread: the
 variables must be in its environment before it imports numpy, and two
 multi-threaded BLAS processes on two cores run several times slower than two
-single-threaded ones.
+single-threaded ones. Each also starts with glibc's malloc serving every
+array from its heap and keeping what is freed there (other C libraries
+ignore the variables): a training step allocates and frees megabytes of
+activations per sub-batch, and with the default thresholds those pages go
+back to the system and fault in again on every sub-batch, which costs a
+worker most of what batching the backbone saves.
 """
 
 from __future__ import annotations
@@ -27,7 +32,8 @@ from typing import Callable, Iterator, Sequence
 
 from .errors import WorkerError
 
-ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+              "MALLOC_MMAP_THRESHOLD_": str(32 << 20), "MALLOC_TRIM_THRESHOLD_": str(128 << 20)}
 
 # the pool of this process: built lazily, shared by every caller
 _lock = threading.Lock()
@@ -49,12 +55,12 @@ def usable_workers(tasks: int) -> int:
 
 
 @contextlib.contextmanager
-def _one_thread_environment() -> Iterator[None]:
-    """ONE_THREAD in os.environ while worker processes start; the old values
+def _worker_environment() -> Iterator[None]:
+    """WORKER_ENV in os.environ while worker processes start; the old values
     come back afterwards. A worker inherits the environment it was started
     with."""
-    saved = {key: os.environ.get(key) for key in ONE_THREAD}
-    os.environ.update(ONE_THREAD)
+    saved = {key: os.environ.get(key) for key in WORKER_ENV}
+    os.environ.update(WORKER_ENV)
     try:
         yield
     finally:
@@ -98,7 +104,7 @@ def run_in_pool(fn: Callable, tasks: Sequence[tuple]) -> Iterator:
     futures = []
     try:
         # the pool starts its processes as tasks are submitted
-        with _one_thread_environment():
+        with _worker_environment():
             for task in tasks:
                 futures.append(pool.submit(fn, *task))
         pending = set(futures)

@@ -719,8 +719,8 @@ def _block_out(xq: np.ndarray, merged: np.ndarray,
 
 
 def decoder_block(x: Tensor, w: dict[str, Tensor], prefix: str, heads: int,
-                  last: int) -> Tensor:
-    """One pre-norm transformer block over the (l, d) rows of x:
+                  last: int, first: Sequence[int] | None = None) -> Tensor:
+    """One pre-norm transformer block over the rows of one or more samples:
 
         h1 = ln1(x);  q, k, v = h1 wq + bq, h1 wk + bk, h1 wv + bv
         x1 = x + attention(q, k, v) wo + bo
@@ -729,36 +729,58 @@ def decoder_block(x: Tensor, w: dict[str, Tensor], prefix: str, heads: int,
     with weights w[prefix + name] for the names in BLOCK_WEIGHTS and exact
     GELU. Attention is causal and multi-head: each head owns d / heads
     adjacent columns and attends with softmax of q k^T / sqrt(d / heads),
-    future positions masked to MASK_VALUE. Keys and values come from every
-    row; queries, the output projection and the feed-forward run only on
-    the last `last` rows, which are the output rows returned.
+    over the keys of its own sample, future positions masked to MASK_VALUE.
 
-    The block is one tape record. The forward keeps the operation order of
-    the chain of primitives it replaces, so it is bit-identical to it; the
-    backward always computes dx and computes a weight's gradient only when
-    that weight requires one.
+    x holds one sample's (l, d) rows or, with `first`, the rows of
+    B = len(first) samples stacked, (B l, d), each sample's l rows at
+    positions 0 .. l - 1. Keys and values come from every row; queries, the
+    output projection and the feed-forward run only on `last` rows of each
+    sample, rows first[b] .. first[b] + last - 1 of sample b (the last `last`
+    rows without `first`). Returns those rows, (B last, d), in sample order.
+    A sample right-padded to l rows keeps its padding out of its real rows.
+
+    The block is one tape record. For one sample the forward keeps the
+    operation order of the chain of primitives it replaces, so it is
+    bit-identical to it; the backward always computes dx and computes a
+    weight's gradient only when that weight requires one.
     """
     _need_2d(x, "decoder_block")
-    l, d = x.shape
+    rows, d = x.shape
     if heads <= 0 or d % heads != 0:
         raise DimensionError(f"decoder_block: width {d} not divisible by {heads} heads")
-    if not 1 <= last <= l:
-        raise DimensionError(f"decoder_block: cannot return the last {last} of {l} rows")
+    b_count = 1 if first is None else len(first)
+    if b_count == 0 or rows % b_count:
+        raise DimensionError(f"decoder_block: {rows} rows do not split into {b_count} samples")
+    l = rows // b_count
+    first = np.array([l - last] if first is None else first, dtype=np.int64)
+    if not 1 <= last <= l or first.min() < 0 or first.max() + last > l:
+        raise DimensionError(f"decoder_block: cannot return {last} rows from {first.tolist()} "
+                             f"of {l} rows")
     ws = [w[prefix + name] for name in BLOCK_WEIGHTS]
     g1, b1, wq, bq, wk, bk, wv, bv, wo, bo, g2, b2, wf1, bf1, wf2, bf2 = ws
     wd = [t.data for t in ws]
     s = 1.0 / math.sqrt(d // heads)
 
     def split(a: np.ndarray) -> np.ndarray:
-        return _split_heads(a, heads)
+        """(B n, d) rows -> (B, heads, n, d / heads)."""
+        return _split_heads(a.reshape(b_count, -1, d), heads)
 
-    h1, xhat1, inv1, q, k, v = _block_in(x.data, wd, slice(l - last, None))
-    hq = h1[l - last:]
+    def merge(a: np.ndarray) -> np.ndarray:
+        return _merge_heads(a).reshape(-1, d)
+
+    starts = np.arange(b_count) * l + first
+    # the query rows, as a slice when they are contiguous
+    pick = (slice(starts[0], starts[0] + b_count * last) if b_count == 1 or last == l
+            else (starts[:, None] + np.arange(last)).reshape(-1))
+    h1, xhat1, inv1, q, k, v = _block_in(x.data, wd, pick)
+    hq = h1[pick]
     qh, kh, vh = split(q), split(k), split(v)
-    # a lone query row is the newest position and sees every key
-    mask = np.triu(np.full((last, l), MASK_VALUE), k=1 + l - last) if last > 1 else None
-    att, merged = _attend(qh, kh, vh, mask)
-    out, (h2, xhat2, inv2, a, t, gl) = _block_out(x.data[l - last:], merged, wd)
+    # query j of sample b sits at position first[b] + j and sees keys up to it
+    mask = np.where(np.arange(l) > (first[:, None] + np.arange(last))[:, :, None],
+                    MASK_VALUE, 0.0)[:, None]
+    att, merged = _attend(qh, kh, vh, mask if mask.any() else None)
+    merged = merged.reshape(-1, d)
+    out, (h2, xhat2, inv2, a, t, gl) = _block_out(x.data[pick], merged, wd)
 
     def linear_back(inp: np.ndarray, wt: Tensor, bt: Tensor, g: np.ndarray) -> np.ndarray:
         """Accumulate the weight and bias gradients of inp @ wt + bt; return dinp."""
@@ -773,14 +795,14 @@ def decoder_block(x: Tensor, w: dict[str, Tensor], prefix: str, heads: int,
             0.5 * t + a * np.exp(-0.5 * a * a) * _INV_SQRT2PI)
         dx1 = g + _layernorm_back(linear_back(h2, wf1, bf1, da), xhat2, inv2, g2, b2)
         gh = split(linear_back(merged, wo, bo, dx1))
-        datt = gh @ vh.transpose(0, 2, 1)
-        dscores = att * (datt - (datt * att).sum(axis=2, keepdims=True)) * s
-        dv = _merge_heads(att.transpose(0, 2, 1) @ gh)
-        dk = _merge_heads(dscores.transpose(0, 2, 1) @ qh)
+        datt = gh @ vh.swapaxes(-1, -2)
+        dscores = att * (datt - (datt * att).sum(axis=-1, keepdims=True)) * s
+        dv = merge(att.swapaxes(-1, -2) @ gh)
+        dk = merge(dscores.swapaxes(-1, -2) @ qh)
         dh1 = linear_back(h1, wv, bv, dv) + linear_back(h1, wk, bk, dk)
-        dh1[l - last:] += linear_back(hq, wq, bq, _merge_heads(dscores @ kh))
+        dh1[pick] += linear_back(hq, wq, bq, merge(dscores @ kh))
         dx = _layernorm_back(dh1, xhat1, inv1, g1, b1)
-        dx[l - last:] += dx1
+        dx[pick] += dx1
         if x.requires_grad:
             x._accum(dx)
 
@@ -839,9 +861,13 @@ def softmax_cross_entropy(logits: Tensor, target: int) -> Tensor:
     return _finish(np.array([loss]), (logits,), back)
 
 
-def rows_cross_entropy(logits: Tensor, targets: Sequence[int], reduction: str = "mean") -> Tensor:
-    """Max-shifted cross-entropy of each logit row against its target id,
-    reduced to a scalar by mean or sum."""
+def rows_cross_entropy(logits: Tensor, targets: Sequence[int], reduction: str = "mean",
+                       groups: int = 1, mask: np.ndarray | None = None) -> Tensor:
+    """Max-shifted cross-entropy of each logit row against its target id.
+    The rows fall into `groups` equal runs, one per sample, and each run's
+    losses are reduced by mean or sum over its rows; returns the (groups,)
+    results. Given a boolean row `mask`, only its True rows count: a False
+    row adds no loss and gets no gradient."""
     _need_2d(logits, "rows_cross_entropy")
     ids = np.asarray(list(targets), dtype=np.int64)
     n, v = logits.shape
@@ -851,20 +877,37 @@ def rows_cross_entropy(logits: Tensor, targets: Sequence[int], reduction: str = 
         raise DimensionError(f"rows_cross_entropy: target outside 0..{v - 1}")
     if reduction not in ("mean", "sum"):
         raise DomainError(f"rows_cross_entropy: unknown reduction {reduction!r}")
+    if groups < 1 or n % groups:
+        raise DimensionError(f"rows_cross_entropy: {n} rows do not split into {groups} groups")
+    if mask is None:
+        counts = np.full(groups, n // groups)
+    else:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (n,):
+            raise DimensionError(f"rows_cross_entropy: {n} rows but a mask of {mask.size}")
+        counts = mask.reshape(groups, -1).sum(axis=1)
+        if counts.min() == 0:
+            raise DimensionError("rows_cross_entropy: a group has no row in the mask")
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     ez = np.exp(z)
     denom = ez.sum(axis=1, keepdims=True)
-    per_row = np.log(denom[:, 0]) - z[np.arange(n), ids]
+    rows = np.arange(n)
+    per_row = np.log(denom[:, 0]) - z[rows, ids]
+    if mask is not None:
+        per_row = np.where(mask, per_row, 0.0)
     probs = ez / denom
-    k = 1.0 / n if reduction == "mean" else 1.0
+    k = 1.0 / counts if reduction == "mean" else np.ones(groups)
 
     def back(g: np.ndarray) -> None:
         if logits.requires_grad:
             d = probs.copy()
-            d[np.arange(n), ids] -= 1.0
-            logits._accum((g.reshape(-1)[0] * k) * d)
+            d[rows, ids] -= 1.0
+            # each row's seed of its group, and 0 for a row outside the mask
+            seeds = np.repeat(g * k, n // groups)
+            d *= (seeds if mask is None else np.where(mask, seeds, 0.0))[:, None]
+            logits._accum(d)
 
-    return _finish(np.array([per_row.sum() * k]), (logits,), back)
+    return _finish(per_row.reshape(groups, -1).sum(axis=1) * k, (logits,), back)
 
 
 def zero_grads(params: Iterable[Tensor]) -> None:

@@ -69,6 +69,8 @@ class TrainConfig:
             raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
         if self.clip_norm <= 0:
             raise ConfigError(f"clip norm must be > 0, got {self.clip_norm}")
+        if not self.weight_decay >= 0:
+            raise ConfigError(f"weight decay must be >= 0, got {self.weight_decay}")
         if not (0.0 < self.train_fraction <= 1.0):
             raise ConfigError(f"train fraction must be in (0, 1], "
                               f"got {self.train_fraction}")
@@ -83,21 +85,33 @@ class TrainConfig:
 # label loss
 
 
-def label_loss(logits: T.Tensor, label_ids: list[int]) -> T.Tensor:
-    """Sum of next-token cross-entropies over the label block.
+def label_loss(logits: T.Tensor, labels: list[list[int]],
+               offsets: list[int] | None = None) -> T.Tensor:
+    """Each sample's sum of next-token cross-entropies over its label block,
+    (B,) for the B = len(labels) samples.
 
-    `logits` are the rows of the last len(label_ids) + 1 input positions:
-    the one just before the label block, then the label block itself. Row i
-    predicts label token i (the end marker included); the last row predicts
-    nothing.
+    `logits` holds W rows per sample, stacked, W one more than the longest
+    label block. Sample b's label window, the row just before its label
+    block and then the block itself, starts offsets[b] rows into the
+    sample's W (at its first row when None). Row i of a window predicts
+    label token i (the end marker included); the window's last row, and
+    every row outside the window, predicts nothing.
     """
-    n = len(label_ids)
-    if n < 1:
+    if not labels or min(len(ids) for ids in labels) < 1:
         raise InputError("need at least one label token")
-    if logits.shape[0] != n + 1:
-        raise InputError(f"label window of {n} ids needs {n + 1} logits rows, "
-                         f"got {logits.shape[0]}")
-    return T.rows_cross_entropy(T.slice_rows(logits, 0, n), label_ids, reduction="sum")
+    w = max(len(ids) for ids in labels) + 1
+    if logits.shape[0] != len(labels) * w:
+        raise InputError(f"a label window of up to {w - 1} ids needs {w} logits rows per "
+                         f"sample, got {logits.shape[0]} rows for {len(labels)}")
+    targets = np.zeros((len(labels), w), dtype=np.int64)
+    mask = np.zeros((len(labels), w), dtype=bool)
+    for b, (ids, at) in enumerate(zip(labels, offsets or [0] * len(labels))):
+        if not 0 <= at <= w - 1 - len(ids):
+            raise InputError(f"a window of {len(ids) + 1} rows cannot start at row {at} of {w}")
+        targets[b, at:at + len(ids)] = ids
+        mask[b, at:at + len(ids)] = True
+    return T.rows_cross_entropy(logits, targets.reshape(-1), reduction="sum",
+                                groups=len(labels), mask=mask.reshape(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -120,10 +134,20 @@ class PreparedSample:
     n_prefix: int
     label_ids: list[int]
 
-    def input_rows(self, pseudo: T.Tensor) -> T.Tensor:
-        """The training input: the pseudo rows in front of the constant rows."""
+    @property
+    def length(self) -> int:
+        """The rows of the training input."""
+        return self.n_prefix + self.const_rows.shape[0]
+
+    def input_rows(self, pseudo: T.Tensor, rows: int | None = None) -> T.Tensor:
+        """The training input: the pseudo rows in front of the constant rows,
+        then zero rows up to `rows` rows in all."""
         self._check_prefix(pseudo.shape)
-        return T.concat_rows([pseudo, T.Tensor._wrap(self.const_rows, False, None)])
+        parts = [pseudo, T.Tensor._wrap(self.const_rows, False, None)]
+        if rows is not None and rows > self.length:
+            parts.append(T.Tensor._wrap(np.zeros((rows - self.length, self.const_rows.shape[1])),
+                                        False, None))
+        return T.concat_rows(parts)
 
     def eval_rows(self, pseudo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The evaluation input, which ends before the label block, as the
@@ -194,20 +218,65 @@ def _block_of(pseudo: np.ndarray, i: int, n: int) -> np.ndarray:
     return pseudo[i * n:(i + 1) * n]
 
 
-def block_loss(backbone: FrozenBackbone, p: PreparedSample,
-               pseudo: T.Tensor) -> T.Tensor:
-    """Label loss of one sample given its pseudo-token block. The label block
-    ends the input, and each label token is predicted from the row before it,
-    so only the logits of the last len(label) + 1 rows are computed;
-    attention is causal, so they equal those rows of the full forward."""
-    logits = backbone.forward_rows(p.input_rows(pseudo), last=len(p.label_ids) + 1)
-    return label_loss(logits, p.label_ids)
+def block_losses(backbone: FrozenBackbone, batch: list[PreparedSample],
+                 pseudo: T.Tensor) -> T.Tensor:
+    """Label losses of a batch given its stacked pseudo-token blocks, (B,),
+    from one backbone forward over the samples' inputs, each right-padded
+    to the longest.
+
+    Each label block ends its sample's input, and each label token is
+    predicted from the row before it, so the final layer computes only each
+    sample's last len(label) + 1 rows, padded to the longest such window:
+    the W rows from min(length - window, longest input - W), which hold the
+    window and stay inside the input rows. Attention is causal, so these
+    rows equal those of each sample's own full forward, and the rows outside
+    the windows add no loss and pass back no gradient.
+    """
+    n = batch[0].n_prefix
+    l = max(p.length for p in batch)
+    w = max(len(p.label_ids) for p in batch) + 1
+    starts = [p.length - len(p.label_ids) - 1 for p in batch]
+    first = [min(start, l - w) for start in starts]
+    rows = T.concat_rows([p.input_rows(T.slice_rows(pseudo, i * n, (i + 1) * n), l)
+                          for i, p in enumerate(batch)])
+    logits = backbone.forward_rows(rows, last=w, first=first)
+    return label_loss(logits, [p.label_ids for p in batch],
+                      [start - f for start, f in zip(starts, first)])
 
 
 def sample_loss(backbone: FrozenBackbone, params: AdapterParams,
                 p: PreparedSample, state: VariantState) -> T.Tensor:
     """Label loss of one sample, its adapter forward included."""
-    return block_loss(backbone, p, _pseudo_for(params, p, state))
+    return block_losses(backbone, [p], _pseudo_for(params, p, state))
+
+
+# samples whose backbone forward and backward run as one padded batch in a
+# training step: of 4, 8, 16 and 32, 8 gave the best median benchmark
+# training rate on a 2-vCPU host (1,323 samples/s against 1,295, 1,289 and
+# 1,226; three 30 s runs each), and holds half the activations of 16
+TRAIN_BLOCK = 8
+# rows a sub-batch may hold once padded to its longest input: on ragged
+# inputs of 47-184 rows, sub-batches of 8 in batch order ran at 0.67-0.84x
+# the per-sample step (a fifth to a third of their rows padding, and larger
+# arrays), and sub-batches cut in order of length at 384 rows ran 1.07-1.23x;
+# budgets of 256 and 512 read about the same. 384 keeps 8 samples of up to
+# 48 rows together.
+TRAIN_ROWS = 384
+
+
+def sub_batches(batch: list[PreparedSample]) -> list[list[int]]:
+    """The sub-batches of a training step, as lists of sample indices: the
+    samples in order of input length, cut so that each sub-batch holds at
+    most TRAIN_BLOCK samples and, padded to its longest, at most TRAIN_ROWS
+    rows (a longer sample goes alone)."""
+    out: list[list[int]] = []
+    for i in sorted(range(len(batch)), key=lambda i: batch[i].length):
+        sub = out[-1] if out else []
+        if not sub or len(sub) == TRAIN_BLOCK or (len(sub) + 1) * batch[i].length > TRAIN_ROWS:
+            out.append([i])
+        else:
+            sub.append(i)
+    return out
 
 
 def batch_step(backbone: FrozenBackbone, params: AdapterParams,
@@ -215,27 +284,27 @@ def batch_step(backbone: FrozenBackbone, params: AdapterParams,
     """Accumulate the gradient of the batch's mean label loss into the adapter
     parameters; return each sample's loss.
 
-    Three steps, so that only one sample's backbone activations are alive at
-    a time: one adapter forward over the whole batch on its own tape; each
-    sample's loss on a tape of its own, with that sample's pseudo-token block
-    as a leaf; then one replay of the adapter tape, seeded with the stacked
-    gradients of the leaves.
+    Three steps, so that only one sub-batch's backbone activations are alive
+    at a time: one adapter forward over the whole batch on its own tape; the
+    losses of each sub-batch (`sub_batches`) on a tape of their own, with
+    the sub-batch's stacked pseudo-token rows as a leaf; then one replay of
+    the adapter tape, seeded with the leaves' gradients.
     """
     n = params.config.token_count
-    inv = 1.0 / len(batch)
     with T.Tape() as adapter_tape:
         pseudo = pseudo_blocks(params, batch, state)
-    leaf_grads = np.empty_like(pseudo.data)
-    losses = []
-    for i, p in enumerate(batch):
-        leaf = T.Tensor._wrap(_block_of(pseudo.data, i, n), True, None)
+    blocks = pseudo.data.reshape(len(batch), n, -1)
+    leaf_grads = np.empty_like(blocks)
+    losses = np.empty(len(batch))
+    for sub in sub_batches(batch):
+        leaf = T.Tensor._wrap(blocks[sub].reshape(len(sub) * n, -1), True, None)
         with T.Tape() as tape:
-            loss = block_loss(backbone, p, leaf)
-            tape.backward(T.scale(loss, inv))
-        _block_of(leaf_grads, i, n)[:] = leaf.grad
-        losses.append(loss.item())
-    adapter_tape.backward(pseudo, grad=leaf_grads)
-    return losses
+            sub_losses = block_losses(backbone, [batch[i] for i in sub], leaf)
+            tape.backward(sub_losses, grad=np.full(len(sub), 1.0 / len(batch)))
+        leaf_grads[sub] = leaf.grad.reshape(len(sub), n, -1)
+        losses[sub] = sub_losses.data
+    adapter_tape.backward(pseudo, grad=leaf_grads.reshape(pseudo.shape))
+    return losses.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ wrong is not. The exceptions are at the end: the per-frame LSTM, the
 per-head attention and the per-layer decoder block composed from the tape's
 primitives, which the fused kernels replaced and must reproduce; the
 adapter's forward for one sample as a chain of column-vector primitives,
-which the batched adapter replaced; and greedy decoding of one sample that
-runs the full forward again for every new token, the reference that the
-batched key/value-cached decoding is checked against.
+which the batched adapter replaced; the training step with one backbone
+tape per sample, which the padded sub-batches replaced; and greedy decoding
+of one sample that runs the full forward again for every new token, the
+reference that the batched key/value-cached decoding is checked against.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 
 from mmadapt import tensor as T
 from mmadapt.backbone import EOS
+from mmadapt.trainer import label_loss, pseudo_blocks
 
 
 def matmul_loops(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -227,6 +229,31 @@ def pseudo_tokens_chain(params, text_rows, audio, vision, state):
                              params["mix.b"])
     u = T.add(T.matmul(params["expand.w3"], fused), params["expand.b3"])
     return T.matmul(params["expand.w4"], T.transpose(u))
+
+
+# ---------------------------------------------------------------------------
+# the training step, one backbone tape per sample
+
+
+def batch_step_per_sample(backbone, params, batch, state):
+    """`trainer.batch_step` with each sample's loss on a tape of its own, its
+    pseudo-token block as the leaf and its own unpadded backbone forward;
+    accumulates the same gradients and returns each sample's loss."""
+    n = params.config.token_count
+    with T.Tape() as adapter_tape:
+        pseudo = pseudo_blocks(params, batch, state)
+    leaf_grads = np.empty_like(pseudo.data)
+    losses = []
+    for i, p in enumerate(batch):
+        leaf = T.Tensor._wrap(pseudo.data[i * n:(i + 1) * n], True, None)
+        with T.Tape() as tape:
+            logits = backbone.forward_rows(p.input_rows(leaf), last=len(p.label_ids) + 1)
+            loss = label_loss(logits, [p.label_ids])
+            tape.backward(T.scale(loss, 1.0 / len(batch)))
+        leaf_grads[i * n:(i + 1) * n] = leaf.grad
+        losses.append(loss.item())
+    adapter_tape.backward(pseudo, grad=leaf_grads)
+    return losses
 
 
 # ---------------------------------------------------------------------------

@@ -286,7 +286,7 @@ def test_oracle_equivalence(capsys):
         positions = list(range(first, first + label_len))
         ids = [int(rng.integers(0, vocab)) for _ in positions]
         window = logits[first - 1:first + label_len]
-        got_loss = label_loss(T.Tensor(window), ids).data.item()
+        got_loss = label_loss(T.Tensor(window), [ids]).data.item()
         want_loss = sum(cross_entropy_scalar(logits[pos - 1].tolist(), tok)
                         for pos, tok in zip(positions, ids))
         worst["label_loss"] = max(worst["label_loss"], abs(got_loss - want_loss))

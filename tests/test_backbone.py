@@ -12,8 +12,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 from mmadapt import backbone as B
 from mmadapt import tensor as T
 from mmadapt.adapter import AdapterParams, make_variant_state
-from mmadapt.errors import (CheckpointError, FrozenViolation, LengthError,
-                            TokenError)
+from mmadapt.errors import (CheckpointError, ConfigError, FrozenViolation,
+                            LengthError, TokenError)
 from mmadapt.serialize import checksum64, pack_tensors
 from mmadapt.trainer import prepare_samples, sample_loss
 
@@ -193,6 +193,15 @@ def test_pretrain_zero_steps_keeps_seeded_init():
     ref = B.init_weights(TINY, np.random.default_rng(77))
     for name, t in frozen._weights.items():
         assert_array_equal(t.data, ref[name].data)
+
+
+@pytest.mark.parametrize("knobs", [dict(steps=-5), dict(lr=0.0), dict(lr=-1.0),
+                                   dict(weight_decay=-0.1)])
+def test_pretrain_rejects_knobs_that_cannot_train(knobs):
+    """A negative step count, a learning rate <= 0 or a negative weight decay
+    is a ConfigError, not an untrained or gradient-ascent backbone."""
+    with pytest.raises(ConfigError):
+        B.pretrain_backbone(["abc"], **{"steps": 1, "seed": 77, "config": TINY, **knobs})
 
 
 def test_pretrain_loss_halves_on_three_string_corpus():

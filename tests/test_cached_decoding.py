@@ -150,7 +150,7 @@ def full_row_sample_loss(backbone, params, p, state):
     label window is cut from the full logits."""
     logits = backbone.forward_rows(p.input_rows(trainer_mod._pseudo_for(params, p, state)))
     rows = logits.shape[0]
-    return label_loss(T.slice_rows(logits, rows - len(p.label_ids) - 1, rows), p.label_ids)
+    return label_loss(T.slice_rows(logits, rows - len(p.label_ids) - 1, rows), [p.label_ids])
 
 
 @pytest.mark.parametrize("layers", [1, 2])

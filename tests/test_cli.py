@@ -277,6 +277,11 @@ def train_config(values):
     return config_file("train", values, "dataset", "backbone")
 
 
+def pretrain_flags(*flags):
+    return lambda tmp_path, ws: ["pretrain-backbone", "--dataset", str(ws["data"]),
+                                 "--out", str(tmp_path / "out"), *flags]
+
+
 BAD_INPUTS = {
     "missing-backbone": lambda tmp_path, ws: [
         "train", "--dataset", str(ws["data"]), "--backbone", str(tmp_path / "nope.mseb"),
@@ -292,17 +297,24 @@ BAD_INPUTS = {
     "int-as-boolean": train_config({"epochs": True}),
     "float-as-string": train_config({"clip_norm": "1.0"}),
     "null-with-a-default": train_config({"variant": None}),
+    "pretrain-negative-steps": pretrain_flags("--steps", "-5"),
+    "pretrain-zero-lr": pretrain_flags("--lr", "0"),
+    "pretrain-negative-lr": pretrain_flags("--lr", "-1"),
+    "pretrain-negative-weight-decay": pretrain_flags("--weight-decay", "-0.1"),
+    "train-negative-weight-decay": train_config({"weight_decay": -0.1}),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_one_without_traceback(tmp_path, cli_workspace, case):
-    """A missing artifact file, or a config-file value whose JSON type does
-    not fit its knob, exits 1 with a one-line message."""
+    """A missing artifact file, a config-file value whose JSON type does not
+    fit its knob, or a pretraining or training knob out of range, exits 1
+    with a one-line message and writes no output directory."""
     r = run_cli(*BAD_INPUTS[case](tmp_path, cli_workspace))
     assert r.returncode == 1, r.stderr
     assert "Traceback" not in r.stderr
     assert len(r.stderr.strip().splitlines()) == 1, r.stderr
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("meta", ["{not json", '{"task": "emotion"}',

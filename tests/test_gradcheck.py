@@ -20,7 +20,7 @@ def test_primitives_all_within_tolerance():
     for expected in ("matmul", "gelu", "softmax_rows", "layernorm_rows",
                      "causal_attention", "rows_cross_entropy",
                      "embedding_lookup", "lstm_final", "decoder_block",
-                     "decoder_block_frozen", "decoder_block_pruned"):
+                     "decoder_block_frozen", "decoder_block_pruned", "decoder_block_batch"):
         assert expected in names
     for seed in range(50):
         for r in gradcheck_primitives(seed):

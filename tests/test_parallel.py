@@ -105,6 +105,9 @@ def test_pool_workers_run_one_blas_thread_and_the_parent_keeps_its_environment(m
     seen = list(parallel.run_in_pool(os.getenv,
                                      [("OPENBLAS_NUM_THREADS",), ("OMP_NUM_THREADS",)] * 3))
     assert seen == ["1", "1"] * 3
+    # and with the heap settings of WORKER_ENV
+    assert list(parallel.run_in_pool(os.getenv, [(key,) for key in parallel.WORKER_ENV])) == \
+        list(parallel.WORKER_ENV.values())
     assert os.environ["OPENBLAS_NUM_THREADS"] == "4"
     assert "OMP_NUM_THREADS" not in os.environ
 

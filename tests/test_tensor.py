@@ -408,6 +408,45 @@ def test_decoder_block_key_bias_gradient_is_zero(heads, last):
     assert np.max(np.abs(grad["h0.bk"])) <= 1e-12 * np.max(np.abs(grad["h0.bq"]))
 
 
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_decoder_block_over_a_padded_batch_equals_each_samples_own_call(heads):
+    """Samples of 5, 9, 3 and 7 rows, right-padded to 9, with windows of 2,
+    4, 1 and 3 query rows padded to 4 from rows min(length - window, 9 - 4):
+    each window's outputs and each sample's input gradient equal those of
+    the sample's own call, and the weight gradients their sum over the
+    samples, to 1e-12 of the largest entry (the key bias's gradient is zero
+    up to roundoff, see below); the padding gets an input gradient of 0."""
+    rng = np.random.default_rng(heads)
+    lengths, windows, l, w_max = (5, 9, 3, 7), (2, 4, 1, 3), 9, 4
+    first = [min(n - k, l - w_max) for n, k in zip(lengths, windows)]
+    xs = [rng.uniform(-2, 2, (n, 16)) for n in lengths]
+    ws = [rng.uniform(-1, 1, (k, 16)) for k in windows]
+    weights = block_weights(rng)
+    x = np.zeros((4 * l, 16))
+    w = np.zeros((4 * w_max, 16))
+    for b, (xb, wb, at) in enumerate(zip(xs, ws, first)):
+        x[b * l:b * l + len(xb)] = xb
+        skip = len(xb) - len(wb) - at  # window rows before this sample's own
+        w[b * w_max + skip:b * w_max + skip + len(wb)] = wb
+    got, got_grads = run_block(
+        lambda x, ws: T.decoder_block(x, ws, "h0.", heads, w_max, first), x, weights, w)
+    want_weights = [np.zeros_like(g) for g in got_grads[1:]]
+    for b, (xb, wb, at) in enumerate(zip(xs, ws, first)):
+        want, grads = run_block(
+            lambda x, ws: T.decoder_block(x, ws, "h0.", heads, len(wb)), xb, weights, wb)
+        skip = len(xb) - len(wb) - at
+        rows = got[b * w_max + skip:b * w_max + skip + len(wb)]
+        assert np.max(np.abs(rows - want)) <= 1e-12 * np.max(np.abs(want)), b
+        dx = got_grads[0][b * l:(b + 1) * l]
+        assert np.max(np.abs(dx[:len(xb)] - grads[0])) <= 1e-12 * np.max(np.abs(grads[0])), b
+        assert np.all(dx[len(xb):] == 0.0), b
+        for acc, g in zip(want_weights, grads[1:]):
+            acc += g
+    for name, g, ref in zip(weights, got_grads[1:], want_weights):
+        if name != "h0.bk":
+            assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+
+
 def test_causal_mha_rejects_bad_heads_and_shapes():
     rng = np.random.default_rng(0)
     weights = {n: T.Tensor(a) for n, a in block_weights(rng, 6, 12).items()}
@@ -417,6 +456,11 @@ def test_causal_mha_rejects_bad_heads_and_shapes():
     for last in (0, 4):
         with pytest.raises(DimensionError):
             T.decoder_block(x, weights, "h0.", 2, last)
+    # 3 rows that do not split into 2 samples, or windows of 2 rows that
+    # start before or run past a sample's rows, or no samples at all
+    for first in ([0, 0], [-1], [2], []):
+        with pytest.raises(DimensionError):
+            T.decoder_block(x, weights, "h0.", 2, 2, first)
 
 
 def test_slice_concat_stack_transpose_grads():
@@ -628,11 +672,48 @@ def test_rows_cross_entropy_grads():
     )
 
 
+@pytest.mark.parametrize("reduction", ["sum", "mean"])
+def test_rows_cross_entropy_groups_reduce_their_rows_in_the_mask(reduction):
+    """Two groups of three rows each reduce their own rows in the mask
+    against the per-row oracle; a row outside the mask adds no loss, and the
+    seeded gradient reaches only the rows in the mask."""
+    x = RNG.uniform(-4, 4, (6, 9))
+    targets = [1, 3, 8, 5, 0, 2]
+    mask = np.array([True, False, False, False, True, True])
+    seed = np.array([0.7, -1.3])
+    t = T.Tensor(x, requires_grad=True)
+    with T.Tape() as tape:
+        out = T.rows_cross_entropy(t, targets, reduction, groups=2, mask=mask)
+        tape.backward(out, grad=seed)
+    for g, rows in enumerate(([0], [4, 5])):
+        want = [cross_entropy_scalar(list(x[r]), targets[r]) for r in rows]
+        want = sum(want) / (len(rows) if reduction == "mean" else 1)
+        assert abs(out.data[g] - want) <= 1e-12
+    assert np.all(t.grad[[1, 2, 3]] == 0.0)
+    check_grads(lambda t: T.sum_all(T.rows_cross_entropy(t["x"], targets, reduction,
+                                                         groups=2, mask=mask)),
+                {"x": x.copy()})
+    unmasked = T.rows_cross_entropy(T.Tensor(x), targets, reduction, groups=2).data
+    for g in range(2):
+        want = [cross_entropy_scalar(list(x[r]), targets[r]) for r in range(3 * g, 3 * g + 3)]
+        assert abs(unmasked[g] - sum(want) / (3 if reduction == "mean" else 1)) <= 1e-12
+    with pytest.raises(DimensionError):
+        T.rows_cross_entropy(T.Tensor(x), targets, reduction, groups=4)
+    with pytest.raises(DimensionError):  # the middle group has no row in the mask
+        T.rows_cross_entropy(T.Tensor(x), targets, reduction, groups=3, mask=mask)
+    with pytest.raises(DimensionError):
+        T.rows_cross_entropy(T.Tensor(x), targets, reduction, groups=2, mask=mask[:5])
+
+
 def test_rows_cross_entropy_validation():
     x = T.Tensor(np.zeros((3, 4)))
     with pytest.raises(DimensionError):
         T.rows_cross_entropy(x, [0, 1])
     with pytest.raises(DimensionError):
         T.rows_cross_entropy(x, [0, 1, 4])
+    with pytest.raises(DimensionError):  # a negative id is rejected, not skipped
+        T.rows_cross_entropy(x, [0, -1, 2])
+    with pytest.raises(DimensionError):  # also under a mask that leaves its row out
+        T.rows_cross_entropy(x, [0, -1, 2], mask=[True, False, True])
     with pytest.raises(DomainError):
         T.rows_cross_entropy(x, [0, 1, 2], "median")

@@ -10,8 +10,8 @@ from numpy.testing import assert_array_equal
 
 import mmadapt.trainer as trainer_mod
 from mmadapt import tensor as T
-from mmadapt.adapter import AdapterParams, load_adapter, make_variant_state
-from mmadapt.backbone import EOS, tokenize
+from mmadapt.adapter import AdapterConfig, AdapterParams, load_adapter, make_variant_state
+from mmadapt.backbone import EOS, BackboneConfig, tokenize
 from mmadapt.corpus import FeatureSample, SyntheticSpec, generate_synthetic
 from mmadapt.errors import ConfigError, DimensionError, InputError, LengthError, NumericError
 from mmadapt.metrics import format_label, score_predictions
@@ -29,7 +29,8 @@ from mmadapt.trainer import (
     train_run,
 )
 
-from oracles import cross_entropy_scalar
+from oracles import batch_step_per_sample, cross_entropy_scalar
+from test_cached_decoding import make_frozen, preset_samples
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +48,7 @@ def test_label_loss_matches_token_loop_oracle():
         ids = [int(rng.integers(0, vocab)) for _ in range(n)]
         positions = list(range(first, first + n))
         # the label block at `positions`, and the row before it, as the window
-        got = label_loss(T.Tensor(logits[first - 1:first + n]), ids).item()
+        got = label_loss(T.Tensor(logits[first - 1:first + n]), [ids]).item()
         want = sum(cross_entropy_scalar(list(logits[p - 1]), i)
                    for p, i in zip(positions, ids))
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
@@ -55,7 +56,7 @@ def test_label_loss_matches_token_loop_oracle():
 
 def test_label_loss_uniform_five_tokens():
     logits = T.Tensor(np.zeros((6, 259)))
-    loss = label_loss(logits, [1, 2, 3, 4, EOS])
+    loss = label_loss(logits, [[1, 2, 3, 4, EOS]])
     assert loss.item() == pytest.approx(5 * math.log(259), rel=1e-12)
 
 
@@ -64,7 +65,7 @@ def test_label_loss_certain_prediction_is_zero():
     ids = [3, 7]
     logits[0, 3] = 1000.0
     logits[1, 7] = 1000.0
-    loss = label_loss(T.Tensor(logits), ids)
+    loss = label_loss(T.Tensor(logits), [ids])
     assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
 
@@ -72,7 +73,7 @@ def test_label_loss_gradient_reaches_logits():
     logits = T.Tensor(np.random.default_rng(1).standard_normal((3, 9)),
                       requires_grad=True)
     with T.Tape() as tape:
-        loss = label_loss(logits, [2, 5])
+        loss = label_loss(logits, [[2, 5]])
         tape.backward(loss)
     grad = logits.grad
     assert grad is not None
@@ -84,13 +85,13 @@ def test_label_loss_gradient_reaches_logits():
 
 def test_label_loss_validation():
     with pytest.raises(InputError):
-        label_loss(T.Tensor(np.zeros((1, 9))), [])
+        label_loss(T.Tensor(np.zeros((1, 9))), [[]])
 
 
 @pytest.mark.parametrize("rows", [1, 2, 4, 6])
 def test_label_loss_rejects_a_window_of_the_wrong_length(rows):
     with pytest.raises(InputError, match="needs 3 logits rows"):
-        label_loss(T.Tensor(np.zeros((rows, 9))), [1, 2])
+        label_loss(T.Tensor(np.zeros((rows, 9))), [[1, 2]])
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +113,8 @@ def test_train_config_validation():
         TrainConfig(variant="bogus")
     with pytest.raises(ConfigError):
         TrainConfig(seeds=())
+    with pytest.raises(ConfigError, match="weight decay"):
+        TrainConfig(weight_decay=-0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +259,80 @@ def test_batch_step_gradients_equal_the_sum_over_per_sample_tapes(
     for name, tensor in params.named():
         scale = max(1.0, float(np.max(np.abs(tensor.grad))))
         assert np.max(np.abs(got[name] - tensor.grad)) <= 1e-12 * scale, name
+
+
+def ragged_labels(backbone, batch):
+    """The batch with label blocks of 2 to 6 ids, since a preset's canonical
+    labels all have one length."""
+    out = []
+    for i, p in enumerate(batch):
+        ids = tokenize("+1.25"[:1 + i % 5]) + [EOS]
+        body = p.const_rows[:p.const_rows.shape[0] - len(p.label_ids)]
+        out.append(replace(p, const_rows=np.concatenate([body, backbone.embed(ids)]),
+                           label_ids=ids))
+    return out
+
+
+def check_batch_step_against_the_oracle(preset_name, variant, size):
+    rng = np.random.default_rng(size)
+    frozen = make_frozen(BackboneConfig(embed_width=32, layers=2, heads=2, ffn_mult=2,
+                                        max_seq=256), seed=size)
+    preset, samples = preset_samples(preset_name, size, rng)
+    acfg = AdapterConfig(audio_width=preset.audio_width, vision_width=preset.vision_width,
+                         audio_hidden=8, vision_hidden=8, mix_width=32,
+                         token_count=preset.adapter_defaults.token_count, embed_width=32)
+    params = AdapterParams.init(acfg, rng)
+    state = make_variant_state(variant, acfg, rng)
+    batch = prepare_samples(frozen, samples, preset, acfg.token_count, state.drops_text_input)
+    if preset.task == "score":
+        batch = ragged_labels(frozen, batch)
+    if size > 1 and not state.drops_text_input:
+        assert len({p.length for p in batch}) > 1
+    losses = batch_step(frozen, params, batch, state)
+    got = {name: t.grad for name, t in params.named()}
+    params.zero_grads()
+    want = batch_step_per_sample(frozen, params, batch, state)
+    assert np.max(np.abs(np.subtract(losses, want))) <= 1e-12 * max(want)
+    for name, t in params.named():
+        assert (got[name] is None) == (t.grad is None), name
+        if t.grad is not None:
+            assert np.max(np.abs(got[name] - t.grad)) <= 1e-12 * np.max(np.abs(t.grad)), name
+
+
+@pytest.mark.parametrize("size", [1, 7, 8, 13, 32])
+@pytest.mark.parametrize("variant", ["full", "no_text", "no_audio_vision"])
+@pytest.mark.parametrize("preset_name", ["mosei", "meld"])
+def test_batch_step_matches_the_per_sample_oracle(preset_name, variant, size):
+    """Each sample's loss and every adapter gradient of the padded sub-batch
+    step equal those of one backbone tape per sample to 1e-12, relative to
+    the largest entry, over ragged text lengths, ragged label lengths (the
+    score preset's labels are made ragged), whole and short sub-batches."""
+    check_batch_step_against_the_oracle(preset_name, variant, size)
+
+
+@pytest.mark.parametrize("preset_name", ["mosei", "meld"])
+def test_batch_step_under_a_small_row_budget_matches_the_oracle(monkeypatch, preset_name):
+    """A row budget that cuts the batch into pairs and single samples (mosei's
+    inputs of 55-73 rows) or into single samples (meld's of 89-109) changes
+    no loss or gradient."""
+    monkeypatch.setattr(trainer_mod, "TRAIN_ROWS", 150)
+    check_batch_step_against_the_oracle(preset_name, "full", 13)
+
+
+def test_sub_batches_cut_the_batch_in_order_of_length():
+    def batch(lengths):
+        return [trainer_mod.PreparedSample(f"s{i}", 0.0, np.zeros((1, 1)), np.zeros((1, 1)),
+                                           np.zeros((0, 1)), np.zeros((n - 4, 1)), 4, [1])
+                for i, n in enumerate(lengths)]
+
+    # 8 samples at most, each sub-batch in order of length
+    lengths = [40, 10, 30, 20, 40, 10, 30, 20, 45, 5]
+    subs = trainer_mod.sub_batches(batch(lengths))
+    assert subs == [[9, 1, 5, 3, 7, 2, 6, 0], [4, 8]]
+    # at most TRAIN_ROWS rows once padded; a longer sample goes alone
+    subs = trainer_mod.sub_batches(batch([100, 300, 50, 200, 400, 90]))
+    assert subs == [[2, 5, 0], [3], [1], [4]]
+    assert trainer_mod.sub_batches(batch([48] * 9)) == [list(range(8)), [8]]
 
 
 # ---------------------------------------------------------------------------
