@@ -28,7 +28,7 @@ from .serialize import (check_tensors, checksum64, read_container, tensor_parts,
 VOCAB_SIZE = 259
 BOS = 256  # reserved; the assembly pipeline never emits it
 EOS = 257
-PAD = 258  # reserved; samples are processed unpadded
+PAD = 258  # reserved; padded batches pad with zero rows, never this id
 
 BACKBONE_MAGIC = b"MSEB"
 
@@ -115,7 +115,8 @@ def init_weights(config: BackboneConfig, rng: np.random.Generator) -> dict[str, 
 
 
 def _forward(config: BackboneConfig, w: dict[str, T.Tensor], rows: T.Tensor,
-             last: int | None = None, first: Sequence[int] | None = None) -> T.Tensor:
+             last: int | None = None, first: Sequence[int] | None = None,
+             cache: Sequence[tuple[np.ndarray, np.ndarray]] | None = None) -> T.Tensor:
     """Embedded rows -> next-token logits of `last` rows per sample (all
     rows when None).
 
@@ -130,6 +131,10 @@ def _forward(config: BackboneConfig, w: dict[str, T.Tensor], rows: T.Tensor,
     computes keys and values for all rows; the final block runs its queries,
     output projection and feed-forward, and then the final norm and the
     unembedding, on the rows returned only.
+
+    `cache`, for untaped calls only, holds each layer's (keys, values), two
+    (B, heads, cap, d / heads) arrays with cap >= l: every block writes the
+    keys and values of each sample's rows at its positions 0 .. l - 1.
     """
     b_count = 1 if first is None else len(first)
     total, d = rows.shape
@@ -146,10 +151,12 @@ def _forward(config: BackboneConfig, w: dict[str, T.Tensor], rows: T.Tensor,
     pos = T.slice_rows(w["pos"], 0, l)
     x = T.add(rows, pos if first is None else T.concat_rows([pos] * b_count))
     every = None if first is None else [0] * b_count
+    at = np.zeros(b_count, dtype=np.int64)
     for i in range(config.layers):
         final = i == config.layers - 1
         x = T.decoder_block(x, w, f"h{i}.", config.heads, n if final else l,
-                            first if final else every)
+                            first if final else every,
+                            None if cache is None else (*cache[i], at))
     xf = T.layernorm_rows(x, w["lnf.g"], w["lnf.b"])
     return T.matmul(xf, T.transpose(w["embed"]))  # tied unembedding
 
@@ -166,12 +173,6 @@ class DecodeCache:
     def select(self, keep: list[int]) -> DecodeCache:
         """The cache of the samples at indices `keep` only."""
         return DecodeCache([(k[keep], v[keep]) for k, v in self.layers], self.lengths[keep])
-
-
-def _key_mask(lengths: np.ndarray, span: int) -> np.ndarray:
-    """Additive (B, 1, 1, span) attention mask that shows sample b's queries
-    its first lengths[b] key positions only."""
-    return np.where(np.arange(span) < lengths[:, None], 0.0, T.MASK_VALUE)[:, None, None, :]
 
 
 class FrozenBackbone:
@@ -231,11 +232,10 @@ class FrozenBackbone:
         sequence of row arrays that follow one another; they are copied
         straight into the padded input.
 
-        The padding follows each block's rows, so causal attention keeps it
-        out of every real row, and each block keeps its own positions. The
-        final layer runs its queries, feed-forward and unembedding on each
-        block's last row only, hiding the padding's keys with a key-length
-        mask.
+        This is the untaped `_forward` over the padded batch, with `first`
+        at each block's last row and the new cache: each block keeps its
+        own positions, causal attention keeps the padding out of its rows,
+        and a block longer than max_seq raises `_forward`'s LengthError.
         """
         c = self.config
         d = c.embed_width
@@ -245,47 +245,33 @@ class FrozenBackbone:
                     raise T.DimensionError(f"input rows {rows.shape} do not have width {d}")
         lengths = np.array([sum(rows.shape[0] for rows in pieces) for pieces in blocks])
         b_count, l = len(blocks), int(lengths.max())
-        if l > c.max_seq:
-            raise LengthError(f"sequence length {l} exceeds max {c.max_seq}")
-        x = np.zeros((b_count, l, d))
+        x = np.zeros((b_count * l, d))
         for b, pieces in enumerate(blocks):
-            at = 0
+            at = b * l
             for rows in pieces:
-                x[b, at:at + rows.shape[0]] = rows
+                x[at:at + rows.shape[0]] = rows
                 at += rows.shape[0]
-        x = (x + self._weights["pos"].data[:l]).reshape(b_count * l, d)
         shape = (b_count, c.heads, min(l + room, c.max_seq), d // c.heads)
         cache = DecodeCache([(np.zeros(shape), np.zeros(shape)) for _ in range(c.layers)],
                             lengths)
-        at = np.zeros(b_count, dtype=np.int64)
-        causal = np.triu(np.full((l, l), T.MASK_VALUE), k=1)
-        last_rows = np.arange(b_count) * l + lengths - 1
-        for i, kv in enumerate(cache.layers):
-            mask, pick = ((causal, slice(None)) if i < c.layers - 1
-                          else (_key_mask(lengths, l), last_rows))
-            x = T.decoder_block_batched(x, self._weights, f"h{i}.", c.heads, kv, at, mask, pick)
-        return self._logits(x), cache
+        logits = _forward(c, self._weights, T.Tensor(x), 1, lengths - 1, cache.layers)
+        return logits.data, cache
 
     def step(self, cache: DecodeCache, ids: Sequence[int]) -> np.ndarray:
         """Append token ids[b] to sample b of a cache, at the sample's next
         position, with one untaped row per sample; returns the next-token
         logits (B, vocab) and extends the cache by those rows."""
+        w = self._weights
         at = cache.lengths
         cap = cache.layers[0][0].shape[2]
         if at.max() >= cap:
             raise LengthError(f"decode cache holds {cap} rows per sample and is full")
-        x = self.embed(ids) + self._weights["pos"].data[at]
+        x = T.Tensor(self.embed(ids) + w["pos"].data[at])
+        for i, (keys, values) in enumerate(cache.layers):
+            x = T.decoder_block(x, w, f"h{i}.", self.config.heads, 1, [0] * len(at),
+                                (keys, values, at))
         cache.lengths = at + 1
-        mask = _key_mask(cache.lengths, int(cache.lengths.max()))
-        for i, kv in enumerate(cache.layers):
-            x = T.decoder_block_batched(x, self._weights, f"h{i}.", self.config.heads,
-                                       kv, at, mask)
-        return self._logits(x)
-
-    def _logits(self, x: np.ndarray) -> np.ndarray:
-        """Final norm and tied unembedding of plain rows."""
-        w = self._weights
-        return T._layernorm(x, w["lnf.g"].data, w["lnf.b"].data)[0] @ w["embed"].data.T
+        return T._layernorm(x.data, w["lnf.g"].data, w["lnf.b"].data)[0] @ w["embed"].data.T
 
     def save(self, path: str | Path) -> None:
         write_container(path, BACKBONE_MAGIC, self.config.pack(), self.arrays())

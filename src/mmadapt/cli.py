@@ -188,6 +188,7 @@ def _effective_config(command: str, args: argparse.Namespace) -> dict:
         flag = getattr(args, key)
         if flag is not None:
             merged[key] = flag
+    _parse_seeds(merged)  # a bad seed fails here, before any command writes
     return merged
 
 
@@ -208,17 +209,23 @@ def _archive(out: Path, command: str, cfg: dict) -> None:
 
 
 def _parse_seeds(cfg: dict) -> tuple[int, ...]:
-    if cfg.get("seed") is not None:
-        return (int(cfg["seed"]),)
+    """`seed` alone when set, else the `seeds` list, else the preset five;
+    ConfigError for a list that does not parse or a negative seed."""
     raw = cfg.get("seeds")
-    if raw is None:
-        return SEEDS
-    if isinstance(raw, (list, tuple)):
-        return tuple(int(s) for s in raw)
-    try:
-        return tuple(int(part) for part in str(raw).split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad seed list {raw!r}: {exc}")
+    if cfg.get("seed") is not None:
+        seeds = (int(cfg["seed"]),)
+    elif raw is None:
+        seeds = SEEDS
+    elif isinstance(raw, (list, tuple)):
+        seeds = tuple(int(s) for s in raw)
+    else:
+        try:
+            seeds = tuple(int(part) for part in str(raw).split(",") if part.strip())
+        except ValueError as exc:
+            raise ConfigError(f"bad seed list {raw!r}: {exc}")
+    if any(s < 0 for s in seeds):
+        raise ConfigError(f"seeds must be >= 0, got {','.join(map(str, seeds))}")
+    return seeds
 
 
 def _require(cfg: dict, command: str, *keys: str) -> None:
@@ -267,13 +274,13 @@ def _resolve_train_config(cfg: dict, dataset: Dataset) -> TrainConfig:
 
 
 def cmd_synth(cfg: dict) -> int:
-    out = _output_dir(cfg, "synth")
-    _archive(out, "synth", cfg)
     spec = SyntheticSpec(
         class_count=cfg["classes"], noise=cfg["noise"], train=cfg["train"],
         valid=cfg["valid"], test=cfg["test"], audio_width=cfg["audio_width"],
         vision_width=cfg["vision_width"], min_len=cfg["min_len"],
         max_len=cfg["max_len"], seed=cfg["seed"])
+    out = _output_dir(cfg, "synth")
+    _archive(out, "synth", cfg)
     dataset = generate_synthetic(spec, out)
     print(f"wrote {out} with splits "
           f"{ {s: len(dataset[s]) for s in ('train', 'valid', 'test')} }")

@@ -664,62 +664,9 @@ BLOCK_WEIGHTS = ("ln1.g", "ln1.b", "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo
                  "ln2.g", "ln2.b", "wf1", "bf1", "wf2", "bf2")
 
 
-def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
-    """(..., rows, d) -> contiguous (..., heads, rows, d / heads)."""
-    *lead, rows, d = a.shape
-    return np.ascontiguousarray(a.reshape(*lead, rows, heads, d // heads).swapaxes(-2, -3))
-
-
-def _merge_heads(a: np.ndarray) -> np.ndarray:
-    """(..., heads, rows, dh) -> (..., rows, heads * dh)."""
-    *lead, heads, rows, dh = a.shape
-    return a.swapaxes(-2, -3).reshape(*lead, rows, heads * dh)
-
-
-# The block arithmetic below is shared by the taped `decoder_block` and the
-# untaped `decoder_block_batched`; `wd` is a block's weight arrays in
-# BLOCK_WEIGHTS order.
-
-
-def _block_in(x: np.ndarray, wd: list[np.ndarray], pick) -> tuple[np.ndarray, ...]:
-    """ln1 and the projections of a block's (rows, d) input: (h1, xhat1, inv1,
-    q, k, v), keys and values of every row and queries of the rows x[pick]."""
-    g1, b1, wq, bq, wk, bk, wv, bv = wd[:8]
-    h1, xhat1, inv1 = _layernorm(x, g1, b1)
-    return h1, xhat1, inv1, h1[pick] @ wq + bq, h1 @ wk + bk, h1 @ wv + bv
-
-
-def _attend(qh: np.ndarray, kh: np.ndarray, vh: np.ndarray,
-            mask: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Softmax attention of split-head queries over split-head keys and
-    values, scores scaled by 1 / sqrt(head width) plus an additive `mask`
-    broadcast against them (None: every query sees every key). Returns the
-    probabilities and the heads' outputs merged back into rows."""
-    scores = (qh @ kh.swapaxes(-1, -2)) * (1.0 / math.sqrt(qh.shape[-1]))
-    if mask is not None:
-        scores = scores + mask
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    att = e / e.sum(axis=-1, keepdims=True)
-    return att, _merge_heads(att @ vh)
-
-
-def _block_out(xq: np.ndarray, merged: np.ndarray,
-               wd: list[np.ndarray]) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """The rest of a block on its query rows xq, given their attention
-    output: projection and residual, then ln2 and the exact-GELU feed-forward
-    with its residual. Returns the output rows and what the backward reads,
-    (h2, xhat2, inv2, a, t, gl)."""
-    wo, bo, g2, b2, wf1, bf1, wf2, bf2 = wd[8:]
-    x1 = xq + (merged @ wo + bo)
-    h2, xhat2, inv2 = _layernorm(x1, g2, b2)
-    a = h2 @ wf1 + bf1
-    t = 1.0 + _erf(a * _INV_SQRT2)  # 2 Phi(a), kept for the GELU derivative
-    gl = a * (0.5 * t)
-    return x1 + (gl @ wf2 + bf2), (h2, xhat2, inv2, a, t, gl)
-
-
 def decoder_block(x: Tensor, w: dict[str, Tensor], prefix: str, heads: int,
-                  last: int, first: Sequence[int] | None = None) -> Tensor:
+                  last: int, first: Sequence[int] | None = None,
+                  cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> Tensor:
     """One pre-norm transformer block over the rows of one or more samples:
 
         h1 = ln1(x);  q, k, v = h1 wq + bq, h1 wk + bk, h1 wv + bv
@@ -738,6 +685,14 @@ def decoder_block(x: Tensor, w: dict[str, Tensor], prefix: str, heads: int,
     sample, rows first[b] .. first[b] + last - 1 of sample b (the last `last`
     rows without `first`). Returns those rows, (B last, d), in sample order.
     A sample right-padded to l rows keeps its padding out of its real rows.
+
+    `cache`, for untaped calls only, is a key/value cache (keys, values, at):
+    two (B, heads, cap, d / heads) arrays and each sample's first position.
+    Sample b's rows then sit at positions at[b] .. at[b] + l - 1, their keys
+    and values are written there, and its queries attend over the cache's
+    first max(at) + l positions, query j seeing those up to
+    at[b] + first[b] + j; the positions below at[b] must hold its earlier
+    rows. With no cache every query sees its own sample's rows only.
 
     The block is one tape record. For one sample the forward keeps the
     operation order of the chain of primitives it replaces, so it is
@@ -758,29 +713,67 @@ def decoder_block(x: Tensor, w: dict[str, Tensor], prefix: str, heads: int,
                              f"of {l} rows")
     ws = [w[prefix + name] for name in BLOCK_WEIGHTS]
     g1, b1, wq, bq, wk, bk, wv, bv, wo, bo, g2, b2, wf1, bf1, wf2, bf2 = ws
-    wd = [t.data for t in ws]
     s = 1.0 / math.sqrt(d // heads)
 
     def split(a: np.ndarray) -> np.ndarray:
-        """(B n, d) rows -> (B, heads, n, d / heads)."""
-        return _split_heads(a.reshape(b_count, -1, d), heads)
+        """(B n, d) rows -> contiguous (B, heads, n, d / heads)."""
+        return np.ascontiguousarray(a.reshape(b_count, -1, heads, d // heads).swapaxes(1, 2))
 
     def merge(a: np.ndarray) -> np.ndarray:
-        return _merge_heads(a).reshape(-1, d)
+        """(B, heads, n, d / heads) -> (B n, d) rows."""
+        return a.swapaxes(1, 2).reshape(-1, d)
 
     starts = np.arange(b_count) * l + first
     # the query rows, as a slice when they are contiguous
     pick = (slice(starts[0], starts[0] + b_count * last) if b_count == 1 or last == l
             else (starts[:, None] + np.arange(last)).reshape(-1))
-    h1, xhat1, inv1, q, k, v = _block_in(x.data, wd, pick)
+    h1, xhat1, inv1 = _layernorm(x.data, g1.data, b1.data)
     hq = h1[pick]
-    qh, kh, vh = split(q), split(k), split(v)
-    # query j of sample b sits at position first[b] + j and sees keys up to it
-    mask = np.where(np.arange(l) > (first[:, None] + np.arange(last))[:, :, None],
-                    MASK_VALUE, 0.0)[:, None]
-    att, merged = _attend(qh, kh, vh, mask if mask.any() else None)
-    merged = merged.reshape(-1, d)
-    out, (h2, xhat2, inv2, a, t, gl) = _block_out(x.data[pick], merged, wd)
+    qh = split(hq @ wq.data + bq.data)
+    k, v = h1 @ wk.data + bk.data, h1 @ wv.data + bv.data
+    if cache is None:
+        kh, vh, at = split(k), split(v), 0
+    else:
+        if _begin(x, *ws)[1]:
+            raise TapeStateError("decoder_block: a key/value cache is for untaped calls only")
+        keys, values, at = cache
+        span = int(at.max()) + l
+        if keys.shape != values.shape or keys.shape[:2] != (b_count, heads) or span > keys.shape[2]:
+            raise DimensionError(f"decoder_block: cache {keys.shape} cannot take {l} rows "
+                                 f"at positions {at.tolist()}")
+        index = np.arange(b_count)[:, None], slice(None), at[:, None] + np.arange(l)
+        keys[index] = k.reshape(b_count, l, heads, d // heads)
+        values[index] = v.reshape(b_count, l, heads, d // heads)
+        kh, vh = keys[:, :, :span], values[:, :, :span]
+    del k, v  # kh and vh hold them; every array below lives until the call returns
+    # query j of sample b sits at position at[b] + first[b] + j and sees keys up to it
+    seen = (at + first)[:, None, None] + np.arange(last)[:, None]
+    att = qh @ kh.swapaxes(-1, -2)
+    att *= s
+    # a raw score is far below MASK_VALUE's ulp, so adding MASK_VALUE to it
+    # would give exactly MASK_VALUE too
+    np.copyto(att, MASK_VALUE, where=(np.arange(kh.shape[2]) > seen)[:, None])
+    att -= att.max(axis=-1, keepdims=True)
+    np.exp(att, out=att)
+    att /= att.sum(axis=-1, keepdims=True)
+    merged = merge(att @ vh)
+    # in place on fresh arrays, for fewer temporaries; + and * commute, so
+    # each result has the bits of its plain expression, x1 = x + (merged wo + bo)
+    # and so on
+    x1 = merged @ wo.data
+    x1 += bo.data
+    x1 += x.data[pick]
+    h2, xhat2, inv2 = _layernorm(x1, g2.data, b2.data)
+    a = h2 @ wf1.data
+    a += bf1.data
+    t = a * _INV_SQRT2
+    _erf(t, out=t)
+    t += 1.0  # 2 Phi(a), kept for the GELU derivative
+    gl = 0.5 * t
+    gl *= a
+    out = gl @ wf2.data
+    out += bf2.data
+    out += x1
 
     def linear_back(inp: np.ndarray, wt: Tensor, bt: Tensor, g: np.ndarray) -> np.ndarray:
         """Accumulate the weight and bias gradients of inp @ wt + bt; return dinp."""
@@ -807,35 +800,6 @@ def decoder_block(x: Tensor, w: dict[str, Tensor], prefix: str, heads: int,
             x._accum(dx)
 
     return _finish(out, (x, *ws), back)
-
-
-def decoder_block_batched(x: np.ndarray, w: dict[str, Tensor], prefix: str, heads: int,
-                         cache: tuple[np.ndarray, np.ndarray], at: np.ndarray,
-                         mask: np.ndarray, pick=slice(None)) -> np.ndarray:
-    """`decoder_block` untaped, over B samples at once through a key/value
-    cache, on plain arrays.
-
-    x holds l rows of each of the B = len(at) samples, stacked sample after
-    sample, (B * l, d). Their keys and values are written into the cache,
-    a pair of (B, heads, cap, d / heads) arrays, at positions at[b] ..
-    at[b] + l - 1 of sample b. The queries of the rows x[pick] then attend
-    over the first `span` cached positions, span = mask.shape[-1], with the
-    additive mask broadcast against the (B, heads, queries per sample, span)
-    scores; the mask must hide every position a query may not see, written
-    or not. Returns the picked rows' outputs, (B * queries per sample, d).
-    """
-    b_count, d = len(at), x.shape[1]
-    l = x.shape[0] // b_count
-    wd = [w[prefix + name].data for name in BLOCK_WEIGHTS]
-    _, _, _, q, k, v = _block_in(x, wd, pick)
-    keys, values = cache
-    rows, cols = np.arange(b_count)[:, None], at[:, None] + np.arange(l)
-    keys[rows, :, cols] = k.reshape(b_count, l, heads, d // heads)
-    values[rows, :, cols] = v.reshape(b_count, l, heads, d // heads)
-    span = mask.shape[-1]
-    _, merged = _attend(_split_heads(q.reshape(b_count, -1, d), heads),
-                        keys[:, :, :span], values[:, :, :span], mask)
-    return _block_out(x[pick], merged.reshape(-1, d), wd)[0]
 
 
 def softmax_cross_entropy(logits: Tensor, target: int) -> Tensor:

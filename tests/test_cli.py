@@ -282,6 +282,16 @@ def pretrain_flags(*flags):
                                  "--out", str(tmp_path / "out"), *flags]
 
 
+def train_flags(command, *flags):
+    """`command` (train or ablate) on the workspace's dataset and backbone."""
+    return lambda tmp_path, ws: [command, "--dataset", str(ws["data"]), "--backbone",
+                                 str(ws["backbone"]), "--out", str(tmp_path / "out"), *flags]
+
+
+def out_flags(command, *flags):
+    return lambda tmp_path, ws: [command, "--out", str(tmp_path / "out"), *flags]
+
+
 BAD_INPUTS = {
     "missing-backbone": lambda tmp_path, ws: [
         "train", "--dataset", str(ws["data"]), "--backbone", str(tmp_path / "nope.mseb"),
@@ -302,14 +312,23 @@ BAD_INPUTS = {
     "pretrain-negative-lr": pretrain_flags("--lr", "-1"),
     "pretrain-negative-weight-decay": pretrain_flags("--weight-decay", "-0.1"),
     "train-negative-weight-decay": train_config({"weight_decay": -0.1}),
+    "synth-negative-seed": out_flags("synth", "--seed", "-1"),
+    "synth-zero-min-len": out_flags("synth", "--min-len", "0"),
+    "synth-one-class": out_flags("synth", "--classes", "1"),
+    "pretrain-negative-seed": pretrain_flags("--seed", "-1"),
+    "train-negative-seed": train_flags("train", "--seed", "-1"),
+    "train-negative-seed-in-list": train_flags("train", "--seeds=-1,2"),
+    "ablate-negative-seed": train_flags("ablate", "--seed", "-1"),
+    "gradcheck-negative-seed": out_flags("gradcheck", "--seed", "-1"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_one_without_traceback(tmp_path, cli_workspace, case):
     """A missing artifact file, a config-file value whose JSON type does not
-    fit its knob, or a pretraining or training knob out of range, exits 1
-    with a one-line message and writes no output directory."""
+    fit its knob, or a synth, pretraining or training knob out of range (a
+    negative seed included), exits 1 with a one-line message and writes no
+    output directory."""
     r = run_cli(*BAD_INPUTS[case](tmp_path, cli_workspace))
     assert r.returncode == 1, r.stderr
     assert "Traceback" not in r.stderr

@@ -415,7 +415,12 @@ def test_decoder_block_over_a_padded_batch_equals_each_samples_own_call(heads):
     each window's outputs and each sample's input gradient equal those of
     the sample's own call, and the weight gradients their sum over the
     samples, to 1e-12 of the largest entry (the key bias's gradient is zero
-    up to roundoff, see below); the padding gets an input gradient of 0."""
+    up to roundoff, see below); the padding gets an input gradient of 0.
+
+    Untaped with a key/value cache, the call gives the same outputs bit for
+    bit and leaves each sample's keys and values at its positions 0 .. 8;
+    one row per sample at a position at[b] over that cache then equals row
+    at[b] of the sample's own call, to 1e-12."""
     rng = np.random.default_rng(heads)
     lengths, windows, l, w_max = (5, 9, 3, 7), (2, 4, 1, 3), 9, 4
     first = [min(n - k, l - w_max) for n, k in zip(lengths, windows)]
@@ -446,6 +451,27 @@ def test_decoder_block_over_a_padded_batch_equals_each_samples_own_call(heads):
         if name != "h0.bk":
             assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref)), name
 
+    fixed = {n: T.Tensor(a) for n, a in weights.items()}
+    keys, values = np.zeros((2, 4, heads, l + 2, 16 // heads))
+    plain = T.decoder_block(T.Tensor(x), fixed, "h0.", heads, w_max, first)
+    cached = T.decoder_block(T.Tensor(x), fixed, "h0.", heads, w_max, first,
+                             (keys, values, np.zeros(4, dtype=np.int64)))
+    assert_array_equal(cached.data, plain.data)
+    h1 = T.layernorm_rows(T.Tensor(x), fixed["h0.ln1.g"], fixed["h0.ln1.b"]).data
+    for b, xb in enumerate(xs):
+        for cache, w_name, b_name in ((keys, "h0.wk", "h0.bk"), (values, "h0.wv", "h0.bv")):
+            want = h1[b * l:b * l + len(xb)] @ weights[w_name] + weights[b_name]
+            want = want.reshape(len(xb), heads, -1).swapaxes(0, 1)
+            assert np.max(np.abs(cache[b, :, :len(xb)] - want)) <= 1e-12 * np.max(np.abs(want))
+    assert not keys[:, :, l:].any() and not values[:, :, l:].any()
+    # positions after at[b] hold later rows' keys, which the row must not see
+    at = np.array([n // 2 for n in lengths])
+    step = T.decoder_block(T.Tensor(np.stack([xb[p] for xb, p in zip(xs, at)])), fixed,
+                           "h0.", heads, 1, [0] * 4, (keys, values, at))
+    for b, (xb, p) in enumerate(zip(xs, at)):
+        want = T.decoder_block(T.Tensor(xb), fixed, "h0.", heads, len(xb)).data[p]
+        assert np.max(np.abs(step.data[b] - want)) <= 1e-12 * np.max(np.abs(want)), b
+
 
 def test_causal_mha_rejects_bad_heads_and_shapes():
     rng = np.random.default_rng(0)
@@ -461,6 +487,16 @@ def test_causal_mha_rejects_bad_heads_and_shapes():
     for first in ([0, 0], [-1], [2], []):
         with pytest.raises(DimensionError):
             T.decoder_block(x, weights, "h0.", 2, 2, first)
+    # a cache of the wrong shape or too short for the rows, or any cache
+    # under a recording tape
+    at = np.zeros(1, dtype=np.int64)
+    for shape, start in (((1, 3, 4, 3), at), ((1, 2, 4, 3), at + 2), ((1, 2, 2, 3), at)):
+        with pytest.raises(DimensionError):
+            T.decoder_block(x, weights, "h0.", 2, 3, [0], (np.zeros(shape), np.zeros(shape), start))
+    keys, values = np.zeros((2, 1, 2, 4, 3))
+    x.requires_grad = True
+    with T.Tape(), pytest.raises(TapeStateError):
+        T.decoder_block(x, weights, "h0.", 2, 3, [0], (keys, values, at))
 
 
 def test_slice_concat_stack_transpose_grads():
