@@ -116,16 +116,18 @@ def init_weights(config: BackboneConfig, rng: np.random.Generator) -> dict[str, 
 
 def _forward(config: BackboneConfig, w: dict[str, T.Tensor], rows: T.Tensor,
              last: int | None = None, first: Sequence[int] | None = None,
-             cache: Sequence[tuple[np.ndarray, np.ndarray]] | None = None) -> T.Tensor:
+             cache: Sequence[tuple[np.ndarray, np.ndarray]] | None = None,
+             at: np.ndarray | None = None) -> T.Tensor:
     """Embedded rows -> next-token logits of `last` rows per sample (all
     rows when None).
 
     `rows` holds one sample's rows or, with `first`, the rows of
-    B = len(first) samples stacked, each right-padded to the same count l
-    and each at positions 0 .. l - 1. Sample b's logits are those of its
-    rows first[b] .. first[b] + last - 1 (its last `last` rows without
-    `first`), stacked in sample order. Causal attention keeps each sample's
-    padding out of its real rows.
+    B = len(first) samples stacked, each right-padded to the same count l.
+    Sample b's rows sit at positions at[b] .. at[b] + l - 1 (at 0 when `at`
+    is None). Sample b's logits are those of its rows first[b] .. first[b] +
+    last - 1 (its last `last` rows without `first`), stacked in sample
+    order. Causal attention keeps each sample's padding out of its real
+    rows.
 
     Each layer is one `T.decoder_block`, one tape record. Every block
     computes keys and values for all rows; the final block runs its queries,
@@ -133,25 +135,26 @@ def _forward(config: BackboneConfig, w: dict[str, T.Tensor], rows: T.Tensor,
     unembedding, on the rows returned only.
 
     `cache`, for untaped calls only, holds each layer's (keys, values), two
-    (B, heads, cap, d / heads) arrays with cap >= l: every block writes the
-    keys and values of each sample's rows at its positions 0 .. l - 1.
+    (B, heads, cap, d / heads) arrays: every block writes the keys and
+    values of each sample's rows at their positions, and sample b's
+    positions below at[b] must hold its earlier rows.
     """
     b_count = 1 if first is None else len(first)
-    total, d = rows.shape
-    if d != config.embed_width:
-        raise T.DimensionError(f"input width {d} != embed width {config.embed_width}")
+    if rows.data.ndim != 2 or rows.shape[1] != config.embed_width:
+        raise T.DimensionError(f"input rows {rows.shape} do not have width "
+                               f"{config.embed_width}")
+    total = rows.shape[0]
     if b_count == 0 or total % b_count:
         raise T.DimensionError(f"{total} rows do not split into {b_count} samples")
     l = total // b_count
-    if l > config.max_seq:
-        raise LengthError(f"sequence length {l} exceeds max {config.max_seq}")
+    at = np.zeros(b_count, dtype=np.int64) if at is None else at
+    if int(at.max()) + l > config.max_seq:
+        raise LengthError(f"sequence length {int(at.max()) + l} exceeds max {config.max_seq}")
     n = l if last is None else last
     if not 1 <= n <= l:
         raise T.DimensionError(f"cannot return the last {n} of {l} rows")
-    pos = T.slice_rows(w["pos"], 0, l)
-    x = T.add(rows, pos if first is None else T.concat_rows([pos] * b_count))
+    x = T.add(rows, T.embedding_lookup(w["pos"], (at[:, None] + np.arange(l)).reshape(-1)))
     every = None if first is None else [0] * b_count
-    at = np.zeros(b_count, dtype=np.int64)
     for i in range(config.layers):
         final = i == config.layers - 1
         x = T.decoder_block(x, w, f"h{i}.", config.heads, n if final else l,
@@ -223,55 +226,36 @@ class FrozenBackbone:
         sample's rows, or of a padded batch with `first`; see `_forward`."""
         return _forward(self.config, self._weights, rows, last, first)
 
-    def prefill(self, blocks: Sequence[Sequence[np.ndarray]],
+    def prefill(self, rows: T.Tensor, lengths: np.ndarray,
                 room: int) -> tuple[np.ndarray, DecodeCache]:
-        """One untaped forward over B blocks of embedded rows at once, padded
-        to the longest: the next-token logits (B, vocab) of each block's last
-        row, and a cache of every row's keys and values with room for `room`
-        more rows per sample (never more than max_seq). A block is a
-        sequence of row arrays that follow one another; they are copied
-        straight into the padded input.
-
-        This is the untaped `_forward` over the padded batch, with `first`
-        at each block's last row and the new cache: each block keeps its
-        own positions, causal attention keeps the padding out of its rows,
-        and a block longer than max_seq raises `_forward`'s LengthError.
-        """
+        """One untaped forward over a padded batch: B = len(lengths) samples'
+        embedded rows, each right-padded to the longest and stacked, sample
+        b's real rows its first lengths[b]. Returns the next-token logits
+        (B, vocab) of each sample's last real row, and a cache of every
+        row's keys and values with room for `room` more rows per sample
+        (never more than max_seq). A batch longer than max_seq raises
+        `_forward`'s LengthError."""
         c = self.config
-        d = c.embed_width
-        for pieces in blocks:
-            for rows in pieces:
-                if rows.ndim != 2 or rows.shape[1] != d:
-                    raise T.DimensionError(f"input rows {rows.shape} do not have width {d}")
-        lengths = np.array([sum(rows.shape[0] for rows in pieces) for pieces in blocks])
-        b_count, l = len(blocks), int(lengths.max())
-        x = np.zeros((b_count * l, d))
-        for b, pieces in enumerate(blocks):
-            at = b * l
-            for rows in pieces:
-                x[at:at + rows.shape[0]] = rows
-                at += rows.shape[0]
-        shape = (b_count, c.heads, min(l + room, c.max_seq), d // c.heads)
+        lengths = np.asarray(lengths, dtype=np.int64)
+        shape = (len(lengths), c.heads, min(int(lengths.max(initial=0)) + room, c.max_seq),
+                 c.embed_width // c.heads)
         cache = DecodeCache([(np.zeros(shape), np.zeros(shape)) for _ in range(c.layers)],
                             lengths)
-        logits = _forward(c, self._weights, T.Tensor(x), 1, lengths - 1, cache.layers)
+        logits = _forward(c, self._weights, rows, 1, lengths - 1, cache.layers)
         return logits.data, cache
 
     def step(self, cache: DecodeCache, ids: Sequence[int]) -> np.ndarray:
         """Append token ids[b] to sample b of a cache, at the sample's next
         position, with one untaped row per sample; returns the next-token
         logits (B, vocab) and extends the cache by those rows."""
-        w = self._weights
         at = cache.lengths
         cap = cache.layers[0][0].shape[2]
         if at.max() >= cap:
             raise LengthError(f"decode cache holds {cap} rows per sample and is full")
-        x = T.Tensor(self.embed(ids) + w["pos"].data[at])
-        for i, (keys, values) in enumerate(cache.layers):
-            x = T.decoder_block(x, w, f"h{i}.", self.config.heads, 1, [0] * len(at),
-                                (keys, values, at))
+        logits = _forward(self.config, self._weights, T.Tensor(self.embed(ids)), 1,
+                          [0] * len(at), cache.layers, at)
         cache.lengths = at + 1
-        return T._layernorm(x.data, w["lnf.g"].data, w["lnf.b"].data)[0] @ w["embed"].data.T
+        return logits.data
 
     def save(self, path: str | Path) -> None:
         write_container(path, BACKBONE_MAGIC, self.config.pack(), self.arrays())
@@ -284,51 +268,36 @@ class FrozenBackbone:
         return cls(config, {n: T.Tensor(arr) for n, arr in tensors})
 
 
-# samples that `generate` decodes together; a larger batch makes fewer calls
-# but pads more rows and holds larger temporaries
-DECODE_BLOCK = 16
-
-
-def generate(backbone: FrozenBackbone, blocks: Sequence[Sequence[np.ndarray]],
+def generate(backbone: FrozenBackbone, rows: T.Tensor, lengths: np.ndarray,
              max_new: int = 8) -> list[str]:
-    """Greedy decoding from the end of each block of input rows; returns one
-    text per block, the decoded new bytes with EOS stripped. A block is a
-    sequence of row arrays that follow one another, as `prefill` takes it.
+    """Greedy decoding from the end of each sample of a padded batch, as
+    `prefill` takes it; returns one text per sample, the decoded new bytes
+    with EOS stripped.
 
-    The blocks decode DECODE_BLOCK at a time: one `prefill` over their rows,
-    then one `step` per new token over the samples still running. A sample
-    stops at EOS, after max_new tokens, or when its context fills up.
+    One `prefill` over the batch, then one `step` per new token over the
+    samples still running. A sample stops at EOS, after max_new tokens, or
+    when its context fills up; a sample of max_seq rows gets no token.
     """
-    ids: list[list[int]] = []
-    for start in range(0, len(blocks), DECODE_BLOCK):
-        ids += _greedy_ids(backbone, blocks[start:start + DECODE_BLOCK], max_new)
-    return [detokenize(out) for out in ids]
-
-
-def _greedy_ids(backbone: FrozenBackbone, blocks: Sequence[Sequence[np.ndarray]],
-                max_new: int) -> list[list[int]]:
-    """The new token ids of greedy decoding for a batch of row blocks."""
     max_seq = backbone.config.max_seq
-    out: list[list[int]] = [[] for _ in blocks]
-    live = [i for i, pieces in enumerate(blocks)
-            if sum(rows.shape[0] for rows in pieces) < max_seq and max_new > 0]
-    if not live:
-        return out
-    logits, cache = backbone.prefill([blocks[i] for i in live], max_new - 1)
-    while True:
-        keep = []
-        for j, nxt in enumerate(np.argmax(logits, axis=1)):
-            i = live[j]
-            if nxt != EOS:
-                out[i].append(int(nxt))
-                if len(out[i]) < max_new and cache.lengths[j] + 1 < max_seq:
-                    keep.append(j)
-        if not keep:
-            return out
-        if len(keep) < len(live):
-            live = [live[j] for j in keep]
-            cache = cache.select(keep)
-        logits = backbone.step(cache, [out[i][-1] for i in live])
+    out: list[list[int]] = [[] for _ in lengths]
+    if max_new > 0:
+        logits, cache = backbone.prefill(rows, lengths, max_new - 1)
+        live = list(range(len(out)))
+        while True:
+            keep = []
+            for j, nxt in enumerate(np.argmax(logits, axis=1)):
+                i = live[j]
+                if nxt != EOS and cache.lengths[j] < max_seq:
+                    out[i].append(int(nxt))
+                    if len(out[i]) < max_new and cache.lengths[j] + 1 < max_seq:
+                        keep.append(j)
+            if not keep:
+                break
+            if len(keep) < len(live):
+                live = [live[j] for j in keep]
+                cache = cache.select(keep)
+            logits = backbone.step(cache, [out[i][-1] for i in live])
+    return [detokenize(ids) for ids in out]
 
 
 def check_pretrain_knobs(steps: int, lr: float, weight_decay: float) -> None:

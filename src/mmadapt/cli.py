@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import traceback
@@ -188,6 +189,10 @@ def _effective_config(command: str, args: argparse.Namespace) -> dict:
         flag = getattr(args, key)
         if flag is not None:
             merged[key] = flag
+    # flags and JSON both read nan and inf as floats; no knob takes them
+    for key, (typ, _, _) in schema.items():
+        if typ is float and isinstance(merged[key], float) and not math.isfinite(merged[key]):
+            raise ConfigError(f"{key} must be a finite number, got {merged[key]}")
     _parse_seeds(merged)  # a bad seed fails here, before any command writes
     return merged
 

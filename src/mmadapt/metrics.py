@@ -266,8 +266,7 @@ def score_predictions(family: str, preds, golds, fallback_count: int = 0,
                       class_count: int = 7) -> MetricReport:
     """Dispatch parsed predictions to the family's metric function."""
     if family == "emotion":
-        return erc_metrics([int(p) for p in preds], [int(g) for g in golds],
-                           class_count, fallback_count)
+        return erc_metrics(list(preds), list(golds), class_count, fallback_count)
     if family not in METRICS_FOR_FAMILY:
         raise InputError(f"unknown metric family {family!r}")
     return METRICS_FOR_FAMILY[family](list(preds), list(golds), fallback_count)

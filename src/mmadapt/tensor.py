@@ -433,7 +433,7 @@ def outer_blocks(v: Tensor, u: Tensor) -> Tensor:
 
 def embedding_lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
     _need_2d(table, "embedding_lookup")
-    idx = np.asarray(list(ids), dtype=np.int64)
+    idx = np.asarray(ids, dtype=np.int64)
     if idx.ndim != 1 or idx.size == 0:
         raise DimensionError("embedding_lookup: ids must be a non-empty 1-d sequence")
     if idx.min() < 0 or idx.max() >= table.shape[0]:

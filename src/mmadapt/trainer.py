@@ -58,8 +58,8 @@ class TrainConfig:
     train_fraction: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning rate must be > 0, got {self.learning_rate}")
+        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
+            raise ConfigError(f"learning rate must be finite and > 0, got {self.learning_rate}")
         if not (0.0 <= self.warmup_fraction < 1.0):
             raise ConfigError(f"warmup fraction must be in [0, 1), "
                               f"got {self.warmup_fraction}")
@@ -67,7 +67,7 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
-        if self.clip_norm <= 0:
+        if not self.clip_norm > 0:
             raise ConfigError(f"clip norm must be > 0, got {self.clip_norm}")
         if not self.weight_decay >= 0:
             raise ConfigError(f"weight decay must be >= 0, got {self.weight_decay}")
@@ -120,10 +120,11 @@ def label_loss(logits: T.Tensor, labels: list[list[int]],
 
 @dataclass
 class PreparedSample:
-    """One sample in the layout the backbone reads: [pseudo | text | prompt |
-    label]. `const_rows` are the frozen embedding rows of the text (empty when
-    the variant drops it), prompt and label ids; the `n_prefix` pseudo rows
-    come from the adapter. `text_rows` feed the adapter's text gate."""
+    """One sample prepared for the backbone, whose input `padded_inputs` lays
+    out as [pseudo | text | prompt | label]. `const_rows` are the frozen
+    embedding rows of the text (empty when the variant drops it), prompt and
+    label ids; the `n_prefix` pseudo rows come from the adapter. `text_rows`
+    feed the adapter's text gate."""
 
     sid: str
     gold: float
@@ -138,27 +139,6 @@ class PreparedSample:
     def length(self) -> int:
         """The rows of the training input."""
         return self.n_prefix + self.const_rows.shape[0]
-
-    def input_rows(self, pseudo: T.Tensor, rows: int | None = None) -> T.Tensor:
-        """The training input: the pseudo rows in front of the constant rows,
-        then zero rows up to `rows` rows in all."""
-        self._check_prefix(pseudo.shape)
-        parts = [pseudo, T.Tensor._wrap(self.const_rows, False, None)]
-        if rows is not None and rows > self.length:
-            parts.append(T.Tensor._wrap(np.zeros((rows - self.length, self.const_rows.shape[1])),
-                                        False, None))
-        return T.concat_rows(parts)
-
-    def eval_rows(self, pseudo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The evaluation input, which ends before the label block, as the
-        two row arrays that `generate` places one after the other: the
-        pseudo rows, then a view of the text and prompt rows."""
-        self._check_prefix(pseudo.shape)
-        return pseudo, self.const_rows[:self.const_rows.shape[0] - len(self.label_ids)]
-
-    def _check_prefix(self, shape: tuple[int, ...]) -> None:
-        if shape[0] != self.n_prefix:
-            raise T.DimensionError(f"pseudo prefix must have {self.n_prefix} rows, got {shape}")
 
 
 def label_text(preset: DatasetPreset, value: float) -> str:
@@ -208,14 +188,26 @@ def pseudo_blocks(params: AdapterParams, batch: list[PreparedSample],
                                wrap(p.vision for p in batch), state)
 
 
-def _pseudo_for(params: AdapterParams, p: PreparedSample,
-                state: VariantState) -> T.Tensor:
-    return pseudo_blocks(params, [p], state)
-
-
-def _block_of(pseudo: np.ndarray, i: int, n: int) -> np.ndarray:
-    """Sample i's rows of a stacked pseudo-token array."""
-    return pseudo[i * n:(i + 1) * n]
+def padded_inputs(batch: list[PreparedSample], pseudo: T.Tensor,
+                  labels: bool = True) -> tuple[T.Tensor, np.ndarray]:
+    """The backbone input of a batch given its stacked pseudo-token blocks:
+    each sample's pseudo rows, then its constant rows (without the label
+    block when `labels` is False), right-padded with zero rows to the
+    longest sample and stacked in batch order; and each sample's own row
+    count."""
+    n = batch[0].n_prefix
+    if pseudo.shape[0] != len(batch) * n:
+        raise T.DimensionError(f"{len(batch)} pseudo prefixes of {n} rows need "
+                               f"{len(batch) * n} rows, got {pseudo.shape}")
+    consts = [p.const_rows if labels else p.const_rows[:len(p.const_rows) - len(p.label_ids)]
+              for p in batch]
+    lengths = np.array([n + len(c) for c in consts])
+    tails = np.zeros((len(batch), int(lengths.max()) - n, pseudo.shape[1]))
+    parts = []
+    for i, c in enumerate(consts):
+        tails[i, :len(c)] = c
+        parts += [T.slice_rows(pseudo, i * n, (i + 1) * n), T.Tensor._wrap(tails[i], False, None)]
+    return T.concat_rows(parts), lengths
 
 
 def block_losses(backbone: FrozenBackbone, batch: list[PreparedSample],
@@ -232,13 +224,11 @@ def block_losses(backbone: FrozenBackbone, batch: list[PreparedSample],
     rows equal those of each sample's own full forward, and the rows outside
     the windows add no loss and pass back no gradient.
     """
-    n = batch[0].n_prefix
-    l = max(p.length for p in batch)
+    rows, lengths = padded_inputs(batch, pseudo)
+    l = int(lengths.max())
     w = max(len(p.label_ids) for p in batch) + 1
     starts = [p.length - len(p.label_ids) - 1 for p in batch]
     first = [min(start, l - w) for start in starts]
-    rows = T.concat_rows([p.input_rows(T.slice_rows(pseudo, i * n, (i + 1) * n), l)
-                          for i, p in enumerate(batch)])
     logits = backbone.forward_rows(rows, last=w, first=first)
     return label_loss(logits, [p.label_ids for p in batch],
                       [start - f for start, f in zip(starts, first)])
@@ -247,7 +237,7 @@ def block_losses(backbone: FrozenBackbone, batch: list[PreparedSample],
 def sample_loss(backbone: FrozenBackbone, params: AdapterParams,
                 p: PreparedSample, state: VariantState) -> T.Tensor:
     """Label loss of one sample, its adapter forward included."""
-    return block_losses(backbone, [p], _pseudo_for(params, p, state))
+    return block_losses(backbone, [p], pseudo_blocks(params, [p], state))
 
 
 # samples whose backbone forward and backward run as one padded batch in a
@@ -314,6 +304,9 @@ def batch_step(backbone: FrozenBackbone, params: AdapterParams,
 # samples whose pseudo tokens evaluation builds in one adapter forward; a
 # block's LSTM states grow with it, so it stays small
 EVAL_BLOCK = 64
+# samples that `generate` decodes together; a larger batch makes fewer calls
+# but pads more rows and holds larger temporaries
+DECODE_BLOCK = 16
 
 
 def evaluate_split(backbone: FrozenBackbone, params: AdapterParams,
@@ -321,8 +314,8 @@ def evaluate_split(backbone: FrozenBackbone, params: AdapterParams,
                    preset: DatasetPreset) -> MetricReport:
     """Greedy generation, parsing, and family metrics over prepared samples.
     The adapter runs once per block of EVAL_BLOCK samples, and `generate`
-    decodes the block as a batch, reading each sample's rows where they
-    are."""
+    decodes the block DECODE_BLOCK samples at a time, each batch laid out
+    by `padded_inputs` without the label block."""
     if not prepared:
         raise InputError("cannot evaluate an empty split")
     budget = eval_token_budget(preset)
@@ -332,15 +325,18 @@ def evaluate_split(backbone: FrozenBackbone, params: AdapterParams,
     fallbacks = 0
     for start in range(0, len(prepared), EVAL_BLOCK):
         block = prepared[start:start + EVAL_BLOCK]
-        pseudo = pseudo_blocks(params, block, state).data
-        rows = [p.eval_rows(_block_of(pseudo, i, n)) for i, p in enumerate(block)]
-        for p, text in zip(block, generate(backbone, rows, max_new=budget)):
-            value, fb = parse_generated(preset.task, text,
-                                        class_count=preset.class_count,
-                                        neutral_class=preset.neutral_class)
-            fallbacks += int(fb)
-            preds.append(value)
-            golds.append(p.gold)
+        pseudo = pseudo_blocks(params, block, state)
+        for sub in range(0, len(block), DECODE_BLOCK):
+            batch = block[sub:sub + DECODE_BLOCK]
+            rows, lengths = padded_inputs(
+                batch, T.slice_rows(pseudo, sub * n, (sub + len(batch)) * n), labels=False)
+            for p, text in zip(batch, generate(backbone, rows, lengths, max_new=budget)):
+                value, fb = parse_generated(preset.task, text,
+                                            class_count=preset.class_count,
+                                            neutral_class=preset.neutral_class)
+                fallbacks += int(fb)
+                preds.append(value)
+                golds.append(p.gold)
     return score_predictions(preset.metric_family, preds, golds,
                              fallback_count=fallbacks,
                              class_count=preset.class_count)

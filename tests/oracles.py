@@ -20,7 +20,7 @@ import numpy as np
 
 from mmadapt import tensor as T
 from mmadapt.backbone import EOS
-from mmadapt.trainer import label_loss, pseudo_blocks
+from mmadapt.trainer import label_loss, padded_inputs, pseudo_blocks
 
 
 def matmul_loops(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -247,7 +247,8 @@ def batch_step_per_sample(backbone, params, batch, state):
     for i, p in enumerate(batch):
         leaf = T.Tensor._wrap(pseudo.data[i * n:(i + 1) * n], True, None)
         with T.Tape() as tape:
-            logits = backbone.forward_rows(p.input_rows(leaf), last=len(p.label_ids) + 1)
+            rows, _ = padded_inputs([p], leaf)
+            logits = backbone.forward_rows(rows, last=len(p.label_ids) + 1)
             loss = label_loss(logits, [p.label_ids])
             tape.backward(T.scale(loss, 1.0 / len(batch)))
         leaf_grads[i * n:(i + 1) * n] = leaf.grad

@@ -175,8 +175,8 @@ def test_embed_single_id_equals_table_row():
 def test_generate_is_deterministic_and_respects_max_new():
     frozen = make_frozen()
     rows = frozen.embed(B.tokenize("hello ans:"))
-    [a] = B.generate(frozen, [[rows]], max_new=5)
-    [b] = B.generate(frozen, [[rows[:3], rows[3:]]], max_new=5)
+    [a] = B.generate(frozen, T.Tensor(rows), [len(rows)], max_new=5)
+    [b] = B.generate(frozen, T.Tensor(rows), [len(rows)], max_new=5)
     assert a == b
     # at most 5 byte ids were emitted, and replacement decoding never
     # yields more characters than bytes
@@ -226,7 +226,7 @@ def test_pretrain_memorizes_constant_label():
               ["the sky is wide", "rain came early", "we left at noon"]]
     frozen, _ = B.pretrain_backbone(corpus, steps=450, seed=21, config=TINY, lr=4e-3)
     rows = frozen.embed(B.tokenize("the sky is wide judge:"))
-    assert B.generate(frozen, [[rows]], max_new=6) == ["+1.0"]
+    assert B.generate(frozen, T.Tensor(rows), [len(rows)], max_new=6) == ["+1.0"]
 
 
 def records_per_tape(monkeypatch, run) -> list[int]:

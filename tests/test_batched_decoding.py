@@ -1,7 +1,6 @@
 """Batched greedy decoding: `prefill` and `step` against the full forward
-of each sample's rows so far, and `generate` over blocks of samples against
-the uncached one-sample oracle. A block is a list of row arrays, as
-`generate` takes it."""
+of each sample's rows so far, and `generate` over padded batches of samples
+against the uncached one-sample oracle."""
 
 import numpy as np
 import pytest
@@ -12,8 +11,8 @@ from mmadapt import tensor as T
 from mmadapt.adapter import AdapterConfig, AdapterParams, make_variant_state
 from mmadapt.trainer import EVAL_BLOCK, eval_token_budget, prepare_samples
 
+from decoding import eval_inputs, make_frozen, padded, preset_samples, unpadded
 from oracles import generate_uncached_ids
-from test_cached_decoding import eval_pieces, make_frozen, preset_samples
 
 # a greedy step whose top two logits are this close may take either token
 TIE = 1e-9
@@ -42,13 +41,12 @@ def assert_same_greedy(backbone, rows, got, want):
     assert top[-1] - top[-2] <= TIE, f"ids {got} vs {want}"
 
 
-def check_block(backbone, blocks, budget):
-    """generate over the whole block against the uncached one-sample oracle."""
-    got = B.generate(backbone, blocks, budget)
-    assert len(got) == len(blocks)
-    for pieces, ids in zip(blocks, got):
-        rows = T.Tensor(np.concatenate(pieces))
-        assert_same_greedy(backbone, rows, ids, generate_uncached_ids(backbone, rows, budget))
+def check_block(backbone, rows, lengths, budget):
+    """generate over a padded batch against the uncached one-sample oracle."""
+    got = B.generate(backbone, rows, lengths, budget)
+    assert len(got) == len(lengths)
+    for own, ids in zip(unpadded(rows, lengths), got):
+        assert_same_greedy(backbone, own, ids, generate_uncached_ids(backbone, own, budget))
     return got
 
 
@@ -63,7 +61,7 @@ def check_block(backbone, blocks, budget):
 def test_prefill_and_steps_equal_the_per_sample_cached_forward(config):
     frozen = make_frozen(config, seed=config.layers)
     blocks = random_blocks(frozen, [7, 12, 3, 12, 9], seed=config.layers)
-    logits, cache = frozen.prefill([[rows[:2], rows[2:]] for rows in blocks], room=4)
+    logits, cache = frozen.prefill(*padded(blocks), room=4)
     assert logits.shape == (5, B.VOCAB_SIZE)
     # the longest prefill plus the room
     assert cache.layers[0][0].shape == (5, 2, 16, config.embed_width // 2)
@@ -91,17 +89,21 @@ def test_prefill_and_steps_equal_the_per_sample_cached_forward(config):
 
 
 def test_prefill_checks_its_input():
+    """Rows of the wrong width or rank, rows that do not split into the
+    samples, a sample length of 0 or past the padded length, and a batch
+    longer than max_seq are refused."""
     frozen = make_frozen()
-    with pytest.raises(T.DimensionError):
-        frozen.prefill([[np.zeros((3, 16)), np.zeros((3, 15))]], room=1)
-    with pytest.raises(T.DimensionError):
-        frozen.prefill([[np.zeros(16)]], room=1)
+    for rows, lengths in [(np.zeros((6, 15)), [6]), (np.zeros(16), [1]),
+                          (np.zeros((7, 16)), [3, 4]), (np.zeros((6, 16)), [0, 3]),
+                          (np.zeros((6, 16)), [3, 4])]:
+        with pytest.raises(T.DimensionError):
+            frozen.prefill(T.Tensor(rows), lengths, room=1)
     with pytest.raises(B.LengthError):
-        frozen.prefill([[np.zeros((40, 16)), np.zeros((9, 16))]], room=1)
+        frozen.prefill(T.Tensor(np.zeros((49, 16))), [49], room=1)
 
 
 # ---------------------------------------------------------------------------
-# generate over blocks
+# generate over padded batches
 
 
 @pytest.mark.parametrize("name", ["mosei", "sims_v2", "meld", "cherma"])
@@ -109,21 +111,19 @@ def test_batched_generate_matches_both_oracles_on_every_corpus_preset(monkeypatc
     rng = np.random.default_rng(len(name) + 1)
     config = B.BackboneConfig(embed_width=32, layers=2, heads=2, ffn_mult=2, max_seq=256)
     frozen = make_frozen(config, seed=len(name) + 1)
-    # more samples than one decode block, of different lengths
-    preset, samples = preset_samples(name, B.DECODE_BLOCK + 5, rng)
+    # more samples than evaluation decodes at once, of different lengths
+    preset, samples = preset_samples(name, trainer_mod.DECODE_BLOCK + 5, rng)
     acfg = AdapterConfig(audio_width=preset.audio_width, vision_width=preset.vision_width,
                          audio_hidden=8, vision_hidden=8, mix_width=32,
                          token_count=preset.adapter_defaults.token_count, embed_width=32)
     params = AdapterParams.init(acfg, rng)
     state = make_variant_state("full", acfg, rng)
     prepared = prepare_samples(frozen, samples, preset, acfg.token_count, False)
-    pseudo = trainer_mod.pseudo_blocks(params, prepared, state).data
-    blocks = [p.eval_rows(trainer_mod._block_of(pseudo, i, acfg.token_count))
-              for i, p in enumerate(prepared)]
-    assert len({sum(len(rows) for rows in pieces) for pieces in blocks}) > 1
+    rows, lengths = eval_inputs(params, prepared, state)
+    assert len(set(lengths)) > 1
     monkeypatch.setattr(B, "detokenize", list)
     for budget in (eval_token_budget(preset), 8):
-        check_block(frozen, blocks, budget)
+        check_block(frozen, rows, lengths, budget)
 
 
 def test_batched_generate_matches_both_oracles_on_the_synthetic_preset(
@@ -133,35 +133,38 @@ def test_batched_generate_matches_both_oracles_on_the_synthetic_preset(
     state = make_variant_state("full", small_adapter_config, rng)
     prepared = prepare_samples(small_backbone, small_synth["test"] + small_synth["valid"],
                                small_synth.preset, small_adapter_config.token_count, False)
-    blocks = [eval_pieces(params, p, state) for p in prepared]
+    rows, lengths = eval_inputs(params, prepared, state)
     monkeypatch.setattr(B, "detokenize", list)
     for budget in (eval_token_budget(small_synth.preset), 8):
-        got = check_block(small_backbone, blocks, budget)
+        got = check_block(small_backbone, rows, lengths, budget)
         assert any(len(ids) < budget for ids in got)  # the backbone ends some labels
 
 
 def test_samples_leave_at_eos_budget_and_max_seq_while_others_run_on(monkeypatch):
     config = B.BackboneConfig(embed_width=16, layers=2, heads=2, ffn_mult=2, max_seq=20)
     plain = make_frozen(config, seed=28)
-    blocks = [[rows] for rows in random_blocks(plain, [6, 19, 12, 20, 5, 18, 9], 28)]
+    arrays = random_blocks(plain, [6, 19, 12, 20, 5, 18, 9], 28)
     # point the EOS row of the tied unembedding from sample 4's first hidden
     # state towards sample 0's, so that some samples end with EOS
     embed = plain._weights["embed"].data
-    hidden = [np.linalg.lstsq(embed, plain.forward_rows(T.Tensor(rows), last=1).data[0],
+    hidden = [np.linalg.lstsq(embed, plain.forward_rows(T.Tensor(arrays[s]), last=1).data[0],
                               rcond=None)[0]
-              for (rows,) in (blocks[0], blocks[4])]
+              for s in (0, 4)]
     toward = hidden[0] - hidden[1]
     weights = {n: T.Tensor(t.data.copy()) for n, t in plain._weights.items()}
     weights["embed"].data[B.EOS] = 50.0 * toward / np.linalg.norm(toward)
     frozen = B.FrozenBackbone(config, weights)
     monkeypatch.setattr(B, "detokenize", list)
-    got = check_block(frozen, blocks, 8)
-    # 0 and 2 end with EOS at steps 1 and 3; 1 and 5 fill max_seq; 3 has no
-    # room; 4 and 6 run out of budget
+    rows, lengths = padded(arrays)
+    got = check_block(frozen, rows, lengths, 8)
+    # 0 and 2 end with EOS at steps 1 and 3; 1 and 5 fill max_seq; 3, of
+    # max_seq rows, gets no token; 4 and 6 run out of budget
     assert [len(ids) for ids in got] == [0, 1, 2, 0, 8, 2, 8]
-    # a block of one decodes as in the batch
-    assert [B.generate(frozen, [pieces], 8)[0] for pieces in blocks] == got
-    assert B.generate(frozen, blocks, 0) == [[]] * len(blocks)
+    # a batch of one decodes as in the batch
+    assert [B.generate(frozen, *padded([a]), 8)[0] for a in arrays] == got
+    assert B.generate(frozen, rows, lengths, 0) == [[]] * len(arrays)
+    with pytest.raises(B.LengthError, match="21 exceeds max 20"):
+        B.generate(frozen, *padded(arrays + [np.zeros((21, 16))]), 8)
 
 
 def test_evaluate_split_hands_every_sample_to_detokenize_and_parse_in_order(monkeypatch):
@@ -170,7 +173,7 @@ def test_evaluate_split_hands_every_sample_to_detokenize_and_parse_in_order(monk
     rng = np.random.default_rng(11)
     config = B.BackboneConfig(embed_width=32, layers=2, heads=2, ffn_mult=2, max_seq=256)
     frozen = make_frozen(config, seed=11)
-    # the last eval block holds 6 samples, so its one decode block is short
+    # the last eval block holds 6 samples, so its one decode batch is short
     preset, samples = preset_samples("mosei", EVAL_BLOCK + 6, rng)
     acfg = AdapterConfig(audio_width=preset.audio_width, vision_width=preset.vision_width,
                          audio_hidden=8, vision_hidden=8, mix_width=32,
@@ -197,9 +200,6 @@ def test_evaluate_split_hands_every_sample_to_detokenize_and_parse_in_order(monk
     budget = eval_token_budget(preset)
     for start in range(0, len(prepared), EVAL_BLOCK):
         block = prepared[start:start + EVAL_BLOCK]
-        pseudo = trainer_mod.pseudo_blocks(params, block, state).data
-        for i, p in enumerate(block):
-            rows = T.Tensor(np.concatenate(
-                p.eval_rows(trainer_mod._block_of(pseudo, i, acfg.token_count))))
-            assert_same_greedy(frozen, rows, tokens[start + i],
-                               generate_uncached_ids(frozen, rows, budget))
+        for i, own in enumerate(unpadded(*eval_inputs(params, block, state))):
+            assert_same_greedy(frozen, own, tokens[start + i],
+                               generate_uncached_ids(frozen, own, budget))

@@ -10,19 +10,12 @@ import mmadapt.trainer as trainer_mod
 from mmadapt import backbone as B
 from mmadapt import tensor as T
 from mmadapt.adapter import AdapterConfig, AdapterParams, make_variant_state
-from mmadapt.corpus import FeatureSample
 from mmadapt.errors import DimensionError, LengthError
-from mmadapt.presets import get_preset
-from mmadapt.trainer import (eval_token_budget, label_loss, prepare_samples,
+from mmadapt.trainer import (eval_token_budget, label_loss, padded_inputs, prepare_samples,
                              sample_loss)
 
+from decoding import eval_inputs, make_frozen, preset_samples
 from oracles import generate_uncached_ids
-
-TWO_LAYERS = B.BackboneConfig(embed_width=16, layers=2, heads=2, ffn_mult=2, max_seq=48)
-
-
-def make_frozen(config=TWO_LAYERS, seed=5):
-    return B.FrozenBackbone(config, B.init_weights(config, np.random.default_rng(seed)))
 
 
 def rows_of(frozen, l, seed=0):
@@ -48,7 +41,7 @@ def test_last_rows_equal_full_forward(n):
 def test_cache_counts_toward_max_seq_and_last_is_checked():
     frozen = make_frozen()
     # the room asked for past max_seq is cut: 46 + 2 rows fill the cache
-    _, cache = frozen.prefill([[rows_of(frozen, 46)]], room=8)
+    _, cache = frozen.prefill(T.Tensor(rows_of(frozen, 46)), [46], room=8)
     frozen.step(cache, [65])
     frozen.step(cache, [66])
     with pytest.raises(LengthError, match="holds 48 rows per sample and is full"):
@@ -64,29 +57,9 @@ def test_cache_counts_toward_max_seq_and_last_is_checked():
 # greedy decoding
 
 
-def eval_pieces(params, p, state):
-    """One sample's evaluation input as the row pieces `generate` takes."""
-    return p.eval_rows(trainer_mod._pseudo_for(params, p, state).data)
-
-
 def capture_ids(monkeypatch):
     """Make `generate` hand back the ids it decodes, not their text."""
     monkeypatch.setattr(B, "detokenize", list)
-
-
-def preset_samples(name, count, rng):
-    preset = get_preset(name)
-    samples = []
-    for i in range(count):
-        if preset.task == "score":
-            label = float(np.round(rng.uniform(*preset.score_range), 1))
-        else:
-            label = float(rng.integers(preset.class_count))
-        samples.append(FeatureSample(
-            f"{name}-{i}", "the words " * int(rng.integers(1, 4)), label,
-            rng.standard_normal((int(rng.integers(2, 7)), preset.audio_width)),
-            rng.standard_normal((int(rng.integers(2, 7)), preset.vision_width)), "test"))
-    return preset, samples
 
 
 @pytest.mark.parametrize("name", ["mosei", "sims_v2", "meld", "cherma"])
@@ -102,11 +75,10 @@ def test_cached_generate_matches_uncached_on_every_corpus_preset(monkeypatch, na
     state = make_variant_state("full", acfg, rng)
     capture_ids(monkeypatch)
     for p in prepare_samples(frozen, samples, preset, acfg.token_count, False):
-        pieces = eval_pieces(params, p, state)
-        rows = T.Tensor(np.concatenate(pieces))
+        rows, lengths = eval_inputs(params, [p], state)
         for budget in (eval_token_budget(preset), 8):
             want = generate_uncached_ids(frozen, rows, budget)
-            assert B.generate(frozen, [pieces], budget) == [want], p.sid
+            assert B.generate(frozen, rows, lengths, budget) == [want], p.sid
 
 
 def test_cached_generate_matches_uncached_on_the_synthetic_preset(
@@ -119,11 +91,10 @@ def test_cached_generate_matches_uncached_on_the_synthetic_preset(
     capture_ids(monkeypatch)
     stopped_at_eos = 0
     for p in prepared:
-        pieces = eval_pieces(params, p, state)
-        rows = T.Tensor(np.concatenate(pieces))
+        rows, lengths = eval_inputs(params, [p], state)
         for budget in (eval_token_budget(small_synth.preset), 8):
             want = generate_uncached_ids(small_backbone, rows, budget)
-            assert B.generate(small_backbone, [pieces], budget) == [want], p.sid
+            assert B.generate(small_backbone, rows, lengths, budget) == [want], p.sid
             stopped_at_eos += len(want) < budget
     assert stopped_at_eos > 0  # the pretrained backbone ends some labels itself
 
@@ -138,7 +109,7 @@ def test_cached_generate_stops_when_the_context_fills(monkeypatch, room):
     capture_ids(monkeypatch)
     want = generate_uncached_ids(frozen, rows, max_new=8)
     assert len(want) == room
-    assert B.generate(frozen, [[rows.data]], max_new=8) == [want]
+    assert B.generate(frozen, rows, [len(ids)], max_new=8) == [want]
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +119,8 @@ def test_cached_generate_stops_when_the_context_fills(monkeypatch, room):
 def full_row_sample_loss(backbone, params, p, state):
     """sample_loss as it reads with every row of the forward computed: the
     label window is cut from the full logits."""
-    logits = backbone.forward_rows(p.input_rows(trainer_mod._pseudo_for(params, p, state)))
+    rows, _ = padded_inputs([p], trainer_mod.pseudo_blocks(params, [p], state))
+    logits = backbone.forward_rows(rows)
     rows = logits.shape[0]
     return label_loss(T.slice_rows(logits, rows - len(p.label_ids) - 1, rows), [p.label_ids])
 
@@ -165,7 +137,7 @@ def test_pruned_label_loss_gradients_match_full_rows(monkeypatch, small_synth, l
     state = make_variant_state("full", acfg, rng)
     prepared = prepare_samples(frozen, small_synth["train"][:4], small_synth.preset,
                                acfg.token_count, False)
-    build = trainer_mod._pseudo_for
+    build = trainer_mod.pseudo_blocks
     for p in prepared:
         grads = []
         for loss_fn in (sample_loss, full_row_sample_loss):
@@ -178,7 +150,7 @@ def test_pruned_label_loss_gradients_match_full_rows(monkeypatch, small_synth, l
                 leaf["t"] = T.Tensor(np.zeros((acfg.token_count, 32)), requires_grad=True)
                 return T.add(build(*args), leaf["t"])
 
-            monkeypatch.setattr(trainer_mod, "_pseudo_for", pseudo_leaf)
+            monkeypatch.setattr(trainer_mod, "pseudo_blocks", pseudo_leaf)
             with T.Tape() as tape:
                 loss = loss_fn(frozen, params, p, state)
                 tape.backward(loss)

@@ -312,6 +312,11 @@ BAD_INPUTS = {
     "pretrain-negative-lr": pretrain_flags("--lr", "-1"),
     "pretrain-negative-weight-decay": pretrain_flags("--weight-decay", "-0.1"),
     "train-negative-weight-decay": train_config({"weight_decay": -0.1}),
+    "train-nan-clip-norm": train_flags("train", "--clip-norm", "nan"),
+    "train-nan-learning-rate": train_flags("train", "--learning-rate", "nan"),
+    "train-infinite-learning-rate-in-config": train_config({"learning_rate": float("inf")}),
+    "pretrain-infinite-lr": pretrain_flags("--lr", "inf"),
+    "synth-nan-noise": out_flags("synth", "--noise", "nan"),
     "synth-negative-seed": out_flags("synth", "--seed", "-1"),
     "synth-zero-min-len": out_flags("synth", "--min-len", "0"),
     "synth-one-class": out_flags("synth", "--classes", "1"),

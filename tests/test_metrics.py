@@ -448,6 +448,10 @@ def test_score_predictions_dispatch():
     assert score_predictions("emotion", [1], [1], class_count=3).family == "emotion"
     with pytest.raises(InputError):
         score_predictions("unknown", [1], [1])
+    # a fractional class is refused, not truncated to a class
+    for preds in ([1.5], [1.5, 2.7]):
+        with pytest.raises(InputError):
+            score_predictions("emotion", preds, [1, 2][:len(preds)], class_count=3)
 
 
 # ---------------------------------------------------------------------------

@@ -24,13 +24,14 @@ from mmadapt.trainer import (
     evaluate_split,
     label_loss,
     multi_seed_run,
+    padded_inputs,
     prepare_samples,
     sample_loss,
     train_run,
 )
 
 from oracles import batch_step_per_sample, cross_entropy_scalar
-from test_cached_decoding import make_frozen, preset_samples
+from decoding import make_frozen, preset_samples
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +116,11 @@ def test_train_config_validation():
         TrainConfig(seeds=())
     with pytest.raises(ConfigError, match="weight decay"):
         TrainConfig(weight_decay=-0.1)
+    for value in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="learning rate"):
+            TrainConfig(learning_rate=value)
+    with pytest.raises(ConfigError, match="clip norm"):
+        TrainConfig(clip_norm=math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -182,12 +188,10 @@ def test_prepared_layout_boundaries(small_backbone):
     assert_array_equal(p.const_rows, small_backbone.embed(tokenize("sevenchpromp") + label))
     assert_array_equal(p.text_rows, p.const_rows[:7])
     pseudo = T.Tensor(np.full((4, small_backbone.config.embed_width), 0.5))
-    train = p.input_rows(pseudo)
-    assert train.shape[0] == 4 + 7 + 5 + 5
+    train, [length] = padded_inputs([p], pseudo)
+    assert train.shape[0] == length == 4 + 7 + 5 + 5
     assert_array_equal(train.data[:4], pseudo.data)
     assert_array_equal(train.data[4:], p.const_rows)
-    # without the label block the input ends with the prompt
-    assert_array_equal(np.concatenate(p.eval_rows(pseudo.data)), train.data[:-5])
 
 
 def test_prepare_samples_drops_text(small_synth, small_backbone):
@@ -212,15 +216,46 @@ def test_prepare_samples_rejects_overflow(small_synth, small_backbone):
     prepare_samples(small_backbone, [sample], small_synth.preset, n_prefix=2, drops_text=True)
 
 
-def test_input_rows_validates_prefix_shape(small_synth, small_backbone):
-    p, = prepare_samples(small_backbone, small_synth["valid"][:1], small_synth.preset,
-                         n_prefix=2, drops_text=False)
+def test_padded_inputs_lays_out_pads_and_counts_each_sample():
+    """Each sample's pseudo rows, then its constant rows, then exactly zero
+    rows up to the longest; without labels the same minus the label block."""
+    rng = np.random.default_rng(4)
+    frozen = make_frozen(BackboneConfig(embed_width=16, layers=1, heads=2, ffn_mult=2,
+                                        max_seq=256))
+    preset, samples = preset_samples("meld", 5, rng)
+    prepared = prepare_samples(frozen, samples, preset, n_prefix=2, drops_text=False)
+    assert len({p.length for p in prepared}) > 1
+    width = frozen.config.embed_width
+    pseudo = T.Tensor(np.random.default_rng(0).uniform(0.5, 1.0, (10, width)))
+    for labels in (True, False):
+        rows, lengths = padded_inputs(prepared, pseudo, labels=labels)
+        l = max(lengths)
+        assert rows.shape == (5 * l, width)
+        for b, p in enumerate(prepared):
+            own = p.const_rows.shape[0] - (0 if labels else len(p.label_ids))
+            assert lengths[b] == 2 + own
+            sample = rows.data[b * l:(b + 1) * l]
+            assert_array_equal(sample[:2], pseudo.data[2 * b:2 * b + 2])
+            assert_array_equal(sample[2:lengths[b]], p.const_rows[:own])
+            assert np.all(sample[lengths[b]:] == 0.0)
+    # the labelled layout, each sample cut to its rows, is the one without
+    # labels plus the label block
+    with_labels, long = padded_inputs(prepared, pseudo)
+    without, short = padded_inputs(prepared, pseudo, labels=False)
+    for b, p in enumerate(prepared):
+        assert long[b] == short[b] + len(p.label_ids)
+        assert_array_equal(with_labels.data[b * max(long):][:short[b]],
+                           without.data[b * max(short):][:short[b]])
+
+
+def test_padded_inputs_checks_the_pseudo_rows(small_synth, small_backbone):
+    prepared = prepare_samples(small_backbone, small_synth["valid"][:2], small_synth.preset,
+                               n_prefix=2, drops_text=False)
     width = small_backbone.config.embed_width
-    for bad in (1, 3):
-        with pytest.raises(DimensionError):
-            p.input_rows(T.Tensor(np.full((bad, width), 0.1)))
-        with pytest.raises(DimensionError):
-            p.eval_rows(np.full((bad, width), 0.1))
+    for bad in (1, 3, 5):
+        for labels in (True, False):
+            with pytest.raises(DimensionError):
+                padded_inputs(prepared, T.Tensor(np.full((bad, width), 0.1)), labels=labels)
 
 
 def test_sample_loss_gradient_reaches_all_params(small_synth, small_backbone,
