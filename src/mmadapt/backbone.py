@@ -302,13 +302,13 @@ def generate(backbone: FrozenBackbone, rows: T.Tensor, lengths: np.ndarray,
 
 def check_pretrain_knobs(steps: int, lr: float, weight_decay: float) -> None:
     """ConfigError unless the pretraining steps, learning rate and weight
-    decay can train: steps >= 0, lr > 0 and weight_decay >= 0."""
+    decay can train: steps >= 0, a finite lr > 0 and a finite weight_decay >= 0."""
     if steps < 0:
         raise ConfigError(f"pretraining steps must be >= 0, got {steps}")
-    if not lr > 0:
-        raise ConfigError(f"pretraining learning rate must be > 0, got {lr}")
-    if not weight_decay >= 0:
-        raise ConfigError(f"weight decay must be >= 0, got {weight_decay}")
+    if not (lr > 0 and math.isfinite(lr)):
+        raise ConfigError(f"pretraining learning rate must be finite and > 0, got {lr}")
+    if not (weight_decay >= 0 and math.isfinite(weight_decay)):
+        raise ConfigError(f"weight decay must be finite and >= 0, got {weight_decay}")
 
 
 def pretrain_backbone(corpus: Sequence[str], steps: int, seed: int,

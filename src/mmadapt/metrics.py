@@ -239,7 +239,7 @@ def erc_metrics(preds: list[int], golds: list[int], class_count: int = 7,
     with no gold support contribute zero F1 at zero weight."""
     _check_pairs(preds, golds)
     for v in list(preds) + list(golds):
-        if int(v) != v or not (0 <= int(v) < class_count):
+        if not math.isfinite(v) or int(v) != v or not (0 <= int(v) < class_count):
             raise InputError(f"class {v} outside 0..{class_count - 1}")
     preds = [int(p) for p in preds]
     golds = [int(g) for g in golds]

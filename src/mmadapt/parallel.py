@@ -12,12 +12,8 @@ Workers start from `spawn`, never `fork`, so they share no thread or lock
 state with the parent. Each starts with one BLAS and one OpenMP thread: the
 variables must be in its environment before it imports numpy, and two
 multi-threaded BLAS processes on two cores run several times slower than two
-single-threaded ones. Each also starts with glibc's malloc serving every
-array from its heap and keeping what is freed there (other C libraries
-ignore the variables): a training step allocates and frees megabytes of
-activations per sub-batch, and with the default thresholds those pages go
-back to the system and fault in again on every sub-batch, which costs a
-worker most of what batching the backbone saves.
+single-threaded ones. The heap policy needs no variable: a worker imports
+`mmadapt` to unpickle its task, and the import sets it (see `mmadapt`).
 """
 
 from __future__ import annotations
@@ -32,8 +28,7 @@ from typing import Callable, Iterator, Sequence
 
 from .errors import WorkerError
 
-WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
-              "MALLOC_MMAP_THRESHOLD_": str(32 << 20), "MALLOC_TRIM_THRESHOLD_": str(128 << 20)}
+WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 # the pool of this process: built lazily, shared by every caller
 _lock = threading.Lock()

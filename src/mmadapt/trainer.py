@@ -67,10 +67,10 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
-        if not self.clip_norm > 0:
-            raise ConfigError(f"clip norm must be > 0, got {self.clip_norm}")
-        if not self.weight_decay >= 0:
-            raise ConfigError(f"weight decay must be >= 0, got {self.weight_decay}")
+        if not (self.clip_norm > 0 and math.isfinite(self.clip_norm)):
+            raise ConfigError(f"clip norm must be finite and > 0, got {self.clip_norm}")
+        if not (self.weight_decay >= 0 and math.isfinite(self.weight_decay)):
+            raise ConfigError(f"weight decay must be finite and >= 0, got {self.weight_decay}")
         if not (0.0 < self.train_fraction <= 1.0):
             raise ConfigError(f"train fraction must be in (0, 1], "
                               f"got {self.train_fraction}")

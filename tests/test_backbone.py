@@ -196,10 +196,12 @@ def test_pretrain_zero_steps_keeps_seeded_init():
 
 
 @pytest.mark.parametrize("knobs", [dict(steps=-5), dict(lr=0.0), dict(lr=-1.0),
-                                   dict(weight_decay=-0.1)])
+                                   dict(weight_decay=-0.1), dict(lr=math.inf), dict(lr=math.nan),
+                                   dict(weight_decay=math.inf), dict(weight_decay=math.nan)])
 def test_pretrain_rejects_knobs_that_cannot_train(knobs):
-    """A negative step count, a learning rate <= 0 or a negative weight decay
-    is a ConfigError, not an untrained or gradient-ascent backbone."""
+    """A negative step count, a learning rate <= 0, a negative weight decay or
+    a non-finite rate or decay is a ConfigError, not an untrained,
+    gradient-ascent or non-finite backbone."""
     with pytest.raises(ConfigError):
         B.pretrain_backbone(["abc"], **{"steps": 1, "seed": 77, "config": TINY, **knobs})
 

@@ -452,6 +452,12 @@ def test_score_predictions_dispatch():
     for preds in ([1.5], [1.5, 2.7]):
         with pytest.raises(InputError):
             score_predictions("emotion", preds, [1, 2][:len(preds)], class_count=3)
+    # and so is a NaN or infinite prediction or gold
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InputError, match="class"):
+            score_predictions("emotion", [bad], [1], class_count=3)
+        with pytest.raises(InputError, match="class"):
+            erc_metrics([1, 0], [0, bad], class_count=3)
 
 
 # ---------------------------------------------------------------------------

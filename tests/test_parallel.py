@@ -1,11 +1,16 @@
 """Training cells in the worker pool: the same outputs in and out of it, a
-real per-seed failure inside a worker, one BLAS thread per worker, and the
-errors that stop a pool's tasks."""
+real per-seed failure inside a worker, one BLAS thread per worker, the heap
+policy of every process that imports mmadapt, and the errors that stop a
+pool's tasks."""
 
+import ctypes
 import hashlib
+import inspect
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
 from dataclasses import replace
 
@@ -105,11 +110,46 @@ def test_pool_workers_run_one_blas_thread_and_the_parent_keeps_its_environment(m
     seen = list(parallel.run_in_pool(os.getenv,
                                      [("OPENBLAS_NUM_THREADS",), ("OMP_NUM_THREADS",)] * 3))
     assert seen == ["1", "1"] * 3
-    # and with the heap settings of WORKER_ENV
-    assert list(parallel.run_in_pool(os.getenv, [(key,) for key in parallel.WORKER_ENV])) == \
-        list(parallel.WORKER_ENV.values())
     assert os.environ["OPENBLAS_NUM_THREADS"] == "4"
     assert "OMP_NUM_THREADS" not in os.environ
+
+
+def minor_faults_per_round() -> float:
+    """Minor page faults per round of allocating and freeing eight 2 MiB
+    arrays, over 20 rounds after one to warm the heap."""
+    import resource
+
+    import numpy as np
+    for rounds in (1, 20):  # the first round warms the heap
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(rounds):
+            arrays = [np.ones(1 << 18) for _ in range(8)]
+            del arrays
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / rounds
+
+
+def in_a_fresh_interpreter(preamble: str) -> tuple[float, list[str]]:
+    """The probe's faults per round, and the MALLOC_* variables in
+    os.environ, in a new interpreter that runs `preamble` first; it starts
+    with no MALLOC_* variable."""
+    source = (f"{preamble}\nimport os\n{inspect.getsource(minor_faults_per_round)}\n"
+              "print(minor_faults_per_round(), *[k for k in os.environ if k.startswith('MALLOC_')])")
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    out = subprocess.run([sys.executable, "-c", source], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    return float(out[0]), out[1:]
+
+
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"),
+                    reason="the heap policy needs glibc's mallopt")
+def test_every_process_that_imports_mmadapt_keeps_freed_arrays_on_its_heap():
+    faults, malloc_vars = in_a_fresh_interpreter("import mmadapt")
+    assert faults < 50
+    assert malloc_vars == []
+    # without the import the same probe faults every page in again
+    assert in_a_fresh_interpreter("")[0] > 1000
+    fresh_pool()
+    assert all(f < 50 for f in parallel.run_in_pool(minor_faults_per_round, [()] * 2))
 
 
 def test_the_pool_starts_no_more_processes_than_tasks():

@@ -524,6 +524,21 @@ def test_embedding_lookup_grads_scatter_add():
     assert_array_equal(table.grad, want)
 
 
+@pytest.mark.parametrize("ids", [[2, 3, 4], [0, 1, 2, 3, 4, 5], [5], [3, 4, 5, 0], [4, 3, 2],
+                                 [0, 1, 0, 1], [1, 3, 5]])
+def test_embedding_lookup_grad_adds_onto_the_table_grad_like_add_at(ids):
+    """A contiguous run of ids takes a slice add, any other ids np.add.at;
+    both give the bits np.add.at gives, on top of a gradient already there."""
+    table = T.Tensor(RNG.uniform(-1, 1, (6, 3)), requires_grad=True)
+    table.grad = RNG.uniform(-1, 1, (6, 3))
+    g = RNG.uniform(-1, 1, (len(ids), 3))
+    want = table.grad.copy()
+    np.add.at(want, ids, g)
+    with T.Tape() as tape:
+        tape.backward(T.embedding_lookup(table, ids), grad=g)
+    assert_array_equal(table.grad, want)
+
+
 def test_frozen_table_gets_no_gradient():
     table = T.Tensor(RNG.uniform(-1, 1, (6, 3)), requires_grad=False)
     x = T.Tensor(RNG.uniform(-1, 1, (4, 3)), requires_grad=True)

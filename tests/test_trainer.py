@@ -119,8 +119,11 @@ def test_train_config_validation():
     for value in (math.nan, math.inf):
         with pytest.raises(ConfigError, match="learning rate"):
             TrainConfig(learning_rate=value)
-    with pytest.raises(ConfigError, match="clip norm"):
-        TrainConfig(clip_norm=math.nan)
+    for value in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="clip norm"):
+            TrainConfig(clip_norm=value)
+        with pytest.raises(ConfigError, match="weight decay"):
+            TrainConfig(weight_decay=value)
 
 
 # ---------------------------------------------------------------------------
