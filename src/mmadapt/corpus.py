@@ -57,7 +57,8 @@ def _validate_label(preset: DatasetPreset, label: float, sid: str) -> float:
         if not (lo <= label <= hi):
             raise InputError(f"{sid}: score {label} outside [{lo}, {hi}]")
         return float(label)
-    if label != int(label) or not (0 <= int(label) < preset.class_count):
+    # is_integer is False for NaN and the infinities, which int() cannot take
+    if not (label.is_integer() and 0 <= label < preset.class_count):
         raise InputError(f"{sid}: class {label} outside 0..{preset.class_count - 1}")
     return float(int(label))
 
@@ -89,6 +90,8 @@ def load_dataset(root: str | Path, preset: DatasetPreset | None = None) -> Datas
         raise InputError(f"{root}: missing manifest.jsonl")
     splits: dict[str, list[FeatureSample]] = {s: [] for s in SPLITS}
     seen: set[str] = set()
+    prefix = f"{root}/"
+    audio_width, vision_width = preset.audio_width, preset.vision_width
     for lineno, line in enumerate(manifest.read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
@@ -101,6 +104,8 @@ def load_dataset(root: str | Path, preset: DatasetPreset | None = None) -> Datas
             raise InputError(f"{manifest}:{lineno}: bad record: {exc}") from exc
         if split not in SPLITS:
             raise InputError(f"{manifest}:{lineno}: unknown split {split!r}")
+        if not isinstance(sid, str) or not sid:
+            raise InputError(f"{manifest}:{lineno}: id must be a non-empty string, got {sid!r}")
         if not isinstance(text, str) or not text:
             # an empty text would pool zero token rows into the adapter's gate
             raise InputError(f"{manifest}:{lineno}: text must be a non-empty string, "
@@ -111,18 +116,16 @@ def load_dataset(root: str | Path, preset: DatasetPreset | None = None) -> Datas
         for rel in (audio_rel, vision_rel):
             # string checks and joins: pathlib parsing, let alone Path.resolve,
             # costs more per record than reading the feature file
-            if not isinstance(rel, str) or rel.startswith("/") or ".." in rel.split("/"):
+            if not isinstance(rel, str) or rel.startswith("/") or "/../" in f"/{rel}/":
                 raise InputError(f"{manifest}:{lineno}: feature path {rel!r} must be "
                                  f"relative and stay inside {root}")
         label = _validate_label(preset, label, sid)
-        audio = read_features(f"{root}/{audio_rel}")
-        vision = read_features(f"{root}/{vision_rel}")
-        if audio.shape[1] != preset.audio_width:
-            raise InputError(f"{sid}: audio width {audio.shape[1]} != "
-                             f"preset {preset.audio_width}")
-        if vision.shape[1] != preset.vision_width:
-            raise InputError(f"{sid}: vision width {vision.shape[1]} != "
-                             f"preset {preset.vision_width}")
+        audio = read_features(prefix + audio_rel)
+        vision = read_features(prefix + vision_rel)
+        if audio.shape[1] != audio_width:
+            raise InputError(f"{sid}: audio width {audio.shape[1]} != preset {audio_width}")
+        if vision.shape[1] != vision_width:
+            raise InputError(f"{sid}: vision width {vision.shape[1]} != preset {vision_width}")
         splits[split].append(FeatureSample(sid, text, label, audio, vision, split))
     return Dataset(preset, splits, meta)
 

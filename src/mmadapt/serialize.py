@@ -11,15 +11,18 @@ The checksum is a 64-bit blake2b over every byte between the version field
 and the checksum itself, so any single-bit corruption in config or weights
 fails the load. All integers are little-endian.
 
-Feature matrices use a smaller header-only format:
+Feature matrices use a smaller format, whose checksum is the same 64-bit
+blake2b over the bytes between the magic and the checksum:
 
     "MSEF" | rows u32 | cols u32 | float32 little-endian row-major values
+    | checksum u64
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import os
 import struct
 from pathlib import Path
@@ -148,10 +151,15 @@ def write_features(path: str | Path, features: np.ndarray) -> None:
 
 
 def read_features(path: str | Path) -> np.ndarray:
-    """Load a feature matrix, promoted to float64 for all in-memory math."""
+    """Load a feature matrix, promoted to float64 for all in-memory math.
+    The file comes in with one read of the size it reports, and the checks
+    run over views of that one buffer."""
     try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            blob = os.read(fd, os.fstat(fd).st_size)
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise InputError(f"{path}: cannot read: {exc.strerror or exc}") from exc
     if len(blob) < 20 or blob[:4] != FEATURE_MAGIC:
@@ -162,10 +170,12 @@ def read_features(path: str | Path) -> np.ndarray:
     want = 12 + 4 * rows * cols + 8
     if len(blob) != want:
         raise InputError(f"{path}: payload is {len(blob)} bytes, header implies {want}")
-    body, (stored,) = blob[4:-8], struct.unpack_from("<Q", blob, len(blob) - 8)
-    if checksum64(body) != stored:
+    view = memoryview(blob)
+    if checksum64(view[4:-8]) != struct.unpack_from("<Q", blob, want - 8)[0]:
         raise InputError(f"{path}: checksum mismatch, file is corrupt")
-    arr = np.frombuffer(blob, dtype="<f4", count=rows * cols, offset=12).reshape(rows, cols)
-    if not np.all(np.isfinite(arr)):
+    arr = np.frombuffer(view[12:-8], dtype="<f4").reshape(rows, cols).astype(np.float64)
+    # float32 values promoted to float64 cannot overflow a sum, so the sum is
+    # finite exactly when every value is
+    if not math.isfinite(arr.sum()):
         raise InputError(f"{path}: non-finite feature values")
-    return arr.astype(np.float64)
+    return arr

@@ -124,7 +124,8 @@ class PreparedSample:
     out as [pseudo | text | prompt | label]. `const_rows` are the frozen
     embedding rows of the text (empty when the variant drops it), prompt and
     label ids; the `n_prefix` pseudo rows come from the adapter. `text_rows`
-    feed the adapter's text gate."""
+    feed the adapter's text gate. Both are views of one block of rows shared
+    with the samples prepared beside this one, so nothing writes into them."""
 
     sid: str
     gold: float
@@ -139,6 +140,12 @@ class PreparedSample:
     def length(self) -> int:
         """The rows of the training input."""
         return self.n_prefix + self.const_rows.shape[0]
+
+
+# samples per embedding gather in prepare_samples: a whole split's rows would
+# be one allocation of megabytes, which the heap grows by whenever it has no
+# free run that long
+PREPARE_BLOCK = 64
 
 
 def label_text(preset: DatasetPreset, value: float) -> str:
@@ -159,20 +166,37 @@ def eval_token_budget(preset: DatasetPreset) -> int:
 def prepare_samples(backbone: FrozenBackbone, samples: list[FeatureSample],
                     preset: DatasetPreset, n_prefix: int,
                     drops_text: bool) -> list[PreparedSample]:
+    """The samples in order, prepared for `backbone`. Every sample is checked
+    against max_seq before any is embedded. Then each block of PREPARE_BLOCK
+    samples takes its text, prompt and label rows from one embedding
+    gather, and each sample's `text_rows` and `const_rows` are views of its
+    own rows there."""
     prompt_ids = tokenize(preset.prompt)
     max_seq = backbone.config.max_seq
-    prepared = []
+    pieces = []
     for s in samples:
-        text_ids = tokenize(s.text)
-        label_ids = label_token_ids(preset, s.label)
-        kept = [] if drops_text else text_ids
-        length = n_prefix + len(kept) + len(prompt_ids) + len(label_ids)
+        text_ids, label_ids = tokenize(s.text), label_token_ids(preset, s.label)
+        length = n_prefix + len(prompt_ids) + len(label_ids) + (0 if drops_text else len(text_ids))
         if length > max_seq:
             raise LengthError(f"sample {s.sid!r}: input length {length} exceeds max {max_seq}")
-        const_rows = backbone.embed(kept + prompt_ids + label_ids)
-        text_rows = backbone.embed(text_ids) if drops_text else const_rows[:len(text_ids)]
-        prepared.append(PreparedSample(s.sid, s.label, s.audio, s.vision, text_rows,
-                                       const_rows, n_prefix, label_ids))
+        pieces.append((text_ids, label_ids))
+    prepared = []
+    for b in range(0, len(samples), PREPARE_BLOCK):
+        block = pieces[b:b + PREPARE_BLOCK]
+        ids = []
+        for text_ids, label_ids in block:
+            ids += text_ids
+            ids += prompt_ids
+            ids += label_ids
+        rows = backbone.embed(ids)
+        at = 0
+        for s, (text_ids, label_ids) in zip(samples[b:b + PREPARE_BLOCK], block):
+            prompt_at = at + len(text_ids)
+            end = prompt_at + len(prompt_ids) + len(label_ids)
+            prepared.append(PreparedSample(
+                s.sid, s.label, s.audio, s.vision, rows[at:prompt_at],
+                rows[prompt_at if drops_text else at:end], n_prefix, label_ids))
+            at = end
     return prepared
 
 

@@ -7,9 +7,11 @@ per-head attention and the per-layer decoder block composed from the tape's
 primitives, which the fused kernels replaced and must reproduce; the
 adapter's forward for one sample as a chain of column-vector primitives,
 which the batched adapter replaced; the training step with one backbone
-tape per sample, which the padded sub-batches replaced; and greedy decoding
-of one sample that runs the full forward again for every new token, the
-reference that the batched key/value-cached decoding is checked against.
+tape per sample, which the padded sub-batches replaced; sample preparation
+with two embedding lookups per sample, which the blockwise gather replaced;
+and greedy decoding of one sample that runs the full forward again for
+every new token, the reference that the batched key/value-cached decoding
+is checked against.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ import math
 import numpy as np
 
 from mmadapt import tensor as T
-from mmadapt.backbone import EOS
-from mmadapt.trainer import label_loss, padded_inputs, pseudo_blocks
+from mmadapt.backbone import EOS, tokenize
+from mmadapt.errors import LengthError
+from mmadapt.trainer import label_loss, label_token_ids, padded_inputs, pseudo_blocks
 
 
 def matmul_loops(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -255,6 +258,30 @@ def batch_step_per_sample(backbone, params, batch, state):
         losses.append(loss.item())
     adapter_tape.backward(pseudo, grad=leaf_grads)
     return losses
+
+
+# ---------------------------------------------------------------------------
+# sample preparation, one sample at a time
+
+
+def prepare_per_sample(backbone, samples, preset, n_prefix, drops_text):
+    """Each sample's (text_rows, const_rows, label_ids) from its own
+    `backbone.embed` calls; the first sample over max_seq raises LengthError
+    before any later sample is looked at."""
+    prompt_ids = tokenize(preset.prompt)
+    max_seq = backbone.config.max_seq
+    out = []
+    for s in samples:
+        text_ids = tokenize(s.text)
+        label_ids = label_token_ids(preset, s.label)
+        kept = [] if drops_text else text_ids
+        length = n_prefix + len(kept) + len(prompt_ids) + len(label_ids)
+        if length > max_seq:
+            raise LengthError(f"sample {s.sid!r}: input length {length} exceeds max {max_seq}")
+        const_rows = backbone.embed(kept + prompt_ids + label_ids)
+        text_rows = backbone.embed(text_ids) if drops_text else const_rows[:len(text_ids)]
+        out.append((text_rows, const_rows, label_ids))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -261,6 +261,23 @@ def missing_feature_file(tmp_path, ws):
     return ["pretrain-backbone", "--dataset", str(data), "--out", str(tmp_path / "bb")]
 
 
+def first_record(command, **changes):
+    """`command` (train or eval) on a copy of the dataset whose first
+    manifest record has the fields in `changes`."""
+    def args(tmp_path, ws):
+        data = tmp_path / "data"
+        shutil.copytree(ws["data"], data)
+        lines = (data / "manifest.jsonl").read_text(encoding="utf-8").splitlines()
+        lines[0] = json.dumps({**json.loads(lines[0]), **changes})
+        (data / "manifest.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        if command == "eval":
+            return ["eval", "--dataset", str(data), "--backbone", str(ws["backbone"]),
+                    "--checkpoint", str(ws["train"] / "adapter-full-seed5.msea")]
+        return ["train", "--dataset", str(data), "--backbone", str(ws["backbone"]),
+                "--out", str(tmp_path / "out")]
+    return args
+
+
 def config_file(command, values, *paths):
     """Arguments that run `command` with `values` in a config file and the
     workspace's dataset and backbone for the flags named in `paths`."""
@@ -300,6 +317,12 @@ BAD_INPUTS = {
         "eval", "--checkpoint", str(tmp_path / "nope.msea"), "--backbone",
         str(ws["backbone"]), "--dataset", str(ws["data"])],
     "missing-feature-file": missing_feature_file,
+    "class-label-nan": first_record("train", label=float("nan")),
+    "class-label-infinity": first_record("eval", label=float("inf")),
+    "class-label-minus-infinity": first_record("train", label=float("-inf")),
+    "id-a-list": first_record("train", id=["a"]),
+    "id-an-object": first_record("eval", id={"a": 1}),
+    "id-a-number": first_record("train", id=7),
     "seeds-not-integers": train_config({"seeds": ["a"]}),
     "seeds-not-a-list": train_config({"seeds": 5}),
     "int-as-string": config_file("synth", {"classes": "3"}),

@@ -253,53 +253,71 @@ def test_load_rejects_duplicate_ids(small_dir):
                                                         "test": 0}))
 
 
-def test_load_rejects_bad_split(tmp_path):
-    arr = np.zeros((2, 8), dtype=np.float32)
+def one_record_dataset(tmp_path, widths=(8, 8), **changes):
+    """A dataset directory of one record with zero features of the given
+    widths, the record's fields overridden by `changes`."""
     (tmp_path / "features").mkdir()
-    write_features(tmp_path / "features" / "x.a.msef", arr)
-    write_features(tmp_path / "features" / "x.v.msef", arr)
+    for modality, width in zip("av", widths):
+        write_features(tmp_path / "features" / f"x.{modality}.msef",
+                       np.zeros((2, width), np.float32))
     rec = {"id": "x", "text": "t", "label": 0, "audio": "features/x.a.msef",
-           "vision": "features/x.v.msef", "split": "dev"}
+           "vision": "features/x.v.msef", "split": "train", **changes}
     (tmp_path / "manifest.jsonl").write_text(json.dumps(rec) + "\n")
+    return tmp_path
+
+
+def test_load_rejects_bad_split(tmp_path):
+    root = one_record_dataset(tmp_path, split="dev")
     preset = synthetic_preset(3, 8, 8, {"train": 1, "valid": 0, "test": 0})
     with pytest.raises(InputError, match="split"):
-        load_dataset(tmp_path, preset)
+        load_dataset(root, preset)
 
 
 def test_load_rejects_wrong_width(tmp_path):
-    (tmp_path / "features").mkdir()
-    write_features(tmp_path / "features" / "x.a.msef", np.zeros((2, 6), np.float32))
-    write_features(tmp_path / "features" / "x.v.msef", np.zeros((2, 8), np.float32))
-    rec = {"id": "x", "text": "t", "label": 0, "audio": "features/x.a.msef",
-           "vision": "features/x.v.msef", "split": "train"}
-    (tmp_path / "manifest.jsonl").write_text(json.dumps(rec) + "\n")
+    root = one_record_dataset(tmp_path, widths=(6, 8))
     preset = synthetic_preset(3, 8, 8, {"train": 1, "valid": 0, "test": 0})
     with pytest.raises(InputError, match="audio width"):
-        load_dataset(tmp_path, preset)
+        load_dataset(root, preset)
 
 
 def test_load_rejects_out_of_range_class(tmp_path):
-    (tmp_path / "features").mkdir()
-    write_features(tmp_path / "features" / "x.a.msef", np.zeros((2, 8), np.float32))
-    write_features(tmp_path / "features" / "x.v.msef", np.zeros((2, 8), np.float32))
-    rec = {"id": "x", "text": "t", "label": 9, "audio": "features/x.a.msef",
-           "vision": "features/x.v.msef", "split": "train"}
-    (tmp_path / "manifest.jsonl").write_text(json.dumps(rec) + "\n")
+    root = one_record_dataset(tmp_path, label=9)
     preset = synthetic_preset(3, 8, 8, {"train": 1, "valid": 0, "test": 0})
     with pytest.raises(InputError, match="class"):
-        load_dataset(tmp_path, preset)
+        load_dataset(root, preset)
 
 
 def test_score_label_range(tmp_path):
     from mmadapt.presets import get_preset
-    (tmp_path / "features").mkdir()
-    write_features(tmp_path / "features" / "x.a.msef", np.zeros((2, 74), np.float32))
-    write_features(tmp_path / "features" / "x.v.msef", np.zeros((2, 35), np.float32))
-    rec = {"id": "x", "text": "t", "label": 3.5, "audio": "features/x.a.msef",
-           "vision": "features/x.v.msef", "split": "train"}
-    (tmp_path / "manifest.jsonl").write_text(json.dumps(rec) + "\n")
+    root = one_record_dataset(tmp_path, widths=(74, 35), label=3.5)
     with pytest.raises(InputError, match="score"):
-        load_dataset(tmp_path, get_preset("mosei"))
+        load_dataset(root, get_preset("mosei"))
+
+
+@pytest.mark.parametrize("label", [math.nan, math.inf, -math.inf])
+def test_load_rejects_a_non_finite_class_naming_the_record(tmp_path, label):
+    """JSON's NaN and Infinity load as floats; a class label of either is an
+    InputError that names the record, not a bare ValueError from int()."""
+    root = one_record_dataset(tmp_path, label=label)
+    preset = synthetic_preset(3, 8, 8, {"train": 1, "valid": 0, "test": 0})
+    with pytest.raises(InputError, match=r"^x: class (nan|inf|-inf) outside 0\.\.2$"):
+        load_dataset(root, preset)
+
+
+@pytest.mark.parametrize("label", [math.nan, math.inf, -math.inf])
+def test_load_rejects_a_non_finite_score(tmp_path, label):
+    from mmadapt.presets import get_preset
+    root = one_record_dataset(tmp_path, widths=(74, 35), label=label)
+    with pytest.raises(InputError, match=r"^x: score (nan|inf|-inf) outside"):
+        load_dataset(root, get_preset("mosei"))
+
+
+@pytest.mark.parametrize("sid", [["x"], {"x": 1}, 7, 1.5, "", None, True])
+def test_load_rejects_an_id_that_is_not_a_non_empty_string(tmp_path, sid):
+    root = one_record_dataset(tmp_path, id=sid)
+    preset = synthetic_preset(3, 8, 8, {"train": 1, "valid": 0, "test": 0})
+    with pytest.raises(InputError, match=r"manifest\.jsonl:1: id must be a non-empty string"):
+        load_dataset(root, preset)
 
 
 def test_load_rejects_malformed_json(tmp_path):

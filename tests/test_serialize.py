@@ -2,6 +2,7 @@
 corruption detection, header validation."""
 
 import errno
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +141,61 @@ def test_features_round_trip_property(tmp_path_factory, rows, cols, seed):
     p = tmp_path_factory.mktemp("msef") / "f.msef"
     S.write_features(p, arr)
     assert_array_equal(S.read_features(p).astype(np.float32), arr)
+
+
+def feature_bytes(rows, cols, values):
+    """A feature file's bytes, written by hand with a valid checksum, so
+    that it can hold what `write_features` refuses."""
+    body = struct.pack("<II", rows, cols) + np.asarray(values, dtype="<f4").tobytes()
+    return S.FEATURE_MAGIC + body + struct.pack("<Q", S.checksum64(body))
+
+
+def test_read_features_refuses_a_missing_file_and_a_directory(tmp_path):
+    with pytest.raises(InputError, match="cannot read: No such file or directory"):
+        S.read_features(tmp_path / "missing.msef")
+    (tmp_path / "d.msef").mkdir()
+    with pytest.raises(InputError, match="cannot read: Is a directory"):
+        S.read_features(tmp_path / "d.msef")
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0), (0, 0)])
+def test_read_features_refuses_a_zero_extent(tmp_path, rows, cols):
+    p = tmp_path / "x.msef"
+    p.write_bytes(feature_bytes(rows, cols, []))
+    with pytest.raises(InputError, match=f"empty extent {rows}x{cols}"):
+        S.read_features(p)
+
+
+def test_read_features_refuses_a_file_longer_than_its_header_implies(tmp_path):
+    p = tmp_path / "x.msef"
+    S.write_features(p, np.ones((2, 3), dtype=np.float32))
+    p.write_bytes(p.read_bytes() + b"\0")
+    with pytest.raises(InputError, match="payload is 45 bytes, header implies 44"):
+        S.read_features(p)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_read_features_refuses_a_non_finite_value_under_a_valid_checksum(tmp_path, bad):
+    p = tmp_path / "x.msef"
+    values = np.arange(12, dtype=np.float32)
+    values[7] = bad
+    p.write_bytes(feature_bytes(3, 4, values))
+    with pytest.raises(InputError, match="non-finite feature values"):
+        S.read_features(p)
+
+
+def test_features_round_trip_over_one_mebibyte(tmp_path):
+    """A file larger than any fixed read size, whose values include the
+    largest float32 magnitudes, loads whole and bit-exact."""
+    p = tmp_path / "x.msef"
+    arr = RNG.uniform(-8, 8, (300, 1000)).astype(np.float32)
+    arr[::7, ::3] = np.finfo(np.float32).max
+    arr[1::7, ::5] = -np.finfo(np.float32).max
+    S.write_features(p, arr)
+    assert p.stat().st_size > 1 << 20
+    back = S.read_features(p)
+    assert back.dtype == np.float64 and back.shape == arr.shape
+    assert back.astype(np.float32).tobytes() == arr.tobytes()
 
 
 # ---------------------------------------------------------------------------

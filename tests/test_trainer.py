@@ -30,7 +30,7 @@ from mmadapt.trainer import (
     train_run,
 )
 
-from oracles import batch_step_per_sample, cross_entropy_scalar
+from oracles import batch_step_per_sample, cross_entropy_scalar, prepare_per_sample
 from decoding import make_frozen, preset_samples
 
 
@@ -217,6 +217,55 @@ def test_prepare_samples_rejects_overflow(small_synth, small_backbone):
                         drops_text=False)
     # without the text the same sample fits
     prepare_samples(small_backbone, [sample], small_synth.preset, n_prefix=2, drops_text=True)
+
+
+def rows_or_refusal(prepare):
+    """Each sample's text rows and constant rows as (shape, dtype, bytes)
+    and its label ids, from `prepare()`, or the message of the LengthError
+    it raised."""
+    try:
+        out = prepare()
+    except LengthError as exc:
+        return str(exc)
+    bits = lambda a: (a.shape, a.dtype.str, a.tobytes())
+    return [(bits(text), bits(const), ids) for text, const, ids in out]
+
+
+@pytest.mark.parametrize("drops_text", [False, True])
+@pytest.mark.parametrize("name", ["mosei", "sims_v2", "meld", "cherma", "synthetic"])
+def test_prepare_samples_matches_the_per_sample_oracle(small_synth, name, drops_text):
+    """The text rows, constant rows and label ids of every sample, over more
+    samples than one embedding gather takes, are bit-equal to two embedding
+    lookups per sample, and each keeps its own sample's id, label and
+    features; the first sample over max_seq raises the oracle's LengthError,
+    even from a later gather block; no samples give []."""
+    block = trainer_mod.PREPARE_BLOCK
+    frozen = make_frozen(BackboneConfig(embed_width=16, layers=1, heads=2, ffn_mult=2,
+                                        max_seq=256))
+    if name == "synthetic":
+        preset = small_synth.preset
+        samples = [*small_synth["train"], *small_synth["valid"], *small_synth["test"]] * 2
+    else:
+        preset, samples = preset_samples(name, 2 * block + 5, np.random.default_rng(len(name)))
+    assert len(samples) > block + 1
+    long_text = [*samples]
+    for i in (block + 1, len(samples) - 1):
+        long_text[i] = replace(samples[i], text="x" * 256)
+    n = preset.adapter_defaults.token_count
+    for batch, n_prefix, refused in ((samples, n, None), (long_text, n, block + 1),
+                                     (samples, 256, 0), ([], n, None)):
+        got = rows_or_refusal(lambda: [
+            (p.text_rows, p.const_rows, p.label_ids)
+            for p in prepare_samples(frozen, batch, preset, n_prefix, drops_text)])
+        assert got == rows_or_refusal(
+            lambda: prepare_per_sample(frozen, batch, preset, n_prefix, drops_text))
+        if refused is not None and not (drops_text and batch is long_text):
+            assert got.startswith(f"sample {batch[refused].sid!r}: input length"), got
+        else:
+            assert len(got) == len(batch)
+    prepared = prepare_samples(frozen, samples, preset, n, drops_text)
+    assert all(p.sid == s.sid and p.gold == s.label and p.audio is s.audio
+               and p.vision is s.vision and p.n_prefix == n for p, s in zip(prepared, samples))
 
 
 def test_padded_inputs_lays_out_pads_and_counts_each_sample():
