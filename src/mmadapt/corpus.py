@@ -100,7 +100,7 @@ def load_dataset(root: str | Path, preset: DatasetPreset | None = None) -> Datas
             sid, text, split = rec["id"], rec["text"], rec["split"]
             label = float(rec["label"])
             audio_rel, vision_rel = rec["audio"], rec["vision"]
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"{manifest}:{lineno}: bad record: {exc}") from exc
         if split not in SPLITS:
             raise InputError(f"{manifest}:{lineno}: unknown split {split!r}")
@@ -119,6 +119,10 @@ def load_dataset(root: str | Path, preset: DatasetPreset | None = None) -> Datas
             if not isinstance(rel, str) or rel.startswith("/") or "/../" in f"/{rel}/":
                 raise InputError(f"{manifest}:{lineno}: feature path {rel!r} must be "
                                  f"relative and stay inside {root}")
+        if isinstance(rec["label"], (bool, str)):
+            # float() reads true as 1.0 and a numeric string such as " 2 " as its number
+            raise InputError(f"{manifest}:{lineno}: label must be a JSON number, "
+                             f"got {rec['label']!r}")
         label = _validate_label(preset, label, sid)
         audio = read_features(prefix + audio_rel)
         vision = read_features(prefix + vision_rel)

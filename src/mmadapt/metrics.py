@@ -255,21 +255,16 @@ def erc_metrics(preds: list[int], golds: list[int], class_count: int = 7,
     return MetricReport("emotion", {"acc": acc, "wf1": wf1}, total, fallback_count)
 
 
-METRICS_FOR_FAMILY = {
-    "wide_score": mosei_metrics,
-    "narrow_score": sims_metrics,
-    "emotion": erc_metrics,
-}
-
-
 def score_predictions(family: str, preds, golds, fallback_count: int = 0,
                       class_count: int = 7) -> MetricReport:
     """Dispatch parsed predictions to the family's metric function."""
     if family == "emotion":
         return erc_metrics(list(preds), list(golds), class_count, fallback_count)
-    if family not in METRICS_FOR_FAMILY:
-        raise InputError(f"unknown metric family {family!r}")
-    return METRICS_FOR_FAMILY[family](list(preds), list(golds), fallback_count)
+    if family == "wide_score":
+        return mosei_metrics(list(preds), list(golds), fallback_count)
+    if family == "narrow_score":
+        return sims_metrics(list(preds), list(golds), fallback_count)
+    raise InputError(f"unknown metric family {family!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import backbone as B
 from . import tensor as T
 from .adapter import (
     VARIANTS,
@@ -142,10 +143,11 @@ class PreparedSample:
         return self.n_prefix + self.const_rows.shape[0]
 
 
-# samples per embedding gather in prepare_samples: a whole split's rows would
+# samples per embedding gather in prepare_samples and per adapter forward in
+# evaluate_split: a whole split's rows, or a whole split's LSTM states, would
 # be one allocation of megabytes, which the heap grows by whenever it has no
 # free run that long
-PREPARE_BLOCK = 64
+BLOCK = 64
 
 
 def label_text(preset: DatasetPreset, value: float) -> str:
@@ -167,7 +169,7 @@ def prepare_samples(backbone: FrozenBackbone, samples: list[FeatureSample],
                     preset: DatasetPreset, n_prefix: int,
                     drops_text: bool) -> list[PreparedSample]:
     """The samples in order, prepared for `backbone`. Every sample is checked
-    against max_seq before any is embedded. Then each block of PREPARE_BLOCK
+    against max_seq before any is embedded. Then each block of BLOCK
     samples takes its text, prompt and label rows from one embedding
     gather, and each sample's `text_rows` and `const_rows` are views of its
     own rows there."""
@@ -181,8 +183,8 @@ def prepare_samples(backbone: FrozenBackbone, samples: list[FeatureSample],
             raise LengthError(f"sample {s.sid!r}: input length {length} exceeds max {max_seq}")
         pieces.append((text_ids, label_ids))
     prepared = []
-    for b in range(0, len(samples), PREPARE_BLOCK):
-        block = pieces[b:b + PREPARE_BLOCK]
+    for b in range(0, len(samples), BLOCK):
+        block = pieces[b:b + BLOCK]
         ids = []
         for text_ids, label_ids in block:
             ids += text_ids
@@ -190,7 +192,7 @@ def prepare_samples(backbone: FrozenBackbone, samples: list[FeatureSample],
             ids += label_ids
         rows = backbone.embed(ids)
         at = 0
-        for s, (text_ids, label_ids) in zip(samples[b:b + PREPARE_BLOCK], block):
+        for s, (text_ids, label_ids) in zip(samples[b:b + BLOCK], block):
             prompt_at = at + len(text_ids)
             end = prompt_at + len(prompt_ids) + len(label_ids)
             prepared.append(PreparedSample(
@@ -264,35 +266,6 @@ def sample_loss(backbone: FrozenBackbone, params: AdapterParams,
     return block_losses(backbone, [p], pseudo_blocks(params, [p], state))
 
 
-# samples whose backbone forward and backward run as one padded batch in a
-# training step: of 4, 8, 16 and 32, 8 gave the best median benchmark
-# training rate on a 2-vCPU host (1,323 samples/s against 1,295, 1,289 and
-# 1,226; three 30 s runs each), and holds half the activations of 16
-TRAIN_BLOCK = 8
-# rows a sub-batch may hold once padded to its longest input: on ragged
-# inputs of 47-184 rows, sub-batches of 8 in batch order ran at 0.67-0.84x
-# the per-sample step (a fifth to a third of their rows padding, and larger
-# arrays), and sub-batches cut in order of length at 384 rows ran 1.07-1.23x;
-# budgets of 256 and 512 read about the same. 384 keeps 8 samples of up to
-# 48 rows together.
-TRAIN_ROWS = 384
-
-
-def sub_batches(batch: list[PreparedSample]) -> list[list[int]]:
-    """The sub-batches of a training step, as lists of sample indices: the
-    samples in order of input length, cut so that each sub-batch holds at
-    most TRAIN_BLOCK samples and, padded to its longest, at most TRAIN_ROWS
-    rows (a longer sample goes alone)."""
-    out: list[list[int]] = []
-    for i in sorted(range(len(batch)), key=lambda i: batch[i].length):
-        sub = out[-1] if out else []
-        if not sub or len(sub) == TRAIN_BLOCK or (len(sub) + 1) * batch[i].length > TRAIN_ROWS:
-            out.append([i])
-        else:
-            sub.append(i)
-    return out
-
-
 def batch_step(backbone: FrozenBackbone, params: AdapterParams,
                batch: list[PreparedSample], state: VariantState) -> list[float]:
     """Accumulate the gradient of the batch's mean label loss into the adapter
@@ -300,9 +273,10 @@ def batch_step(backbone: FrozenBackbone, params: AdapterParams,
 
     Three steps, so that only one sub-batch's backbone activations are alive
     at a time: one adapter forward over the whole batch on its own tape; the
-    losses of each sub-batch (`sub_batches`) on a tape of their own, with
-    the sub-batch's stacked pseudo-token rows as a leaf; then one replay of
-    the adapter tape, seeded with the leaves' gradients.
+    losses of each sub-batch (`sub_batches` of TRAIN_BLOCK samples and
+    TRAIN_ROWS rows) on a tape of their own, with the sub-batch's stacked
+    pseudo-token rows as a leaf; then one replay of the adapter tape, seeded
+    with the leaves' gradients.
     """
     n = params.config.token_count
     with T.Tape() as adapter_tape:
@@ -310,7 +284,7 @@ def batch_step(backbone: FrozenBackbone, params: AdapterParams,
     blocks = pseudo.data.reshape(len(batch), n, -1)
     leaf_grads = np.empty_like(blocks)
     losses = np.empty(len(batch))
-    for sub in sub_batches(batch):
+    for sub in B.sub_batches([p.length for p in batch], B.TRAIN_BLOCK, B.TRAIN_ROWS):
         leaf = T.Tensor._wrap(blocks[sub].reshape(len(sub) * n, -1), True, None)
         with T.Tape() as tape:
             sub_losses = block_losses(backbone, [batch[i] for i in sub], leaf)
@@ -325,42 +299,28 @@ def batch_step(backbone: FrozenBackbone, params: AdapterParams,
 # evaluation
 
 
-# samples whose pseudo tokens evaluation builds in one adapter forward; a
-# block's LSTM states grow with it, so it stays small
-EVAL_BLOCK = 64
-# samples that `generate` decodes together; a larger batch makes fewer calls
-# but pads more rows and holds larger temporaries
-DECODE_BLOCK = 16
-
-
 def evaluate_split(backbone: FrozenBackbone, params: AdapterParams,
                    state: VariantState, prepared: list[PreparedSample],
                    preset: DatasetPreset) -> MetricReport:
     """Greedy generation, parsing, and family metrics over prepared samples.
-    The adapter runs once per block of EVAL_BLOCK samples, and `generate`
-    decodes the block DECODE_BLOCK samples at a time, each batch laid out
-    by `padded_inputs` without the label block."""
+    Each block of BLOCK samples takes one adapter forward and one `generate`
+    call over its input as `padded_inputs` lays it out without the label
+    block; the texts are parsed in split order."""
     if not prepared:
         raise InputError("cannot evaluate an empty split")
     budget = eval_token_budget(preset)
-    n = params.config.token_count
     preds: list[float] = []
     golds: list[float] = []
     fallbacks = 0
-    for start in range(0, len(prepared), EVAL_BLOCK):
-        block = prepared[start:start + EVAL_BLOCK]
-        pseudo = pseudo_blocks(params, block, state)
-        for sub in range(0, len(block), DECODE_BLOCK):
-            batch = block[sub:sub + DECODE_BLOCK]
-            rows, lengths = padded_inputs(
-                batch, T.slice_rows(pseudo, sub * n, (sub + len(batch)) * n), labels=False)
-            for p, text in zip(batch, generate(backbone, rows, lengths, max_new=budget)):
-                value, fb = parse_generated(preset.task, text,
-                                            class_count=preset.class_count,
-                                            neutral_class=preset.neutral_class)
-                fallbacks += int(fb)
-                preds.append(value)
-                golds.append(p.gold)
+    for start in range(0, len(prepared), BLOCK):
+        block = prepared[start:start + BLOCK]
+        rows, lengths = padded_inputs(block, pseudo_blocks(params, block, state), labels=False)
+        for p, text in zip(block, generate(backbone, rows, lengths, max_new=budget)):
+            value, fb = parse_generated(preset.task, text, class_count=preset.class_count,
+                                        neutral_class=preset.neutral_class)
+            fallbacks += int(fb)
+            preds.append(value)
+            golds.append(p.gold)
     return score_predictions(preset.metric_family, preds, golds,
                              fallback_count=fallbacks,
                              class_count=preset.class_count)
@@ -419,11 +379,6 @@ class RunResult:
     checkpoint_path: Path | None
 
 
-def _chunks(order: np.ndarray, size: int):
-    for start in range(0, len(order), size):
-        yield order[start:start + size]
-
-
 def train_run(backbone: FrozenBackbone, dataset: Dataset,
               adapter_config: AdapterConfig, config: TrainConfig, seed: int,
               out_dir: str | Path | None = None) -> RunResult:
@@ -464,7 +419,8 @@ def train_run(backbone: FrozenBackbone, dataset: Dataset,
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(prepared_train))
         epoch_losses: list[float] = []
-        for batch in _chunks(order, config.batch_size):
+        for start in range(0, len(order), config.batch_size):
+            batch = order[start:start + config.batch_size]
             lr = lr_schedule(step, total_steps, config.learning_rate,
                              config.warmup_fraction)
             params.zero_grads()

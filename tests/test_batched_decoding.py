@@ -9,7 +9,7 @@ import mmadapt.trainer as trainer_mod
 from mmadapt import backbone as B
 from mmadapt import tensor as T
 from mmadapt.adapter import AdapterConfig, AdapterParams, make_variant_state
-from mmadapt.trainer import EVAL_BLOCK, eval_token_budget, prepare_samples
+from mmadapt.trainer import BLOCK, eval_token_budget, prepare_samples
 
 from decoding import eval_inputs, make_frozen, padded, preset_samples, unpadded
 from oracles import generate_uncached_ids
@@ -112,7 +112,7 @@ def test_batched_generate_matches_both_oracles_on_every_corpus_preset(monkeypatc
     config = B.BackboneConfig(embed_width=32, layers=2, heads=2, ffn_mult=2, max_seq=256)
     frozen = make_frozen(config, seed=len(name) + 1)
     # more samples than evaluation decodes at once, of different lengths
-    preset, samples = preset_samples(name, trainer_mod.DECODE_BLOCK + 5, rng)
+    preset, samples = preset_samples(name, B.DECODE_BLOCK + 5, rng)
     acfg = AdapterConfig(audio_width=preset.audio_width, vision_width=preset.vision_width,
                          audio_hidden=8, vision_hidden=8, mix_width=32,
                          token_count=preset.adapter_defaults.token_count, embed_width=32)
@@ -167,20 +167,33 @@ def test_samples_leave_at_eos_budget_and_max_seq_while_others_run_on(monkeypatch
         B.generate(frozen, *padded(arrays + [np.zeros((21, 16))]), 8)
 
 
-def test_evaluate_split_hands_every_sample_to_detokenize_and_parse_in_order(monkeypatch):
-    """The benchmark records each sample's ids and prediction by rebinding
-    `backbone.detokenize` and `trainer.parse_generated`."""
-    rng = np.random.default_rng(11)
+def eval_world(name, small_synth, seed):
+    """A seeded backbone, adapter and variant state, and more than BLOCK
+    prepared samples of the named preset (BLOCK + 6 of a corpus preset), so
+    that the last eval block is short."""
+    rng = np.random.default_rng(seed)
     config = B.BackboneConfig(embed_width=32, layers=2, heads=2, ffn_mult=2, max_seq=256)
-    frozen = make_frozen(config, seed=11)
-    # the last eval block holds 6 samples, so its one decode batch is short
-    preset, samples = preset_samples("mosei", EVAL_BLOCK + 6, rng)
+    frozen = make_frozen(config, seed=seed)
+    if name == "synthetic":
+        preset = small_synth.preset
+        samples = [*small_synth["train"], *small_synth["valid"], *small_synth["test"]] * 2
+    else:
+        preset, samples = preset_samples(name, BLOCK + 6, rng)
     acfg = AdapterConfig(audio_width=preset.audio_width, vision_width=preset.vision_width,
                          audio_hidden=8, vision_hidden=8, mix_width=32,
                          token_count=preset.adapter_defaults.token_count, embed_width=32)
     params = AdapterParams.init(acfg, rng)
     state = make_variant_state("full", acfg, rng)
-    prepared = prepare_samples(frozen, samples, preset, acfg.token_count, False)
+    return frozen, preset, params, state, prepare_samples(frozen, samples, preset,
+                                                          acfg.token_count, False)
+
+
+@pytest.mark.parametrize("name", ["mosei", "sims_v2", "meld", "cherma", "synthetic"])
+def test_evaluate_split_hands_every_sample_to_detokenize_and_parse_in_order(
+        monkeypatch, small_synth, name):
+    """The benchmark records each sample's ids and prediction by rebinding
+    `backbone.detokenize` and `trainer.parse_generated`."""
+    frozen, preset, params, state, prepared = eval_world(name, small_synth, 11)
     tokens, texts = [], []
     detokenize, parse = B.detokenize, trainer_mod.parse_generated
 
@@ -198,8 +211,40 @@ def test_evaluate_split_hands_every_sample_to_detokenize_and_parse_in_order(monk
     assert len(tokens) == len(texts) == len(prepared)
     assert texts == [detokenize(ids) for ids in tokens]
     budget = eval_token_budget(preset)
-    for start in range(0, len(prepared), EVAL_BLOCK):
-        block = prepared[start:start + EVAL_BLOCK]
+    for start in range(0, len(prepared), BLOCK):
+        block = prepared[start:start + BLOCK]
         for i, own in enumerate(unpadded(*eval_inputs(params, block, state))):
             assert_same_greedy(frozen, own, tokens[start + i],
                                generate_uncached_ids(frozen, own, budget))
+
+
+def test_evaluate_split_decodes_each_block_in_sub_batches_of_length_order(
+        monkeypatch, small_synth):
+    """On a ragged split, each eval block reaches `prefill` as the
+    `sub_batches` of DECODE_BLOCK samples, each sample's rows its own, each
+    sub-batch padded only to its own longest sample."""
+    frozen, preset, params, state, prepared = eval_world("mosei", small_synth, 12)
+    calls = []
+    prefill = B.FrozenBackbone.prefill
+
+    def record(self, rows, lengths, room):
+        calls.append((rows.data.copy(), np.array(lengths)))
+        return prefill(self, rows, lengths, room)
+
+    monkeypatch.setattr(B.FrozenBackbone, "prefill", record)
+    trainer_mod.evaluate_split(frozen, params, state, prepared, preset)
+    padded_rows = sum(rows.shape[0] for rows, _ in calls)
+    predicted = 0
+    for start in range(0, len(prepared), BLOCK):
+        rows, lengths = eval_inputs(params, prepared[start:start + BLOCK], state)
+        assert len(set(lengths)) > 1
+        own = unpadded(rows, lengths)
+        for sub in B.sub_batches(lengths, B.DECODE_BLOCK, np.inf):
+            got_rows, got_lengths = calls.pop(0)
+            # a run of the block in length order, sliced at its own longest
+            assert list(got_lengths) == sorted(got_lengths) == [lengths[i] for i in sub]
+            for i, got in zip(sub, unpadded(T.Tensor(got_rows), got_lengths)):
+                assert np.array_equal(got.data, own[i].data)
+            predicted += len(sub) * max(lengths[sub])
+    assert not calls
+    assert padded_rows == predicted

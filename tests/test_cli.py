@@ -320,6 +320,7 @@ BAD_INPUTS = {
     "class-label-nan": first_record("train", label=float("nan")),
     "class-label-infinity": first_record("eval", label=float("inf")),
     "class-label-minus-infinity": first_record("train", label=float("-inf")),
+    "label-a-numeric-string": first_record("eval", label="1"),
     "id-a-list": first_record("train", id=["a"]),
     "id-an-object": first_record("eval", id={"a": 1}),
     "id-a-number": first_record("train", id=7),

@@ -312,6 +312,23 @@ def test_load_rejects_a_non_finite_score(tmp_path, label):
         load_dataset(root, get_preset("mosei"))
 
 
+@pytest.mark.parametrize("label", [True, "1", " 2 "])
+def test_load_rejects_a_label_that_is_not_a_json_number(tmp_path, label):
+    """float() reads true as 1.0 and a numeric string as its number; a
+    manifest label must be a JSON number."""
+    root = one_record_dataset(tmp_path, label=label)
+    preset = synthetic_preset(3, 8, 8, {"train": 1, "valid": 0, "test": 0})
+    with pytest.raises(InputError, match=r"manifest\.jsonl:1: label must be a JSON number"):
+        load_dataset(root, preset)
+
+
+def test_load_rejects_an_integer_label_too_large_for_a_float(tmp_path):
+    root = one_record_dataset(tmp_path, label=10**400)
+    preset = synthetic_preset(3, 8, 8, {"train": 1, "valid": 0, "test": 0})
+    with pytest.raises(InputError, match=r"manifest\.jsonl:1: bad record: int too large"):
+        load_dataset(root, preset)
+
+
 @pytest.mark.parametrize("sid", [["x"], {"x": 1}, 7, 1.5, "", None, True])
 def test_load_rejects_an_id_that_is_not_a_non_empty_string(tmp_path, sid):
     root = one_record_dataset(tmp_path, id=sid)

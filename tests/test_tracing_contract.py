@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mmadapt import tensor, trainer
+from mmadapt import backbone, tensor, trainer
 from mmadapt.adapter import AdapterParams, make_variant_state
 
 ADAPTER_SPANS = ("adapter.build_pseudo_tokens", "adapter.lstm_final_state",
@@ -98,5 +98,5 @@ def test_real_training_and_evaluation_run_under_the_tracer(
         assert inside[name] == 2 * calls, name
     # one backbone tape per sub-batch of TRAIN_BLOCK samples and one adapter
     # tape per batch
-    assert tracer.count("tensor.backward") == 2 * -(-12 // trainer.TRAIN_BLOCK) + 2
+    assert tracer.count("tensor.backward") == 2 * -(-12 // backbone.TRAIN_BLOCK) + 2
     assert inside.get("tensor.backward", 0) == 0

@@ -6,9 +6,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 import mmadapt.trainer as trainer_mod
+from mmadapt import backbone as B
 from mmadapt import tensor as T
 from mmadapt.adapter import AdapterConfig, AdapterParams, load_adapter, make_variant_state
 from mmadapt.backbone import EOS, BackboneConfig, tokenize
@@ -239,7 +242,7 @@ def test_prepare_samples_matches_the_per_sample_oracle(small_synth, name, drops_
     lookups per sample, and each keeps its own sample's id, label and
     features; the first sample over max_seq raises the oracle's LengthError,
     even from a later gather block; no samples give []."""
-    block = trainer_mod.PREPARE_BLOCK
+    block = trainer_mod.BLOCK
     frozen = make_frozen(BackboneConfig(embed_width=16, layers=1, heads=2, ffn_mult=2,
                                         max_seq=256))
     if name == "synthetic":
@@ -402,24 +405,41 @@ def test_batch_step_under_a_small_row_budget_matches_the_oracle(monkeypatch, pre
     """A row budget that cuts the batch into pairs and single samples (mosei's
     inputs of 55-73 rows) or into single samples (meld's of 89-109) changes
     no loss or gradient."""
-    monkeypatch.setattr(trainer_mod, "TRAIN_ROWS", 150)
+    monkeypatch.setattr(B, "TRAIN_ROWS", 150)
     check_batch_step_against_the_oracle(preset_name, "full", 13)
 
 
 def test_sub_batches_cut_the_batch_in_order_of_length():
-    def batch(lengths):
-        return [trainer_mod.PreparedSample(f"s{i}", 0.0, np.zeros((1, 1)), np.zeros((1, 1)),
-                                           np.zeros((0, 1)), np.zeros((n - 4, 1)), 4, [1])
-                for i, n in enumerate(lengths)]
+    def cut(lengths):
+        return B.sub_batches(lengths, B.TRAIN_BLOCK, B.TRAIN_ROWS)
 
     # 8 samples at most, each sub-batch in order of length
-    lengths = [40, 10, 30, 20, 40, 10, 30, 20, 45, 5]
-    subs = trainer_mod.sub_batches(batch(lengths))
-    assert subs == [[9, 1, 5, 3, 7, 2, 6, 0], [4, 8]]
+    assert cut([40, 10, 30, 20, 40, 10, 30, 20, 45, 5]) == [[9, 1, 5, 3, 7, 2, 6, 0], [4, 8]]
     # at most TRAIN_ROWS rows once padded; a longer sample goes alone
-    subs = trainer_mod.sub_batches(batch([100, 300, 50, 200, 400, 90]))
-    assert subs == [[2, 5, 0], [3], [1], [4]]
-    assert trainer_mod.sub_batches(batch([48] * 9)) == [list(range(8)), [8]]
+    assert cut([100, 300, 50, 200, 400, 90]) == [[2, 5, 0], [3], [1], [4]]
+    assert cut([48] * 9) == [list(range(8)), [8]]
+    # decoding: equal lengths keep their order, 16 samples at a time
+    assert B.sub_batches([42] * 50, B.DECODE_BLOCK, math.inf) == [
+        list(range(0, 16)), list(range(16, 32)), list(range(32, 48)), [48, 49]]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(lengths=st.lists(st.integers(1, 60), max_size=40), samples=st.integers(1, 10),
+       rows=st.one_of(st.integers(1, 300), st.just(math.inf)))
+def test_sub_batches_partition_the_batch_in_length_order_under_both_caps(lengths, samples,
+                                                                         rows):
+    subs = B.sub_batches(lengths, samples, rows)
+    assert sorted(i for sub in subs for i in sub) == list(range(len(lengths)))
+    # taken in order, the sub-batches are the indices stably sorted by length
+    flat = [i for sub in subs for i in sub]
+    assert flat == sorted(range(len(lengths)), key=lambda i: lengths[i])
+    for sub in subs:
+        assert all((lengths[a], a) < (lengths[b], b) for a, b in zip(sub, sub[1:]))
+        assert 1 <= len(sub) <= samples
+        assert len(sub) == 1 or len(sub) * lengths[sub[-1]] <= rows
+    # each cut is forced: the next sample would break a cap
+    for sub, nxt in zip(subs, subs[1:]):
+        assert len(sub) == samples or (len(sub) + 1) * lengths[nxt[0]] > rows
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +594,7 @@ def test_evaluate_split_deterministic(small_synth, small_backbone,
 
 def test_evaluate_split_ignores_batch_composition(monkeypatch, tmp_path, small_backbone,
                                                   small_adapter_config):
-    """The adapter runs on blocks of EVAL_BLOCK samples, so a sample shares
+    """The adapter runs on blocks of BLOCK samples, so a sample shares
     its block with different samples when a split is evaluated whole or in
     50-sample chunks. A batched column may differ in the last bit between the
     two, but the generated text and the metrics must not."""
@@ -584,7 +604,7 @@ def test_evaluate_split_ignores_batch_composition(monkeypatch, tmp_path, small_b
     state = make_variant_state("full", small_adapter_config, rng)
     prepared = prepare_samples(small_backbone, ds["test"], ds.preset, n_prefix=2,
                                drops_text=False)
-    assert len(prepared) > 2 * trainer_mod.EVAL_BLOCK
+    assert len(prepared) > 2 * trainer_mod.BLOCK
     parse = trainer_mod.parse_generated
     seen = []
 
