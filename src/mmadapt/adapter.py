@@ -38,9 +38,6 @@ from .serialize import check_tensors, read_container, write_container
 
 ADAPTER_MAGIC = b"MSEA"
 
-VARIANTS = ("full", "no_mixer", "no_fusion", "no_text",
-            "no_audio", "no_vision", "no_audio_vision")
-
 
 @dataclass(frozen=True)
 class AdapterConfig:
@@ -208,7 +205,7 @@ def lstm_final_state(x: Batch, wih: T.Tensor, whh: T.Tensor, b: T.Tensor,
     """
     if whh.shape != (4 * hidden, hidden):
         raise DimensionError(f"lstm: whh {whh.shape} does not hold {hidden} hidden units")
-    return T.lstm_final(x, wih, whh, b)
+    return T.lstm_final(_batch(x), wih, whh, b)
 
 
 def _linear(params: AdapterParams, name: str, x: T.Tensor) -> T.Tensor:
@@ -251,6 +248,18 @@ def expand_tokens(params: AdapterParams, fused: T.Tensor) -> T.Tensor:
 # variants
 
 
+# every ablation variant with its label in the ablation table, in table order
+VARIANTS = {
+    "no_audio": "w/o A",
+    "no_vision": "w/o V",
+    "no_text": "w/o T",
+    "no_audio_vision": "w/o A,V",
+    "no_mixer": "w/o mixer",
+    "no_fusion": "w/o fusion",
+    "full": "full",
+}
+
+
 @dataclass
 class VariantState:
     """Which ablation runs, plus any fixed substitute states it needs."""
@@ -261,7 +270,7 @@ class VariantState:
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {self.variant!r}; have {VARIANTS}")
+            raise ConfigError(f"unknown variant {self.variant!r}; have {tuple(VARIANTS)}")
 
     @property
     def drops_text_input(self) -> bool:

@@ -381,7 +381,7 @@ def pretrain_backbone(corpus: Sequence[str], steps: int, seed: int,
         with T.Tape() as tape:
             x = T.embedding_lookup(weights["embed"], ids[:-1])
             logits = _forward(config, weights, x)
-            loss = T.rows_cross_entropy(logits, ids[1:], reduction="mean")
+            loss = T.scale(T.rows_cross_entropy(logits, ids[1:]), 1.0 / (len(ids) - 1))
             tape.backward(loss)
         clip_global_norm(named, 1.0)
         adamw_step(named, state, lr_schedule(step, steps, lr), weight_decay=weight_decay)

@@ -166,8 +166,6 @@ class SyntheticSpec:
     vision_width: int = 8
     min_len: int = 4
     max_len: int = 10
-    audio_strength: float = 1.0
-    vision_strength: float = 1.0
     seed: int = 1111
 
     def __post_init__(self) -> None:
@@ -197,7 +195,7 @@ def _planted_directions(spec: SyntheticSpec, rng: np.random.Generator):
     about at any width."""
     qa, _ = np.linalg.qr(rng.standard_normal((spec.audio_width, spec.class_count)))
     qv, _ = np.linalg.qr(rng.standard_normal((spec.vision_width, 2)))
-    return qa.T * spec.audio_strength, qv.T * spec.vision_strength
+    return qa.T, qv.T
 
 
 def generate_synthetic(spec: SyntheticSpec, out_dir: str | Path) -> Dataset:
@@ -254,8 +252,6 @@ def generate_synthetic(spec: SyntheticSpec, out_dir: str | Path) -> Dataset:
         "seed": spec.seed,
         "min_len": spec.min_len,
         "max_len": spec.max_len,
-        "audio_strength": spec.audio_strength,
-        "vision_strength": spec.vision_strength,
         "ceiling_accuracy": hits / test_total,
     }
     write_atomic(out / "meta.json",

@@ -20,9 +20,10 @@ import numpy as np
 
 from . import tensor as T
 from .adapter import AdapterConfig, AdapterParams, VariantState
-from .backbone import (EOS, BackboneConfig, FrozenBackbone, init_weights, tokenize,
-                       weight_shapes)
-from .trainer import PreparedSample, batch_step, block_losses, pseudo_blocks, sample_loss
+from .backbone import BackboneConfig, FrozenBackbone, init_weights, weight_shapes
+from .corpus import FeatureSample
+from .presets import AdapterDefaults, DatasetPreset
+from .trainer import batch_step, block_losses, prepare_samples, pseudo_blocks, sample_loss
 
 PRIMITIVE_TOL = 1e-6
 FULL_TOL = 1e-4
@@ -81,19 +82,19 @@ def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
-def _check(name: str, build, arrays: dict[str, np.ndarray],
+def _check(name: str, op, arrays: dict[str, np.ndarray], cotangent: np.ndarray,
            tolerance: float) -> GradCheckResult:
-    """Compare tape gradients of sum(build(tensors)) against extrapolated
-    central differences for every input array."""
+    """Compare the tape's gradients of sum(op(tensors) * cotangent), seeded
+    with `cotangent`, against extrapolated central differences of that sum
+    for every input array."""
     tensors = {k: T.Tensor(v, requires_grad=True) for k, v in arrays.items()}
     with T.Tape() as tape:
-        out = build(tensors)
-        tape.backward(out)
+        tape.backward(op(tensors), grad=cotangent)
     # views of the same storage, so the nudges of _fd_grad reach the forward
     plain = {k: T.Tensor._wrap(t.data, False, None) for k, t in tensors.items()}
 
     def value() -> float:
-        return build(plain).item()
+        return float((op(plain).data * cotangent).sum())
 
     worst = 0.0
     for tensor in tensors.values():
@@ -110,108 +111,83 @@ def _block_arrays(mat, skip: str = "") -> dict[str, np.ndarray]:
 
 
 def gradcheck_primitives(seed: int = 0) -> list[GradCheckResult]:
-    """Finite-difference check for each differentiable primitive."""
+    """Finite-difference check for each differentiable primitive. Each row is
+    an op, its inputs and the key of its cotangent in `cot`."""
     rng = np.random.default_rng(seed)
 
     def mat(r, c):
         return rng.standard_normal((r, c))
 
-    w = T.Tensor._wrap(rng.standard_normal((4, 5)), False, None)
-    wc = T.Tensor._wrap(rng.standard_normal((3, 4)), False, None)
-    w44 = T.Tensor._wrap(np.abs(rng.standard_normal((4, 4))), False, None)
-    checks = [
-        ("add", lambda t: T.sum_all(T.hadamard(T.add(t["a"], t["b"]), w)),
-         {"a": mat(4, 5), "b": mat(4, 5)}),
-        ("add_rowvec", lambda t: T.sum_all(T.hadamard(T.add_rowvec(t["a"], t["b"]), w)),
-         {"a": mat(4, 5), "b": mat(1, 5)}),
-        ("add_scalar", lambda t: T.sum_all(T.hadamard(T.add_scalar(t["a"], t["s"]), w)),
-         {"a": mat(4, 5), "s": mat(1, 1)}),
-        ("scale", lambda t: T.sum_all(T.hadamard(T.scale(t["a"], -1.3), w)),
-         {"a": mat(4, 5)}),
-        ("matmul", lambda t: T.sum_all(T.hadamard(T.matmul(t["a"], t["b"]), wc)),
-         {"a": mat(3, 6), "b": mat(6, 4)}),
-        ("hadamard", lambda t: T.sum_all(T.hadamard(T.hadamard(t["a"], t["b"]), w)),
-         {"a": mat(4, 5), "b": mat(4, 5)}),
-        ("sigmoid", lambda t: T.sum_all(T.hadamard(T.sigmoid(t["a"]), w)),
-         {"a": mat(4, 5)}),
-        ("tanh", lambda t: T.sum_all(T.hadamard(T.tanh(t["a"]), w)),
-         {"a": mat(4, 5)}),
-        ("gelu", lambda t: T.sum_all(T.hadamard(T.gelu(t["a"]), w)),
-         {"a": mat(4, 5)}),
-        ("transpose", lambda t: T.sum_all(T.hadamard(T.transpose(t["a"]), w)),
-         {"a": mat(5, 4)}),
-        ("slice_rows", lambda t: T.sum_all(T.hadamard(
-            T.slice_rows(t["a"], 1, 5), w)), {"a": mat(7, 5)}),
-        ("slice_cols", lambda t: T.sum_all(T.hadamard(
-            T.slice_cols(t["a"], 2, 7), w)), {"a": mat(4, 9)}),
-        ("concat_rows", lambda t: T.sum_all(T.hadamard(
-            T.concat_rows([t["a"], t["b"]]), w)),
-         {"a": mat(1, 5), "b": mat(3, 5)}),
-        ("stack_columns", lambda t: T.sum_all(T.hadamard(
-            T.stack_columns([t["a"], t["b"]]), w)),
-         {"a": mat(4, 2), "b": mat(4, 3)}),
-        ("reduce_mean_rows", lambda t: T.sum_all(T.hadamard(
-            T.reduce_mean_rows(t["a"]), T.slice_rows(w, 0, 1))),
-         {"a": mat(6, 5)}),
-        ("sum_all", lambda t: T.sum_all(t["a"]), {"a": mat(4, 5)}),
-        ("softmax_rows", lambda t: T.sum_all(T.hadamard(
-            T.softmax_rows(t["a"]), w)), {"a": mat(4, 5)}),
-        ("layernorm_rows", lambda t: T.sum_all(T.hadamard(
-            T.layernorm_rows(t["a"], t["g"], t["b"]), w)),
-         {"a": mat(4, 5), "g": mat(1, 5), "b": mat(1, 5)}),
-        ("causal_attention", lambda t: T.sum_all(T.hadamard(
-            T.softmax_rows(T.causal_attention_scores(t["q"], t["k"], 0.5)),
-            w44)), {"q": mat(4, 3), "k": mat(4, 3)}),
+    cot = {"w": mat(4, 5), "wc": mat(3, 4), "w44": np.abs(mat(4, 4)), "one": np.ones(1)}
+    cot["w_row"] = cot["w"][:1]
+    rows = [
+        ("add", lambda t: T.add(t["a"], t["b"]), {"a": mat(4, 5), "b": mat(4, 5)}, "w"),
+        ("add_rowvec", lambda t: T.add_rowvec(t["a"], t["b"]),
+         {"a": mat(4, 5), "b": mat(1, 5)}, "w"),
+        ("add_scalar", lambda t: T.add_scalar(t["a"], t["s"]),
+         {"a": mat(4, 5), "s": mat(1, 1)}, "w"),
+        ("scale", lambda t: T.scale(t["a"], -1.3), {"a": mat(4, 5)}, "w"),
+        ("matmul", lambda t: T.matmul(t["a"], t["b"]), {"a": mat(3, 6), "b": mat(6, 4)}, "wc"),
+        ("hadamard", lambda t: T.hadamard(t["a"], t["b"]),
+         {"a": mat(4, 5), "b": mat(4, 5)}, "w"),
+        ("sigmoid", lambda t: T.sigmoid(t["a"]), {"a": mat(4, 5)}, "w"),
+        ("tanh", lambda t: T.tanh(t["a"]), {"a": mat(4, 5)}, "w"),
+        ("gelu", lambda t: T.gelu(t["a"]), {"a": mat(4, 5)}, "w"),
+        ("transpose", lambda t: T.transpose(t["a"]), {"a": mat(5, 4)}, "w"),
+        ("slice_rows", lambda t: T.slice_rows(t["a"], 1, 5), {"a": mat(7, 5)}, "w"),
+        ("slice_cols", lambda t: T.slice_cols(t["a"], 2, 7), {"a": mat(4, 9)}, "w"),
+        ("concat_rows", lambda t: T.concat_rows([t["a"], t["b"]]),
+         {"a": mat(1, 5), "b": mat(3, 5)}, "w"),
+        ("stack_columns", lambda t: T.stack_columns([t["a"], t["b"]]),
+         {"a": mat(4, 2), "b": mat(4, 3)}, "w"),
+        ("reduce_mean_rows", lambda t: T.reduce_mean_rows(t["a"]), {"a": mat(6, 5)}, "w_row"),
+        ("sum_all", lambda t: T.sum_all(t["a"]), {"a": mat(4, 5)}, "one"),
+        ("softmax_rows", lambda t: T.softmax_rows(t["a"]), {"a": mat(4, 5)}, "w"),
+        ("layernorm_rows", lambda t: T.layernorm_rows(t["a"], t["g"], t["b"]),
+         {"a": mat(4, 5), "g": mat(1, 5), "b": mat(1, 5)}, "w"),
+        ("causal_attention", lambda t: T.softmax_rows(
+            T.causal_attention_scores(t["q"], t["k"], 0.5)),
+         {"q": mat(4, 3), "k": mat(4, 3)}, "w44"),
         ("softmax_cross_entropy", lambda t: T.softmax_cross_entropy(t["a"], 2),
-         {"a": mat(1, 7)}),
-        ("rows_cross_entropy", lambda t: T.rows_cross_entropy(
-            t["a"], [1, 0, 3], reduction="sum"), {"a": mat(3, 5)}),
-        ("embedding_lookup", lambda t: T.sum_all(T.hadamard(
-            T.embedding_lookup(t["e"], [0, 2, 2, 1]), w)),
-         {"e": mat(3, 5)}),
-        ("lstm_final", lambda t: T.sum_all(T.hadamard(
-            T.lstm_final(t["x"], t["wih"], t["whh"], t["b"]), w_lstm)),
+         {"a": mat(1, 7)}, "one"),
+        ("rows_cross_entropy", lambda t: T.rows_cross_entropy(t["a"], [1, 0, 3]),
+         {"a": mat(3, 5)}, "one"),
+        ("embedding_lookup", lambda t: T.embedding_lookup(t["e"], [0, 2, 2, 1]),
+         {"e": mat(3, 5)}, "w"),
+        ("lstm_final", lambda t: T.lstm_final([t["x"]], t["wih"], t["whh"], t["b"]),
          {"x": mat(4, 3), "wih": 0.5 * mat(12, 3), "whh": 0.5 * mat(12, 3),
-          "b": 0.5 * mat(12, 1)}),
+          "b": 0.5 * mat(12, 1)}, "lstm"),
         # the key bias shifts every score of a query row alike, so its
         # gradient is identically zero and central differences would see
         # only roundoff; test_decoder_block_key_bias_gradient_is_zero in
         # tests/test_tensor.py pins that zero against bq's gradient
-        ("decoder_block", lambda t: T.sum_all(T.hadamard(
-            T.decoder_block(t["x"], {**key_bias, **t}, "", 2, 4), w_block)),
-         {"x": mat(4, 4), **_block_arrays(mat, skip="bk")}),
-        ("decoder_block_frozen", lambda t: T.sum_all(T.hadamard(
-            T.decoder_block(t["x"], frozen, "", 2, 4), w_block)),
-         {"x": mat(4, 4)}),
-        ("decoder_block_pruned", lambda t: T.sum_all(T.hadamard(
-            T.decoder_block(t["x"], {**key_bias, **t}, "", 2, 2),
-            T.slice_rows(w_block, 0, 2))),
-         {"x": mat(4, 4), **_block_arrays(mat, skip="bk")}),
+        ("decoder_block", lambda t: T.decoder_block(t["x"], {**key_bias, **t}, "", 2, 4),
+         {"x": mat(4, 4), **_block_arrays(mat, skip="bk")}, "block"),
+        ("decoder_block_frozen", lambda t: T.decoder_block(t["x"], frozen, "", 2, 4),
+         {"x": mat(4, 4)}, "block"),
+        ("decoder_block_pruned", lambda t: T.decoder_block(t["x"], {**key_bias, **t}, "", 2, 2),
+         {"x": mat(4, 4), **_block_arrays(mat, skip="bk")}, "block_top"),
     ]
     # drawn after every input above, so the older rows keep their instances
-    w_lstm = T.Tensor._wrap(rng.standard_normal((3, 1)), False, None)
-    w_block = T.Tensor._wrap(rng.standard_normal((4, 4)), False, None)
-    frozen = {n: T.Tensor._wrap(a, False, None) for n, a in _block_arrays(mat).items()}
+    cot["lstm"], cot["block"] = mat(3, 1), mat(4, 4)
+    cot["block_top"] = cot["block"][:2]
+    frozen = {n: T.Tensor(a) for n, a in _block_arrays(mat).items()}
     key_bias = {"bk": frozen["bk"]}
     # the batched adapter's ops; the LSTM batch holds a 1-frame sequence and
     # its longest sequence is not first
-    checks += [
-        ("add_colvec", lambda t: T.sum_all(T.hadamard(T.add_colvec(t["a"], t["b"]), w)),
-         {"a": mat(4, 5), "b": mat(4, 1)}),
-        ("weighted_sum", lambda t: T.sum_all(T.hadamard(
-            T.weighted_sum([t["a"], t["b"], t["c"]], t["w"]), w)),
-         {"a": mat(4, 5), "b": mat(4, 5), "c": mat(4, 5), "w": mat(3, 1)}),
-        ("outer_blocks", lambda t: T.sum_all(T.hadamard(
-            T.outer_blocks(t["v"], t["u"]), w_outer)),
-         {"v": mat(3, 1), "u": mat(4, 2)}),
-        ("lstm_final_batch", lambda t: T.sum_all(T.hadamard(
-            T.lstm_final([t["x0"], t["x1"], t["x2"]], t["wih"], t["whh"], t["b"]),
-            w_lstm_batch)),
+    rows += [
+        ("add_colvec", lambda t: T.add_colvec(t["a"], t["b"]),
+         {"a": mat(4, 5), "b": mat(4, 1)}, "w"),
+        ("weighted_sum", lambda t: T.weighted_sum([t["a"], t["b"], t["c"]], t["w"]),
+         {"a": mat(4, 5), "b": mat(4, 5), "c": mat(4, 5), "w": mat(3, 1)}, "w"),
+        ("outer_blocks", lambda t: T.outer_blocks(t["v"], t["u"]),
+         {"v": mat(3, 1), "u": mat(4, 2)}, "outer"),
+        ("lstm_final_batch", lambda t: T.lstm_final(
+            [t["x0"], t["x1"], t["x2"]], t["wih"], t["whh"], t["b"]),
          {"x0": mat(2, 3), "x1": mat(1, 3), "x2": mat(4, 3), "wih": 0.5 * mat(12, 3),
-          "whh": 0.5 * mat(12, 3), "b": 0.5 * mat(12, 1)}),
+          "whh": 0.5 * mat(12, 3), "b": 0.5 * mat(12, 1)}, "lstm_batch"),
     ]
-    w_outer = T.Tensor._wrap(rng.standard_normal((6, 4)), False, None)
-    w_lstm_batch = T.Tensor._wrap(rng.standard_normal((3, 3)), False, None)
+    cot["outer"], cot["lstm_batch"] = mat(6, 4), mat(3, 3)
     # the block over a ragged batch as training runs its frozen final layer:
     # samples of 4, 6 and 3 rows padded to 6 with zero rows, and label
     # windows of 2, 3 and 1 rows padded to 3, from rows min(length - window,
@@ -219,15 +195,14 @@ def gradcheck_primitives(seed: int = 0) -> list[GradCheckResult]:
     lengths, windows = (4, 6, 3), (2, 3, 1)
     first = [min(n - k, 6 - 3) for n, k in zip(lengths, windows)]
     x_batch = mat(18, 4)
-    w_windows = rng.standard_normal((9, 4))
+    cot["windows"] = mat(9, 4)
     for b, (length, window) in enumerate(zip(lengths, windows)):
         x_batch[6 * b + length:6 * (b + 1)] = 0.0
-        w_windows[3 * b + window:3 * (b + 1)] = 0.0
-    w_windows = T.Tensor._wrap(w_windows, False, None)
-    checks.append(("decoder_block_batch", lambda t: T.sum_all(T.hadamard(
-        T.decoder_block(t["x"], frozen, "", 2, 3, first), w_windows)), {"x": x_batch}))
-    return [_check(name, build, arrays, PRIMITIVE_TOL)
-            for name, build, arrays in checks]
+        cot["windows"][3 * b + window:3 * (b + 1)] = 0.0
+    rows.append(("decoder_block_batch", lambda t: T.decoder_block(
+        t["x"], frozen, "", 2, 3, first), {"x": x_batch}, "windows"))
+    return [_check(name, op, arrays, cot[key], PRIMITIVE_TOL)
+            for name, op, arrays, key in rows]
 
 
 def _tiny_pipeline(seed: int):
@@ -242,23 +217,16 @@ def _tiny_pipeline(seed: int):
                                    audio_hidden=8, vision_hidden=7,
                                    mix_width=32, token_count=4, embed_width=16)
     params = AdapterParams.init(adapter_config, rng)
-    batch = []
-    for text, label, frames in (("ok", "1", (5, 4)), ("no", "0", (1, 6)),
-                                ("fine", "2", (7, 2))):
-        text_ids = tokenize(text)
-        label_ids = tokenize(label) + [EOS]
-        const_rows = backbone.embed(text_ids + tokenize(" label:") + label_ids)
-        batch.append(PreparedSample(
-            sid=f"gradcheck-{text}",
-            gold=float(label),
-            audio=rng.standard_normal((frames[0], 6)),
-            vision=rng.standard_normal((frames[1], 5)),
-            text_rows=const_rows[:len(text_ids)],
-            const_rows=const_rows,
-            n_prefix=4,
-            label_ids=label_ids,
-        ))
-    return backbone, params, batch
+    preset = DatasetPreset(name="gradcheck", task="emotion", metric_family="emotion",
+                           audio_width=6, vision_width=5, split_sizes={}, prompt=" label:",
+                           adapter_defaults=AdapterDefaults(8, 7, 5e-3, 4),
+                           class_names=("0", "1", "2"))
+    samples = [FeatureSample(f"gradcheck-{text}", text, label,
+                             rng.standard_normal((frames[0], 6)),
+                             rng.standard_normal((frames[1], 5)), "train")
+               for text, label, frames in (("ok", 1.0, (5, 4)), ("no", 0.0, (1, 6)),
+                                           ("fine", 2.0, (7, 2)))]
+    return backbone, params, prepare_samples(backbone, samples, preset, 4, drops_text=False)
 
 
 def gradcheck_full(seed: int = 0) -> list[GradCheckResult]:

@@ -28,6 +28,7 @@ import re
 import warnings
 from dataclasses import dataclass
 
+from .adapter import VARIANTS
 from .errors import InputError
 
 # display names and whether each metric renders as a percentage
@@ -270,22 +271,11 @@ def score_predictions(family: str, preds, golds, fallback_count: int = 0,
 # ---------------------------------------------------------------------------
 # ablation reporting
 
-# fixed presentation order; keys are adapter variant names
-ABLATION_ROWS = (
-    ("no_audio", "w/o A"),
-    ("no_vision", "w/o V"),
-    ("no_text", "w/o T"),
-    ("no_audio_vision", "w/o A,V"),
-    ("no_mixer", "w/o mixer"),
-    ("no_fusion", "w/o fusion"),
-    ("full", "full"),
-)
-
-
 def ablation_report(results: dict[str, MetricReport]) -> str:
     """Render seed-averaged variant results as a fixed-order table.
 
-    Missing variants are omitted with a warning; the full model is required.
+    The rows follow `adapter.VARIANTS`. Missing variants are omitted with a
+    warning; the full model is required.
     """
     if "full" not in results:
         raise InputError("ablation report needs the full-model row")
@@ -293,7 +283,7 @@ def ablation_report(results: dict[str, MetricReport]) -> str:
     keys = FAMILY_KEYS[family]
     header = ["variant".ljust(12)] + [_METRIC_DISPLAY[k][0].rjust(10) for k in keys]
     lines = ["".join(header)]
-    for variant, label in ABLATION_ROWS:
+    for variant, label in VARIANTS.items():
         if variant not in results:
             warnings.warn(f"ablation variant {variant!r} missing; row omitted",
                           stacklevel=2)

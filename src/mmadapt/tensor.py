@@ -560,11 +560,9 @@ def causal_attention_scores(q: Tensor, k: Tensor, scale_factor: float) -> Tensor
 # fused kernels: one tape record for a whole recurrence or transformer block
 
 
-def lstm_final(xs: Tensor | Sequence[Tensor], wih: Tensor, whh: Tensor,
-               b: Tensor) -> Tensor:
-    """Single-direction LSTM over the rows of each sequence in xs (a single
-    Tensor is a batch of one); returns the final hidden states as columns,
-    (hidden, B), column i for xs[i].
+def lstm_final(xs: Sequence[Tensor], wih: Tensor, whh: Tensor, b: Tensor) -> Tensor:
+    """Single-direction LSTM over the rows of each sequence in xs; returns the
+    final hidden states as columns, (hidden, B), column i for xs[i].
 
     Gate order along the stacked weight rows is input, forget, cell, output;
     initial hidden and cell states are zero. The sequences may differ in
@@ -575,7 +573,7 @@ def lstm_final(xs: Tensor | Sequence[Tensor], wih: Tensor, whh: Tensor,
     bit-identical to it; the backward is hand-written BPTT over the saved
     gates.
     """
-    xs = [xs] if isinstance(xs, Tensor) else list(xs)
+    xs = list(xs)
     if not xs:
         raise DimensionError("lstm_final: need at least one sequence")
     for t in (*xs, wih, whh, b):
@@ -829,13 +827,13 @@ def softmax_cross_entropy(logits: Tensor, target: int) -> Tensor:
     return _finish(np.array([loss]), (logits,), back)
 
 
-def rows_cross_entropy(logits: Tensor, targets: Sequence[int], reduction: str = "mean",
-                       groups: int = 1, mask: np.ndarray | None = None) -> Tensor:
+def rows_cross_entropy(logits: Tensor, targets: Sequence[int], groups: int = 1,
+                       mask: np.ndarray | None = None) -> Tensor:
     """Max-shifted cross-entropy of each logit row against its target id.
     The rows fall into `groups` equal runs, one per sample, and each run's
-    losses are reduced by mean or sum over its rows; returns the (groups,)
-    results. Given a boolean row `mask`, only its True rows count: a False
-    row adds no loss and gets no gradient."""
+    losses are summed over its rows; returns the (groups,) sums. Given a
+    boolean row `mask`, only its True rows count: a False row adds no loss
+    and gets no gradient."""
     _need_2d(logits, "rows_cross_entropy")
     ids = np.asarray(list(targets), dtype=np.int64)
     n, v = logits.shape
@@ -843,18 +841,13 @@ def rows_cross_entropy(logits: Tensor, targets: Sequence[int], reduction: str = 
         raise DimensionError(f"rows_cross_entropy: {n} rows but {ids.size} targets")
     if ids.min() < 0 or ids.max() >= v:
         raise DimensionError(f"rows_cross_entropy: target outside 0..{v - 1}")
-    if reduction not in ("mean", "sum"):
-        raise DomainError(f"rows_cross_entropy: unknown reduction {reduction!r}")
     if groups < 1 or n % groups:
         raise DimensionError(f"rows_cross_entropy: {n} rows do not split into {groups} groups")
-    if mask is None:
-        counts = np.full(groups, n // groups)
-    else:
+    if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (n,):
             raise DimensionError(f"rows_cross_entropy: {n} rows but a mask of {mask.size}")
-        counts = mask.reshape(groups, -1).sum(axis=1)
-        if counts.min() == 0:
+        if not mask.reshape(groups, -1).any(axis=1).all():
             raise DimensionError("rows_cross_entropy: a group has no row in the mask")
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     ez = np.exp(z)
@@ -864,18 +857,17 @@ def rows_cross_entropy(logits: Tensor, targets: Sequence[int], reduction: str = 
     if mask is not None:
         per_row = np.where(mask, per_row, 0.0)
     probs = ez / denom
-    k = 1.0 / counts if reduction == "mean" else np.ones(groups)
 
     def back(g: np.ndarray) -> None:
         if logits.requires_grad:
             d = probs.copy()
             d[rows, ids] -= 1.0
             # each row's seed of its group, and 0 for a row outside the mask
-            seeds = np.repeat(g * k, n // groups)
+            seeds = np.repeat(g, n // groups)
             d *= (seeds if mask is None else np.where(mask, seeds, 0.0))[:, None]
             logits._accum(d)
 
-    return _finish(per_row.reshape(groups, -1).sum(axis=1) * k, (logits,), back)
+    return _finish(per_row.reshape(groups, -1).sum(axis=1), (logits,), back)
 
 
 def zero_grads(params: Iterable[Tensor]) -> None:

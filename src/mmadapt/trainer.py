@@ -111,8 +111,8 @@ def label_loss(logits: T.Tensor, labels: list[list[int]],
             raise InputError(f"a window of {len(ids) + 1} rows cannot start at row {at} of {w}")
         targets[b, at:at + len(ids)] = ids
         mask[b, at:at + len(ids)] = True
-    return T.rows_cross_entropy(logits, targets.reshape(-1), reduction="sum",
-                                groups=len(labels), mask=mask.reshape(-1))
+    return T.rows_cross_entropy(logits, targets.reshape(-1), groups=len(labels),
+                                mask=mask.reshape(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +161,11 @@ def label_token_ids(preset: DatasetPreset, value: float) -> list[int]:
 
 def eval_token_budget(preset: DatasetPreset) -> int:
     """Greedy decoding steps that cover the longest canonical label plus the
-    end marker."""
-    return 5 if preset.task == "score" else 2
+    end marker: that of the range end of larger magnitude, or of the last
+    class."""
+    if preset.task == "score":
+        return len(label_token_ids(preset, max(preset.score_range, key=abs)))
+    return len(label_token_ids(preset, preset.class_count - 1))
 
 
 def prepare_samples(backbone: FrozenBackbone, samples: list[FeatureSample],
@@ -228,11 +231,14 @@ def padded_inputs(batch: list[PreparedSample], pseudo: T.Tensor,
     consts = [p.const_rows if labels else p.const_rows[:len(p.const_rows) - len(p.label_ids)]
               for p in batch]
     lengths = np.array([n + len(c) for c in consts])
-    tails = np.zeros((len(batch), int(lengths.max()) - n, pseudo.shape[1]))
+    # one block of zero rows, as many as the shortest sample lacks; each
+    # sample's padding is a view of it, so the batch is copied only once
+    pad = lengths.max() - lengths
+    zeros = np.zeros((int(pad.max()), pseudo.shape[1]))
     parts = []
     for i, c in enumerate(consts):
-        tails[i, :len(c)] = c
-        parts += [T.slice_rows(pseudo, i * n, (i + 1) * n), T.Tensor._wrap(tails[i], False, None)]
+        parts += [T.slice_rows(pseudo, i * n, (i + 1) * n), T.Tensor._wrap(c, False, None),
+                  T.Tensor._wrap(zeros[:pad[i]], False, None)]
     return T.concat_rows(parts), lengths
 
 

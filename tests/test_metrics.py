@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mmadapt.adapter import VARIANTS
 from mmadapt.errors import InputError
 from mmadapt.metrics import (
-    ABLATION_ROWS,
     MetricReport,
     ablation_report,
     erc_metrics,
@@ -477,7 +477,7 @@ def test_ablation_full_only_single_row():
 
 
 def test_ablation_fixed_row_order():
-    results = {name: _report(0.5) for name, _ in ABLATION_ROWS}
+    results = {name: _report(0.5) for name in VARIANTS}
     table = ablation_report(results)
     labels = [line.split("  ")[0].strip() for line in table.splitlines()[1:]]
     assert labels == ["w/o A", "w/o V", "w/o T", "w/o A,V", "w/o mixer",

@@ -271,7 +271,7 @@ def test_lstm_final_matches_taped_frame_loop(frames):
               rng.uniform(-1, 1, (4 * hidden, hidden)),
               rng.uniform(-1, 1, (4 * hidden, 1))]
     w = rng.uniform(-1, 1, (hidden, 1))
-    got, got_grads = run_taped(T.lstm_final, arrays, w)
+    got, got_grads = run_taped(lambda x, *ws: T.lstm_final([x], *ws), arrays, w)
     want, want_grads = run_taped(
         lambda *t: lstm_final_loop(*t, hidden), arrays, w)
     assert_array_equal(got, want)
@@ -311,7 +311,7 @@ def test_lstm_final_rejects_mismatched_shapes():
                      ("b", np.ones((4, 1)))):
         args = {**ok, key: bad}
         with pytest.raises(DimensionError):
-            T.lstm_final(x, *(T.Tensor(args[k]) for k in ("wih", "whh", "b")))
+            T.lstm_final([x], *(T.Tensor(args[k]) for k in ("wih", "whh", "b")))
 
 
 def block_weights(rng, width=16, ffn=32):
@@ -709,23 +709,20 @@ def test_rows_cross_entropy_matches_per_row_oracle():
     x = RNG.uniform(-4, 4, (6, 9))
     targets = [int(t) for t in RNG.integers(0, 9, 6)]
     want_rows = [cross_entropy_scalar(list(r), t) for r, t in zip(x, targets)]
-    got_mean = T.rows_cross_entropy(T.Tensor(x), targets, "mean").item()
-    got_sum = T.rows_cross_entropy(T.Tensor(x), targets, "sum").item()
-    assert abs(got_mean - sum(want_rows) / 6) <= 1e-12
-    assert abs(got_sum - sum(want_rows)) <= 1e-12
+    got = T.rows_cross_entropy(T.Tensor(x), targets).item()
+    assert abs(got - sum(want_rows)) <= 1e-12
 
 
 def test_rows_cross_entropy_grads():
     targets = [2, 0, 4]
     check_grads(
-        lambda t: T.rows_cross_entropy(t["x"], targets, "sum"),
+        lambda t: T.rows_cross_entropy(t["x"], targets),
         {"x": RNG.uniform(-2, 2, (3, 5))},
     )
 
 
-@pytest.mark.parametrize("reduction", ["sum", "mean"])
-def test_rows_cross_entropy_groups_reduce_their_rows_in_the_mask(reduction):
-    """Two groups of three rows each reduce their own rows in the mask
+def test_rows_cross_entropy_groups_reduce_their_rows_in_the_mask():
+    """Two groups of three rows each sum their own rows in the mask
     against the per-row oracle; a row outside the mask adds no loss, and the
     seeded gradient reaches only the rows in the mask."""
     x = RNG.uniform(-4, 4, (6, 9))
@@ -734,26 +731,25 @@ def test_rows_cross_entropy_groups_reduce_their_rows_in_the_mask(reduction):
     seed = np.array([0.7, -1.3])
     t = T.Tensor(x, requires_grad=True)
     with T.Tape() as tape:
-        out = T.rows_cross_entropy(t, targets, reduction, groups=2, mask=mask)
+        out = T.rows_cross_entropy(t, targets, groups=2, mask=mask)
         tape.backward(out, grad=seed)
     for g, rows in enumerate(([0], [4, 5])):
-        want = [cross_entropy_scalar(list(x[r]), targets[r]) for r in rows]
-        want = sum(want) / (len(rows) if reduction == "mean" else 1)
+        want = sum(cross_entropy_scalar(list(x[r]), targets[r]) for r in rows)
         assert abs(out.data[g] - want) <= 1e-12
     assert np.all(t.grad[[1, 2, 3]] == 0.0)
-    check_grads(lambda t: T.sum_all(T.rows_cross_entropy(t["x"], targets, reduction,
-                                                         groups=2, mask=mask)),
+    check_grads(lambda t: T.sum_all(T.rows_cross_entropy(t["x"], targets, groups=2,
+                                                         mask=mask)),
                 {"x": x.copy()})
-    unmasked = T.rows_cross_entropy(T.Tensor(x), targets, reduction, groups=2).data
+    unmasked = T.rows_cross_entropy(T.Tensor(x), targets, groups=2).data
     for g in range(2):
-        want = [cross_entropy_scalar(list(x[r]), targets[r]) for r in range(3 * g, 3 * g + 3)]
-        assert abs(unmasked[g] - sum(want) / (3 if reduction == "mean" else 1)) <= 1e-12
+        want = sum(cross_entropy_scalar(list(x[r]), targets[r]) for r in range(3 * g, 3 * g + 3))
+        assert abs(unmasked[g] - want) <= 1e-12
     with pytest.raises(DimensionError):
-        T.rows_cross_entropy(T.Tensor(x), targets, reduction, groups=4)
+        T.rows_cross_entropy(T.Tensor(x), targets, groups=4)
     with pytest.raises(DimensionError):  # the middle group has no row in the mask
-        T.rows_cross_entropy(T.Tensor(x), targets, reduction, groups=3, mask=mask)
+        T.rows_cross_entropy(T.Tensor(x), targets, groups=3, mask=mask)
     with pytest.raises(DimensionError):
-        T.rows_cross_entropy(T.Tensor(x), targets, reduction, groups=2, mask=mask[:5])
+        T.rows_cross_entropy(T.Tensor(x), targets, groups=2, mask=mask[:5])
 
 
 def test_rows_cross_entropy_validation():
@@ -766,5 +762,3 @@ def test_rows_cross_entropy_validation():
         T.rows_cross_entropy(x, [0, -1, 2])
     with pytest.raises(DimensionError):  # also under a mask that leaves its row out
         T.rows_cross_entropy(x, [0, -1, 2], mask=[True, False, True])
-    with pytest.raises(DomainError):
-        T.rows_cross_entropy(x, [0, 1, 2], "median")

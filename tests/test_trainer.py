@@ -18,7 +18,7 @@ from mmadapt.backbone import EOS, BackboneConfig, tokenize
 from mmadapt.corpus import FeatureSample, SyntheticSpec, generate_synthetic
 from mmadapt.errors import ConfigError, DimensionError, InputError, LengthError, NumericError
 from mmadapt.metrics import format_label, score_predictions
-from mmadapt.presets import get_preset
+from mmadapt.presets import get_preset, synthetic_preset
 from mmadapt.trainer import (
     TrainConfig,
     aggregate_seed_metrics,
@@ -198,6 +198,29 @@ def test_prepared_layout_boundaries(small_backbone):
     assert train.shape[0] == length == 4 + 7 + 5 + 5
     assert_array_equal(train.data[:4], pseudo.data)
     assert_array_equal(train.data[4:], p.const_rows)
+
+
+BUDGET_PRESETS = {
+    **{name: get_preset(name) for name in ("mosei", "sims_v2", "meld", "cherma")},
+    "synthetic": synthetic_preset(3, 8, 8, {"train": 1, "valid": 1, "test": 1}),
+    "score-10": replace(get_preset("mosei"), score_range=(-10.0, 10.0)),
+}
+
+
+@pytest.mark.parametrize("name", list(BUDGET_PRESETS))
+def test_eval_token_budget_is_the_longest_label_plus_eos(name):
+    """Over every valid label (each class, or a 0.01 grid of the score
+    range), the longest canonical label plus the end marker is the budget.
+    A (-10, 10) range needs 6: "+10.0" and EOS."""
+    preset = BUDGET_PRESETS[name]
+    if preset.task == "score":
+        lo, hi = preset.score_range
+        values = np.linspace(lo, hi, int(round(100 * (hi - lo))) + 1)
+    else:
+        values = range(preset.class_count)
+    longest = max(len(trainer_mod.label_token_ids(preset, float(v))) for v in values)
+    assert trainer_mod.eval_token_budget(preset) == longest
+    assert longest == {"mosei": 5, "sims_v2": 5, "score-10": 6}.get(name, 2)
 
 
 def test_prepare_samples_drops_text(small_synth, small_backbone):
