@@ -351,7 +351,7 @@ def build_pseudo_tokens(params: AdapterParams, text_rows: Batch, audio: Batch,
 
 
 def save_adapter(path: str | Path, params: AdapterParams, state: VariantState,
-                 backbone_checksum: int = 0) -> None:
+                 backbone_checksum: int) -> None:
     variant_bytes = state.variant.encode("utf-8")
     config = params.config.pack()
     config += struct.pack("<I", len(variant_bytes)) + variant_bytes

@@ -52,11 +52,14 @@ from .trainer import (
 
 ENV_OUTPUT_ROOT = "MMADAPT_OUTPUT_ROOT"
 
+# default of a knob that every run must set, by flag or config file
+_REQUIRED = object()
+
 # knobs shared by train and ablate; ablate trains every variant on the whole
 # train split, so it takes all of them except variant and train_fraction
 _TRAIN_KNOBS: dict[str, tuple] = {
-    "dataset": (str, None, "dataset directory (required)"),
-    "backbone": (str, None, "frozen backbone checkpoint (required)"),
+    "dataset": (str, _REQUIRED, "dataset directory"),
+    "backbone": (str, _REQUIRED, "frozen backbone checkpoint"),
     "out": (str, None, "output directory (default <root>/<subcommand>)"),
     "seed": (int, None, "single seed overriding the seed list"),
     "seeds": (str, None, "comma-separated seed list (default preset five)"),
@@ -74,11 +77,11 @@ _TRAIN_KNOBS: dict[str, tuple] = {
     "token_count": (int, None, "pseudo tokens (default: preset)"),
 }
 
-# flat schemas: key -> (type, default, help); None defaults marked required
-# or resolved later from the dataset preset
+# flat schemas: key -> (type, default, help); a None default is resolved
+# later, from the dataset preset or the output root
 _SCHEMAS: dict[str, dict[str, tuple]] = {
     "synth": {
-        "out": (str, None, "dataset directory to create (required)"),
+        "out": (str, None, "dataset directory to create (default <root>/synth)"),
         "seed": (int, SyntheticSpec.seed, "generator seed"),
         "classes": (int, SyntheticSpec.class_count, "number of planted classes"),
         "noise": (float, SyntheticSpec.noise, "feature noise sigma"),
@@ -91,7 +94,7 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
         "max_len": (int, SyntheticSpec.max_len, "longest feature sequence"),
     },
     "pretrain-backbone": {
-        "dataset": (str, None, "dataset directory (required)"),
+        "dataset": (str, _REQUIRED, "dataset directory"),
         "out": (str, None, "output directory (default <root>/pretrain-backbone)"),
         "seed": (int, 7, "initialization and sampling seed"),
         "steps": (int, 1500, "pretraining steps"),
@@ -106,9 +109,9 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
     },
     "train": _TRAIN_KNOBS,
     "eval": {
-        "checkpoint": (str, None, "adapter checkpoint (required)"),
-        "backbone": (str, None, "frozen backbone checkpoint (required)"),
-        "dataset": (str, None, "dataset directory (required)"),
+        "checkpoint": (str, _REQUIRED, "adapter checkpoint"),
+        "backbone": (str, _REQUIRED, "frozen backbone checkpoint"),
+        "dataset": (str, _REQUIRED, "dataset directory"),
         "split": (str, "test", "split to score (train/valid/test)"),
         "out": (str, None, "optional directory for eval-report.json"),
     },
@@ -132,7 +135,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, default=None,
                        help="flat JSON config file; flags override its values")
         for key, (typ, default, help_text) in schema.items():
-            suffix = "" if default is None else f" [default: {default}]"
+            suffix = (" (required)" if default is _REQUIRED else
+                      "" if default is None else f" [default: {default}]")
             p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=typ,
                            default=None, help=help_text + suffix)
     return parser
@@ -146,10 +150,10 @@ def _check_value(command: str, key: str, value) -> None:
     """ConfigError unless a config-file value's JSON type fits its knob: an
     int knob takes an integer, a float knob any number, a str knob a string
     (seeds also a list of integers), and null only where the default is
-    unset. Booleans are not numbers here."""
+    unset or required. Booleans are not numbers here."""
     typ, default, _ = _SCHEMAS[command][key]
     if value is None:
-        ok, want = default is None, "set"
+        ok, want = default is None or default is _REQUIRED, "set"
     elif typ is int:
         ok, want = _is_int(value), "an integer"
     elif typ is float:
@@ -166,9 +170,11 @@ def _check_value(command: str, key: str, value) -> None:
 
 
 def _effective_config(command: str, args: argparse.Namespace) -> dict:
-    """defaults <- config file <- explicit flags, validated against the schema."""
+    """defaults <- config file <- explicit flags, validated against the schema;
+    a required knob left unset archives as null and fails here."""
     schema = _SCHEMAS[command]
-    merged = {key: default for key, (typ, default, _) in schema.items()}
+    merged = {key: None if default is _REQUIRED else default
+              for key, (_, default, _) in schema.items()}
     if args.config is not None:
         path = Path(args.config)
         if not path.exists():
@@ -194,23 +200,25 @@ def _effective_config(command: str, args: argparse.Namespace) -> dict:
         if typ is float and isinstance(merged[key], float) and not math.isfinite(merged[key]):
             raise ConfigError(f"{key} must be a finite number, got {merged[key]}")
     _parse_seeds(merged)  # a bad seed fails here, before any command writes
+    for key, (_, default, _) in schema.items():
+        if default is _REQUIRED and not merged[key]:
+            raise ConfigError(f"{command} needs --{key.replace('_', '-')} "
+                              f"(or {key!r} in the config file)")
     return merged
 
 
 def _output_dir(cfg: dict, command: str) -> Path:
+    """Create the command's output directory and archive cfg in it."""
     if cfg.get("out"):
         out = Path(cfg["out"])
     else:
         root = Path(os.environ.get(ENV_OUTPUT_ROOT, "runs"))
         out = root / command
     out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _archive(out: Path, command: str, cfg: dict) -> None:
     snapshot = {"command": command, **cfg}
-    path = out / f"{command}-config.json"
-    write_atomic(path, (json.dumps(snapshot, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+    write_atomic(out / f"{command}-config.json",
+                 (json.dumps(snapshot, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+    return out
 
 
 def _parse_seeds(cfg: dict) -> tuple[int, ...]:
@@ -231,13 +239,6 @@ def _parse_seeds(cfg: dict) -> tuple[int, ...]:
     if any(s < 0 for s in seeds):
         raise ConfigError(f"seeds must be >= 0, got {','.join(map(str, seeds))}")
     return seeds
-
-
-def _require(cfg: dict, command: str, *keys: str) -> None:
-    for key in keys:
-        if not cfg.get(key):
-            raise ConfigError(f"{command} needs --{key.replace('_', '-')} "
-                              f"(or {key!r} in the config file)")
 
 
 def _load_pair(cfg: dict) -> tuple[Dataset, FrozenBackbone]:
@@ -265,9 +266,14 @@ def _resolve_adapter_config(cfg: dict, dataset: Dataset,
     )
 
 
+def _knobs(cls, cfg: dict) -> dict:
+    """The knobs in cfg that name fields of the dataclass cls."""
+    return {f.name: cfg[f.name] for f in fields(cls) if f.name in cfg}
+
+
 def _resolve_train_config(cfg: dict, dataset: Dataset) -> TrainConfig:
     """TrainConfig from the knobs in cfg; the rest keep their defaults."""
-    knobs = {f.name: cfg[f.name] for f in fields(TrainConfig) if f.name in cfg}
+    knobs = _knobs(TrainConfig, cfg)
     knobs.update(learning_rate=_or_preset(cfg, "learning_rate",
                                           dataset.preset.adapter_defaults.lr),
                  seeds=_parse_seeds(cfg))
@@ -279,13 +285,8 @@ def _resolve_train_config(cfg: dict, dataset: Dataset) -> TrainConfig:
 
 
 def cmd_synth(cfg: dict) -> int:
-    spec = SyntheticSpec(
-        class_count=cfg["classes"], noise=cfg["noise"], train=cfg["train"],
-        valid=cfg["valid"], test=cfg["test"], audio_width=cfg["audio_width"],
-        vision_width=cfg["vision_width"], min_len=cfg["min_len"],
-        max_len=cfg["max_len"], seed=cfg["seed"])
+    spec = SyntheticSpec(**_knobs(SyntheticSpec, {**cfg, "class_count": cfg["classes"]}))
     out = _output_dir(cfg, "synth")
-    _archive(out, "synth", cfg)
     dataset = generate_synthetic(spec, out)
     print(f"wrote {out} with splits "
           f"{ {s: len(dataset[s]) for s in ('train', 'valid', 'test')} }")
@@ -295,17 +296,13 @@ def cmd_synth(cfg: dict) -> int:
 
 
 def cmd_pretrain_backbone(cfg: dict) -> int:
-    _require(cfg, "pretrain-backbone", "dataset")
     dataset = load_dataset(cfg["dataset"])
     token_count = _or_preset(cfg, "token_count",
                              dataset.preset.adapter_defaults.token_count)
     corpus = build_pretrain_corpus(dataset, dataset.preset, token_count)
-    config = BackboneConfig(embed_width=cfg["embed_width"], layers=cfg["layers"],
-                            heads=cfg["heads"], ffn_mult=cfg["ffn_mult"],
-                            max_seq=cfg["max_seq"])
+    config = BackboneConfig(**_knobs(BackboneConfig, cfg))
     check_pretrain_knobs(cfg["steps"], cfg["lr"], cfg["weight_decay"])
     out = _output_dir(cfg, "pretrain-backbone")
-    _archive(out, "pretrain-backbone", cfg)
     backbone, losses = pretrain_backbone(corpus, cfg["steps"], cfg["seed"],
                                          config=config, lr=cfg["lr"],
                                          weight_decay=cfg["weight_decay"])
@@ -324,12 +321,10 @@ def cmd_pretrain_backbone(cfg: dict) -> int:
 
 
 def cmd_train(cfg: dict) -> int:
-    _require(cfg, "train", "dataset", "backbone")
     dataset, backbone = _load_pair(cfg)
     adapter_config = _resolve_adapter_config(cfg, dataset, backbone)
     train_config = _resolve_train_config(cfg, dataset)
     out = _output_dir(cfg, "train")
-    _archive(out, "train", cfg)
     report = multi_seed_run(backbone, dataset, adapter_config, train_config,
                             out_dir=out)
     for row in report.per_seed:
@@ -344,7 +339,6 @@ def cmd_train(cfg: dict) -> int:
 
 
 def cmd_eval(cfg: dict) -> int:
-    _require(cfg, "eval", "checkpoint", "backbone", "dataset")
     dataset = load_dataset(cfg["dataset"])
     backbone = FrozenBackbone.load(cfg["backbone"])
     params, state, stored = load_adapter(cfg["checkpoint"])
@@ -360,7 +354,6 @@ def cmd_eval(cfg: dict) -> int:
     print(report.render())
     if cfg.get("out"):
         out = _output_dir(cfg, "eval")
-        _archive(out, "eval", cfg)
         payload = {"split": split, "variant": state.variant, **report.to_json()}
         write_atomic(out / "eval-report.json",
                      (json.dumps(payload, indent=2) + "\n").encode("utf-8"))
@@ -369,13 +362,11 @@ def cmd_eval(cfg: dict) -> int:
 
 
 def cmd_ablate(cfg: dict) -> int:
-    _require(cfg, "ablate", "dataset", "backbone")
     dataset, backbone = _load_pair(cfg)
     adapter_config = _resolve_adapter_config(cfg, dataset, backbone)
     configs = [_resolve_train_config({**cfg, "variant": variant}, dataset)
                for variant in VARIANTS]
     out = _output_dir(cfg, "ablate")
-    _archive(out, "ablate", cfg)
     results: dict[str, MetricReport] = {}
     payload: dict[str, dict] = {}
     count = len(dataset["test"])
@@ -401,7 +392,6 @@ def cmd_gradcheck(cfg: dict) -> int:
     print(text)
     if cfg.get("out"):
         out = _output_dir(cfg, "gradcheck")
-        _archive(out, "gradcheck", cfg)
         write_atomic(out / "gradcheck.txt", (text + "\n").encode("utf-8"))
     if not all(r.passed for r in results):
         # wrong gradients mean broken internal guarantees, not bad input

@@ -76,7 +76,7 @@ def load_dataset(root: str | Path, preset: DatasetPreset | None = None) -> Datas
         if preset is None and meta:
             if meta.get("name") == "synthetic":
                 preset = synthetic_preset(meta["class_count"], meta["audio_width"],
-                                          meta["vision_width"], meta["split_sizes"])
+                                          meta["vision_width"])
             else:
                 preset = get_preset(meta["name"])
     except (KeyError, TypeError, ValueError) as exc:

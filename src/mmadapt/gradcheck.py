@@ -218,7 +218,7 @@ def _tiny_pipeline(seed: int):
                                    mix_width=32, token_count=4, embed_width=16)
     params = AdapterParams.init(adapter_config, rng)
     preset = DatasetPreset(name="gradcheck", task="emotion", metric_family="emotion",
-                           audio_width=6, vision_width=5, split_sizes={}, prompt=" label:",
+                           audio_width=6, vision_width=5, prompt=" label:",
                            adapter_defaults=AdapterDefaults(8, 7, 5e-3, 4),
                            class_names=("0", "1", "2"))
     samples = [FeatureSample(f"gradcheck-{text}", text, label,

@@ -121,13 +121,12 @@ def format_label(task: str, value: float, score_range: tuple[float, float] = (-3
 _SCORE_RE = re.compile(r"[+-]?\d+(?:\.\d+)?")
 
 
-def parse_generated(task: str, text: str, class_count: int = 7,
-                    neutral_class: int = 0) -> tuple[float, bool]:
+def parse_generated(task: str, text: str, class_count: int = 7) -> tuple[float, bool]:
     """Total parser over generated text.
 
     Returns (value, used_fallback). Scores take the first signed decimal in
     the string; emotion takes the first digit naming a valid class. Garbage
-    falls back to 0.0 for scores and the neutral class for emotion.
+    falls back to 0.0 for scores and class 0 for emotion.
     """
     if task == "score":
         m = _SCORE_RE.search(text)
@@ -138,7 +137,7 @@ def parse_generated(task: str, text: str, class_count: int = 7,
         for ch in text:
             if ch.isdecimal() and int(ch) < class_count:
                 return float(int(ch)), False
-        return float(neutral_class), True
+        return 0.0, True
     raise InputError(f"unknown task {task!r}")
 
 

@@ -11,6 +11,9 @@ import numpy as np
 from .errors import ConfigError, NumericError
 from .tensor import Tensor
 
+# Adam's moment decay rates and denominator floor
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class AdamWState:
     """First/second moment buffers keyed by parameter name, plus step count."""
@@ -22,16 +25,14 @@ class AdamWState:
 
 
 def adamw_step(named_params: Iterable[tuple[str, Tensor]], state: AdamWState,
-               lr: float, betas: tuple[float, float] = (0.9, 0.999),
-               eps: float = 1e-8, weight_decay: float = 0.0) -> None:
+               lr: float, weight_decay: float = 0.0) -> None:
     """One in-place update. Decay is decoupled: it never touches the moments."""
     named = list(named_params)
     if state.m and set(state.m) != {n for n, _ in named}:
         raise ConfigError("optimizer state does not cover the parameter set")
     state.step += 1
-    b1, b2 = betas
-    bc1 = 1.0 - b1 ** state.step
-    bc2 = 1.0 - b2 ** state.step
+    bc1 = 1.0 - BETA1 ** state.step
+    bc2 = 1.0 - BETA2 ** state.step
     for name, p in named:
         g = p.grad
         if g is None:
@@ -40,11 +41,11 @@ def adamw_step(named_params: Iterable[tuple[str, Tensor]], state: AdamWState,
             raise NumericError(f"non-finite gradient in parameter {name!r}")
         m = state.m.setdefault(name, np.zeros_like(p.data))
         v = state.v.setdefault(name, np.zeros_like(p.data))
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
         p.data -= lr * update
         if weight_decay:
             p.data -= lr * weight_decay * p.data

@@ -1,5 +1,5 @@
-"""Corpus presets: feature widths, split sizes, label conventions, prompts,
-and per-corpus adapter defaults.
+"""Corpus presets: feature widths, label conventions, prompts, and per-corpus
+adapter defaults.
 
 The four public corpora never ship with this package (their features are
 extracted upstream); the presets exist so manifests can be validated and so
@@ -9,7 +9,7 @@ by the generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError
 
@@ -31,12 +31,10 @@ class DatasetPreset:
     metric_family: str             # "wide_score", "narrow_score", "emotion"
     audio_width: int
     vision_width: int
-    split_sizes: dict[str, int]
     prompt: str
     adapter_defaults: AdapterDefaults
     score_range: tuple[float, float] | None = None
     class_names: tuple[str, ...] = ()
-    neutral_class: int = 0         # parse fallback for emotion tasks
 
     def __post_init__(self) -> None:
         if self.task not in ("score", "emotion"):
@@ -63,7 +61,6 @@ PRESETS: dict[str, DatasetPreset] = {
     "mosei": DatasetPreset(
         name="mosei", task="score", metric_family="wide_score",
         audio_width=74, vision_width=35,
-        split_sizes={"train": 16326, "valid": 1871, "test": 4659},
         prompt=" | sentiment score from -3.0 to +3.0:",
         adapter_defaults=AdapterDefaults(64, 32, 5e-3, 4),
         score_range=(-3.0, 3.0),
@@ -71,7 +68,6 @@ PRESETS: dict[str, DatasetPreset] = {
     "sims_v2": DatasetPreset(
         name="sims_v2", task="score", metric_family="narrow_score",
         audio_width=25, vision_width=177,
-        split_sizes={"train": 2722, "valid": 647, "test": 1034},
         prompt=" | sentiment score from -1.0 to +1.0:",
         adapter_defaults=AdapterDefaults(64, 64, 5e-4, 4),
         score_range=(-1.0, 1.0),
@@ -79,20 +75,16 @@ PRESETS: dict[str, DatasetPreset] = {
     "meld": DatasetPreset(
         name="meld", task="emotion", metric_family="emotion",
         audio_width=64, vision_width=64,
-        split_sizes={"train": 9989, "valid": 1109, "test": 2610},
         prompt=_emotion_prompt(_EMOTIONS7),
         adapter_defaults=AdapterDefaults(32, 16, 5e-4, 2),
         class_names=_EMOTIONS7,
-        neutral_class=0,
     ),
     "cherma": DatasetPreset(
         name="cherma", task="emotion", metric_family="emotion",
         audio_width=768, vision_width=512,
-        split_sizes={"train": 17230, "valid": 5743, "test": 5744},
         prompt=_emotion_prompt(_EMOTIONS7),
         adapter_defaults=AdapterDefaults(32, 16, 5e-3, 4),
         class_names=_EMOTIONS7,
-        neutral_class=0,
     ),
 }
 
@@ -104,18 +96,15 @@ def get_preset(name: str) -> DatasetPreset:
         raise ConfigError(f"unknown preset {name!r}; have {sorted(PRESETS)}") from None
 
 
-def synthetic_preset(class_count: int, audio_width: int, vision_width: int,
-                     split_sizes: dict[str, int]) -> DatasetPreset:
+def synthetic_preset(class_count: int, audio_width: int, vision_width: int) -> DatasetPreset:
     if not (2 <= class_count <= 7):
         raise ConfigError(f"synthetic class_count must be 2..7, got {class_count}")
     names = tuple(_EMOTIONS7[:class_count])
     return DatasetPreset(
         name="synthetic", task="emotion", metric_family="emotion",
         audio_width=audio_width, vision_width=vision_width,
-        split_sizes=dict(split_sizes),
         # compact numeric prompt keeps desk-scale sequences short
         prompt=f" | emotion (0-{class_count - 1}):",
         adapter_defaults=AdapterDefaults(16, 16, 4e-3, 4),
         class_names=names,
-        neutral_class=0,
     )

@@ -31,6 +31,9 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # to exactly 0.0 after row-max shifting, small enough to stay finite.
 MASK_VALUE = -1e30
 
+# Variance floor of every layer norm
+LAYERNORM_EPS = 1e-5
+
 _tls = threading.local()
 
 
@@ -489,14 +492,14 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _finish(y, (x,), back)
 
 
-def _layernorm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
-               eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _layernorm(x: np.ndarray, gain: np.ndarray,
+               bias: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-row layer norm of an array; returns (out, xhat, inv). The mean
     and variance are the row sums that np.mean and np.var reduce to, without
     their Python wrappers, so the bits are theirs."""
     d = x.shape[1]
     xc = x - np.add.reduce(x, axis=1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=1, keepdims=True) / d + eps)
+    inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=1, keepdims=True) / d + LAYERNORM_EPS)
     xhat = xc * inv
     return xhat * gain + bias, xhat, inv
 
@@ -514,14 +517,14 @@ def _layernorm_back(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
                   - xhat * (np.add.reduce(gx * xhat, axis=1, keepdims=True) / d))
 
 
-def layernorm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layernorm_rows(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Per-row layer norm with learned gain/bias rows."""
     _need_2d(x, "layernorm_rows")
     d = x.shape[1]
     for t, name in ((gain, "gain"), (bias, "bias")):
         if t.shape != (1, d):
             raise DimensionError(f"layernorm_rows: {name} must be (1, {d}), got {t.shape}")
-    out, xhat, inv = _layernorm(x.data, gain.data, bias.data, eps)
+    out, xhat, inv = _layernorm(x.data, gain.data, bias.data)
 
     def back(g: np.ndarray) -> None:
         dx = _layernorm_back(g, xhat, inv, gain, bias)

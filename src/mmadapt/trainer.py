@@ -322,8 +322,7 @@ def evaluate_split(backbone: FrozenBackbone, params: AdapterParams,
         block = prepared[start:start + BLOCK]
         rows, lengths = padded_inputs(block, pseudo_blocks(params, block, state), labels=False)
         for p, text in zip(block, generate(backbone, rows, lengths, max_new=budget)):
-            value, fb = parse_generated(preset.task, text, class_count=preset.class_count,
-                                        neutral_class=preset.neutral_class)
+            value, fb = parse_generated(preset.task, text, class_count=preset.class_count)
             fallbacks += int(fb)
             preds.append(value)
             golds.append(p.gold)
@@ -378,7 +377,6 @@ class RunResult:
     variant: str
     best_epoch: int | None
     best_valid: float | None
-    history: list[dict]
     step_losses: list[float]
     params: AdapterParams
     state: VariantState
@@ -417,7 +415,6 @@ def train_run(backbone: FrozenBackbone, dataset: Dataset,
     best_params = params.clone()
     best_valid: float | None = None
     best_epoch: int | None = None
-    history: list[dict] = []
     step_losses: list[float] = []
     log_lines: list[str] = []
     step = 0
@@ -448,7 +445,6 @@ def train_run(backbone: FrozenBackbone, dataset: Dataset,
         record = {"epoch": epoch, "train_loss": float(np.mean(epoch_losses)),
                   "valid_metric": metric,
                   "valid_fallbacks": valid_report.fallback_count}
-        history.append(record)
         log_lines.append(json.dumps(record))
         if metric is not None and (best_valid is None or metric > best_valid):
             best_valid = metric
@@ -466,8 +462,8 @@ def train_run(backbone: FrozenBackbone, dataset: Dataset,
                      backbone_checksum=backbone.checksum)
         log = "".join(line + "\n" for line in log_lines)
         write_atomic(out / f"train-{config.variant}-seed{seed}.jsonl", log.encode("utf-8"))
-    return RunResult(seed, config.variant, best_epoch, best_valid, history,
-                     step_losses, best_params, state, checkpoint_path)
+    return RunResult(seed, config.variant, best_epoch, best_valid, step_losses,
+                     best_params, state, checkpoint_path)
 
 
 # ---------------------------------------------------------------------------

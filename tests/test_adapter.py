@@ -466,7 +466,7 @@ def test_adapter_checkpoint_round_trip(tmp_path):
 def test_adapter_checkpoint_corruption_detected(tmp_path):
     params = make_params()
     p = tmp_path / "a.msea"
-    A.save_adapter(p, params, A.VariantState("full"))
+    A.save_adapter(p, params, A.VariantState("full"), 0)
     blob = bytearray(p.read_bytes())
     assert bytes(blob[:4]) == b"MSEA"
     blob[len(blob) // 2] ^= 0x40
@@ -488,7 +488,7 @@ def test_init_follows_the_param_table(config):
 def test_adapter_load_draws_no_random_numbers(tmp_path, monkeypatch):
     params = make_params()
     state = A.make_variant_state("no_audio_vision", CFG, np.random.default_rng(5))
-    A.save_adapter(tmp_path / "a.msea", params, state)
+    A.save_adapter(tmp_path / "a.msea", params, state, 0)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a checkpoint load drew random numbers")
@@ -511,7 +511,7 @@ def test_adapter_load_checks_the_variant_substitutes(tmp_path, variant, subst_vi
     """no_audio_vision files hold both substitute states at their shapes, and
     other variants hold neither."""
     state = A.VariantState(variant, subst_vision, subst_audio)
-    A.save_adapter(tmp_path / "a.msea", make_params(), state)
+    A.save_adapter(tmp_path / "a.msea", make_params(), state, 0)
     with pytest.raises(CheckpointError, match=match):
         A.load_adapter(tmp_path / "a.msea")
 

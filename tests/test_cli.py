@@ -4,6 +4,7 @@ process-level reproducibility."""
 import hashlib
 import json
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from mmadapt.adapter import VariantState, load_adapter, save_adapter
-from mmadapt.cli import main
+from mmadapt.cli import _REQUIRED, _SCHEMAS, main
 from mmadapt.corpus import load_dataset
 from mmadapt.errors import FrozenViolation, InputError, NumericError
 from mmadapt.parallel import usable_cpus
@@ -131,10 +132,30 @@ def test_unknown_flag_is_validation_error():
     assert r.returncode == 1
 
 
-def test_missing_required_argument(tmp_path):
-    r = run_cli("train", "--dataset", str(tmp_path / "missing"))
-    assert r.returncode == 1
-    assert "backbone" in r.stderr
+REQUIRED_KNOBS = {command: [key for key, (_, default, _) in schema.items() if default is _REQUIRED]
+                  for command, schema in _SCHEMAS.items()}
+
+
+@pytest.mark.parametrize("command, knob", [
+    (command, knob) for command, knobs in REQUIRED_KNOBS.items() for knob in knobs or [None]],
+    ids=str)
+def test_required_knobs(tmp_path, capsys, command, knob):
+    """`--help` marks exactly the knob table's required knobs "(required)",
+    and a run without one of them exits 1 with a one-line `needs --knob`
+    message before it creates its output directory."""
+    assert main([command, "--help"]) == 0
+    options = re.split(r"\n  (?=--)", capsys.readouterr().out)[1:]
+    marked = [o.split()[0][2:].replace("-", "_") for o in options if "(required)" in o]
+    assert marked == REQUIRED_KNOBS[command]
+    if knob is None:
+        return
+    flags = [a for other in REQUIRED_KNOBS[command] if other != knob
+             for a in ("--" + other.replace("_", "-"), str(tmp_path / other))]
+    assert main([command, *flags, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (f"invalid input: ConfigError: {command} needs "
+                                       f"--{knob.replace('_', '-')} "
+                                       f"(or {knob!r} in the config file)\n")
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

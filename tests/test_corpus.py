@@ -236,8 +236,7 @@ def test_spec_validation():
 
 def test_load_missing_manifest(tmp_path):
     with pytest.raises(InputError, match="manifest"):
-        load_dataset(tmp_path, synthetic_preset(3, 8, 8, {"train": 1, "valid": 1,
-                                                          "test": 1}))
+        load_dataset(tmp_path, synthetic_preset(3, 8, 8))
 
 
 def test_load_rejects_duplicate_ids(small_dir):
@@ -249,8 +248,7 @@ def test_load_rejects_duplicate_ids(small_dir):
     (broken / "features").symlink_to(out / "features")
     (broken / "manifest.jsonl").write_text("\n".join([lines[0], lines[0]]) + "\n")
     with pytest.raises(InputError, match="duplicate"):
-        load_dataset(broken, synthetic_preset(3, 8, 8, {"train": 2, "valid": 0,
-                                                        "test": 0}))
+        load_dataset(broken, synthetic_preset(3, 8, 8))
 
 
 def one_record_dataset(tmp_path, widths=(8, 8), **changes):
@@ -268,21 +266,21 @@ def one_record_dataset(tmp_path, widths=(8, 8), **changes):
 
 def test_load_rejects_bad_split(tmp_path):
     root = one_record_dataset(tmp_path, split="dev")
-    preset = synthetic_preset(3, 8, 8, {"train": 1, "valid": 0, "test": 0})
+    preset = synthetic_preset(3, 8, 8)
     with pytest.raises(InputError, match="split"):
         load_dataset(root, preset)
 
 
 def test_load_rejects_wrong_width(tmp_path):
     root = one_record_dataset(tmp_path, widths=(6, 8))
-    preset = synthetic_preset(3, 8, 8, {"train": 1, "valid": 0, "test": 0})
+    preset = synthetic_preset(3, 8, 8)
     with pytest.raises(InputError, match="audio width"):
         load_dataset(root, preset)
 
 
 def test_load_rejects_out_of_range_class(tmp_path):
     root = one_record_dataset(tmp_path, label=9)
-    preset = synthetic_preset(3, 8, 8, {"train": 1, "valid": 0, "test": 0})
+    preset = synthetic_preset(3, 8, 8)
     with pytest.raises(InputError, match="class"):
         load_dataset(root, preset)
 
@@ -299,7 +297,7 @@ def test_load_rejects_a_non_finite_class_naming_the_record(tmp_path, label):
     """JSON's NaN and Infinity load as floats; a class label of either is an
     InputError that names the record, not a bare ValueError from int()."""
     root = one_record_dataset(tmp_path, label=label)
-    preset = synthetic_preset(3, 8, 8, {"train": 1, "valid": 0, "test": 0})
+    preset = synthetic_preset(3, 8, 8)
     with pytest.raises(InputError, match=r"^x: class (nan|inf|-inf) outside 0\.\.2$"):
         load_dataset(root, preset)
 
@@ -317,14 +315,14 @@ def test_load_rejects_a_label_that_is_not_a_json_number(tmp_path, label):
     """float() reads true as 1.0 and a numeric string as its number; a
     manifest label must be a JSON number."""
     root = one_record_dataset(tmp_path, label=label)
-    preset = synthetic_preset(3, 8, 8, {"train": 1, "valid": 0, "test": 0})
+    preset = synthetic_preset(3, 8, 8)
     with pytest.raises(InputError, match=r"manifest\.jsonl:1: label must be a JSON number"):
         load_dataset(root, preset)
 
 
 def test_load_rejects_an_integer_label_too_large_for_a_float(tmp_path):
     root = one_record_dataset(tmp_path, label=10**400)
-    preset = synthetic_preset(3, 8, 8, {"train": 1, "valid": 0, "test": 0})
+    preset = synthetic_preset(3, 8, 8)
     with pytest.raises(InputError, match=r"manifest\.jsonl:1: bad record: int too large"):
         load_dataset(root, preset)
 
@@ -332,14 +330,14 @@ def test_load_rejects_an_integer_label_too_large_for_a_float(tmp_path):
 @pytest.mark.parametrize("sid", [["x"], {"x": 1}, 7, 1.5, "", None, True])
 def test_load_rejects_an_id_that_is_not_a_non_empty_string(tmp_path, sid):
     root = one_record_dataset(tmp_path, id=sid)
-    preset = synthetic_preset(3, 8, 8, {"train": 1, "valid": 0, "test": 0})
+    preset = synthetic_preset(3, 8, 8)
     with pytest.raises(InputError, match=r"manifest\.jsonl:1: id must be a non-empty string"):
         load_dataset(root, preset)
 
 
 def test_load_rejects_malformed_json(tmp_path):
     (tmp_path / "manifest.jsonl").write_text("{not json\n")
-    preset = synthetic_preset(3, 8, 8, {"train": 1, "valid": 0, "test": 0})
+    preset = synthetic_preset(3, 8, 8)
     with pytest.raises(InputError, match="bad record"):
         load_dataset(tmp_path, preset)
 

@@ -22,6 +22,7 @@ from mmadapt.metrics import (
     score_predictions,
     sims_metrics,
 )
+from mmadapt.presets import PRESETS, synthetic_preset
 
 from oracles import f1_binary, pearson_scalar, weighted_f1_loops
 
@@ -91,15 +92,16 @@ def test_parse_emotion_skips_invalid_digits():
 def test_parse_emotion_reads_decimal_digits_only():
     # superscript and circled digits are digits but not decimals: int() refuses them
     for text in ("\u00b2", "\u2460"):
-        assert parse_generated("emotion", text, neutral_class=1) == (1.0, True)
+        assert parse_generated("emotion", text) == (0.0, True)
     assert parse_generated("emotion", "\u00b2 then 4") == (4.0, False)
     assert parse_generated("emotion", "\u0663") == (3.0, False)  # Arabic-Indic three
 
 
-def test_parse_emotion_fallback_neutral():
-    value, fallback = parse_generated("emotion", "none", class_count=3,
-                                      neutral_class=1)
-    assert value == 1.0 and fallback is True
+@pytest.mark.parametrize("preset", [PRESETS["meld"], PRESETS["cherma"],
+                                    synthetic_preset(3, 8, 8)], ids=lambda p: p.name)
+def test_parse_emotion_falls_back_to_class_zero(preset):
+    """Text that names no class parses as class 0 under every emotion preset."""
+    assert parse_generated(preset.task, "none", class_count=preset.class_count) == (0.0, True)
 
 
 def test_codec_round_trip_wide_grid():

@@ -202,7 +202,7 @@ def test_prepared_layout_boundaries(small_backbone):
 
 BUDGET_PRESETS = {
     **{name: get_preset(name) for name in ("mosei", "sims_v2", "meld", "cherma")},
-    "synthetic": synthetic_preset(3, 8, 8, {"train": 1, "valid": 1, "test": 1}),
+    "synthetic": synthetic_preset(3, 8, 8),
     "score-10": replace(get_preset("mosei"), score_range=(-10.0, 10.0)),
 }
 
