@@ -26,7 +26,9 @@ class AdamWState:
 
 def adamw_step(named_params: Iterable[tuple[str, Tensor]], state: AdamWState,
                lr: float, weight_decay: float = 0.0) -> None:
-    """One in-place update. Decay is decoupled: it never touches the moments."""
+    """One in-place update. Decay is decoupled: it never touches the moments.
+    Each step writes into one scratch array and the update, with the bits
+    of the plain expressions in the comments."""
     named = list(named_params)
     if state.m and set(state.m) != {n for n, _ in named}:
         raise ConfigError("optimizer state does not cover the parameter set")
@@ -39,16 +41,23 @@ def adamw_step(named_params: Iterable[tuple[str, Tensor]], state: AdamWState,
             g = np.zeros_like(p.data)
         elif not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient in parameter {name!r}")
-        m = state.m.setdefault(name, np.zeros_like(p.data))
-        v = state.v.setdefault(name, np.zeros_like(p.data))
+        if name not in state.m:  # first seen
+            state.m[name], state.v[name] = np.zeros_like(p.data), np.zeros_like(p.data)
+        m, v = state.m[name], state.v[name]
+        scratch = g * (1.0 - BETA1)  # m = BETA1 * m + (1 - BETA1) * g
         m *= BETA1
-        m += (1.0 - BETA1) * g
-        v *= BETA2
-        v += (1.0 - BETA2) * (g * g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
-        p.data -= lr * update
-        if weight_decay:
-            p.data -= lr * weight_decay * p.data
+        m += scratch
+        v *= BETA2  # v = BETA2 * v + (1 - BETA2) * (g * g)
+        v += np.multiply(np.multiply(g, g, out=scratch), 1.0 - BETA2, out=scratch)
+        # p -= lr * ((m / bc1) / (sqrt(v / bc2) + EPS))
+        np.sqrt(np.divide(v, bc2, out=scratch), out=scratch)
+        scratch += EPS
+        update = m / bc1
+        update /= scratch
+        update *= lr
+        p.data -= update
+        if weight_decay:  # p -= lr * weight_decay * p
+            p.data -= np.multiply(p.data, lr * weight_decay, out=scratch)
 
 
 def clip_global_norm(named_params: Iterable[tuple[str, Tensor]], max_norm: float) -> float:

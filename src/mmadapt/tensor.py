@@ -317,20 +317,44 @@ def tanh(x: Tensor) -> Tensor:
     return elementwise_unary(x, "tanh")
 
 
+def _gaussian_cdf(x: np.ndarray) -> np.ndarray:
+    """Phi(x) = 0.5 (1 + erf(x / sqrt 2)) in one new array. scipy's erf is
+    odd to the bit but branches on its input's sign, so it runs on |x| and
+    the sign is copied back, at about half the cost."""
+    p = np.abs(x)
+    p *= _INV_SQRT2
+    _erf(p, out=p)
+    np.copysign(p, x, out=p)
+    p += 1.0
+    p *= 0.5
+    return p
+
+
+def _gelu_grad(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """d/dx x Phi(x) = Phi(x) + x phi(x) given p = Phi(x), in one new array."""
+    d = x * -0.5
+    d *= x
+    np.exp(d, out=d)
+    d *= x
+    d *= _INV_SQRT2PI
+    d += p
+    return d
+
+
 def gelu(x: Tensor) -> Tensor:
     """Exact GELU, x * Phi(x) with Phi the Gaussian CDF.
 
-    The forward keeps t = 2 Phi(x) = 1 + erf(x / sqrt 2) for the backward,
-    d/dx = Phi(x) + x phi(x), so erf runs once per element.
+    The forward keeps Phi(x) for the backward, d/dx = Phi(x) + x phi(x), so
+    erf runs once per element.
     """
     xd = x.data
-    t = 1.0 + _erf(xd * _INV_SQRT2)
+    p = _gaussian_cdf(xd)
 
     def back(g: np.ndarray) -> None:
         if x.requires_grad:
-            x._accum(g * (0.5 * t + xd * np.exp(-0.5 * xd * xd) * _INV_SQRT2PI))
+            x._accum(g * _gelu_grad(xd, p))
 
-    return _finish(xd * (0.5 * t), (x,), back)
+    return _finish(xd * p, (x,), back)
 
 
 # ---------------------------------------------------------------------------
@@ -496,25 +520,35 @@ def _layernorm(x: np.ndarray, gain: np.ndarray,
                bias: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-row layer norm of an array; returns (out, xhat, inv). The mean
     and variance are the row sums that np.mean and np.var reduce to, without
-    their Python wrappers, so the bits are theirs."""
+    their Python wrappers, so the bits are theirs. The steps write into two
+    new arrays, with the bits of out = (xc * inv) * gain + bias."""
     d = x.shape[1]
-    xc = x - np.add.reduce(x, axis=1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=1, keepdims=True) / d + LAYERNORM_EPS)
-    xhat = xc * inv
-    return xhat * gain + bias, xhat, inv
+    xhat = x - np.add.reduce(x, axis=1, keepdims=True) / d
+    out = np.multiply(xhat, xhat)
+    inv = 1.0 / np.sqrt(np.add.reduce(out, axis=1, keepdims=True) / d + LAYERNORM_EPS)
+    xhat *= inv
+    np.multiply(xhat, gain, out=out)
+    out += bias
+    return out, xhat, inv
 
 
 def _layernorm_back(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
                     gain: Tensor, bias: Tensor) -> np.ndarray:
-    """Accumulate a layer norm's gain and bias gradients; return dx."""
+    """Accumulate a layer norm's gain and bias gradients; return dx = inv *
+    (gx - mean(gx) - xhat * mean(gx * xhat)), gx = g * gain, with its bits."""
     if bias.requires_grad:
         bias._accum(g.sum(axis=0, keepdims=True))
+    tmp = np.empty_like(g)
     if gain.requires_grad:
-        gain._accum((g * xhat).sum(axis=0, keepdims=True))
+        gain._accum(np.multiply(g, xhat, out=tmp).sum(axis=0, keepdims=True))
     gx = g * gain.data
     d = g.shape[1]
-    return inv * (gx - np.add.reduce(gx, axis=1, keepdims=True) / d
-                  - xhat * (np.add.reduce(gx * xhat, axis=1, keepdims=True) / d))
+    mean = np.add.reduce(gx, axis=1, keepdims=True) / d
+    proj = np.add.reduce(np.multiply(gx, xhat, out=tmp), axis=1, keepdims=True) / d
+    gx -= mean
+    gx -= np.multiply(xhat, proj, out=tmp)
+    gx *= inv
+    return gx
 
 
 def layernorm_rows(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -734,8 +768,11 @@ def decoder_block(x: Tensor, w: dict[str, Tensor], prefix: str, heads: int,
             else (starts[:, None] + np.arange(last)).reshape(-1))
     h1, xhat1, inv1 = _layernorm(x.data, g1.data, b1.data)
     hq = h1[pick]
-    qh = split(hq @ wq.data + bq.data)
-    k, v = h1 @ wk.data + bk.data, h1 @ wv.data + bv.data
+    q, k, v = hq @ wq.data, h1 @ wk.data, h1 @ wv.data
+    q += bq.data
+    k += bk.data
+    v += bv.data
+    qh = split(q)
     if cache is None:
         kh, vh, at = split(k), split(v), 0
     else:
@@ -750,7 +787,7 @@ def decoder_block(x: Tensor, w: dict[str, Tensor], prefix: str, heads: int,
         keys[index] = k.reshape(b_count, l, heads, d // heads)
         values[index] = v.reshape(b_count, l, heads, d // heads)
         kh, vh = keys[:, :, :span], values[:, :, :span]
-    del k, v  # kh and vh hold them; every array below lives until the call returns
+    del q, k, v  # qh, kh and vh hold them; every array below lives until the call returns
     # query j of sample b sits at position at[b] + first[b] + j and sees keys up to it
     seen = (at + first)[:, None, None] + np.arange(last)[:, None]
     att = qh @ kh.swapaxes(-1, -2)
@@ -762,20 +799,14 @@ def decoder_block(x: Tensor, w: dict[str, Tensor], prefix: str, heads: int,
     np.exp(att, out=att)
     att /= att.sum(axis=-1, keepdims=True)
     merged = merge(att @ vh)
-    # in place on fresh arrays, for fewer temporaries; + and * commute, so
-    # each result has the bits of its plain expression, x1 = x + (merged wo + bo)
-    # and so on
     x1 = merged @ wo.data
     x1 += bo.data
     x1 += x.data[pick]
     h2, xhat2, inv2 = _layernorm(x1, g2.data, b2.data)
     a = h2 @ wf1.data
     a += bf1.data
-    t = a * _INV_SQRT2
-    _erf(t, out=t)
-    t += 1.0  # 2 Phi(a), kept for the GELU derivative
-    gl = 0.5 * t
-    gl *= a
+    p = _gaussian_cdf(a)  # kept for the GELU derivative
+    gl = a * p
     out = gl @ wf2.data
     out += bf2.data
     out += x1
@@ -789,15 +820,19 @@ def decoder_block(x: Tensor, w: dict[str, Tensor], prefix: str, heads: int,
         return g @ wt.data.T
 
     def back(g: np.ndarray) -> None:
-        da = linear_back(gl, wf2, bf2, g) * (
-            0.5 * t + a * np.exp(-0.5 * a * a) * _INV_SQRT2PI)
-        dx1 = g + _layernorm_back(linear_back(h2, wf1, bf1, da), xhat2, inv2, g2, b2)
+        da = linear_back(gl, wf2, bf2, g)
+        da *= _gelu_grad(a, p)
+        dx1 = _layernorm_back(linear_back(h2, wf1, bf1, da), xhat2, inv2, g2, b2)
+        del da  # the largest array, dead here
+        dx1 += g
         gh = split(linear_back(merged, wo, bo, dx1))
-        datt = gh @ vh.swapaxes(-1, -2)
-        dscores = att * (datt - (datt * att).sum(axis=-1, keepdims=True)) * s
-        dv = merge(att.swapaxes(-1, -2) @ gh)
-        dk = merge(dscores.swapaxes(-1, -2) @ qh)
-        dh1 = linear_back(h1, wv, bv, dv) + linear_back(h1, wk, bk, dk)
+        # att * (datt - (datt * att).sum(axis=-1, keepdims=True)) * s, in place
+        dscores = gh @ vh.swapaxes(-1, -2)
+        dscores -= (dscores * att).sum(axis=-1, keepdims=True)
+        dscores *= att
+        dscores *= s
+        dh1 = linear_back(h1, wv, bv, merge(att.swapaxes(-1, -2) @ gh))
+        dh1 += linear_back(h1, wk, bk, merge(dscores.swapaxes(-1, -2) @ qh))
         dh1[pick] += linear_back(hq, wq, bq, merge(dscores @ kh))
         dx = _layernorm_back(dh1, xhat1, inv1, g1, b1)
         dx[pick] += dx1

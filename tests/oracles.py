@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import erf
 
 from mmadapt import tensor as T
 from mmadapt.backbone import EOS, tokenize
@@ -303,3 +304,86 @@ def generate_uncached_ids(backbone, rows, max_new: int = 8) -> list[int]:
         out.append(nxt)
         rows = np.concatenate([rows, backbone.embed([nxt])], axis=0)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the decoder block and its helpers in plain expressions, one new array per
+# operator, which the in-place kernels must reproduce bit for bit
+
+
+def layernorm_plain(x, gain, bias):
+    d = x.shape[1]
+    xc = x - np.add.reduce(x, axis=1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=1, keepdims=True) / d + T.LAYERNORM_EPS)
+    xhat = xc * inv
+    return xhat * gain + bias, xhat, inv
+
+
+def layernorm_back_plain(g, xhat, inv, gain):
+    """(dx, d gain, d bias)."""
+    gx = g * gain
+    d = g.shape[1]
+    dx = inv * (gx - np.add.reduce(gx, axis=1, keepdims=True) / d
+                - xhat * (np.add.reduce(gx * xhat, axis=1, keepdims=True) / d))
+    return dx, (g * xhat).sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True)
+
+
+def gelu_plain(x):
+    """(2 Phi(x), x Phi(x), d/dx x Phi(x))."""
+    t = 1.0 + erf(x * (1.0 / math.sqrt(2.0)))
+    return t, x * (0.5 * t), 0.5 * t + x * np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
+
+
+def decoder_block_plain(x, w, heads: int, last: int, first, g):
+    """`T.decoder_block` over the weights w[name] of BLOCK_WEIGHTS, with no
+    cache, and its backward from the cotangent g. Returns the output and the
+    gradients of x and of every weight by name."""
+    b_count, d = len(first), x.shape[1]
+    l, s = x.shape[0] // b_count, 1.0 / math.sqrt(d // heads)
+
+    def split(a):
+        return np.ascontiguousarray(a.reshape(b_count, -1, heads, d // heads).swapaxes(1, 2))
+
+    def merge(a):
+        return a.swapaxes(1, 2).reshape(-1, d)
+
+    pick = ((np.arange(b_count) * l + np.asarray(first))[:, None] + np.arange(last)).reshape(-1)
+    h1, xhat1, inv1 = layernorm_plain(x, w["ln1.g"], w["ln1.b"])
+    hq = h1[pick]
+    qh = split(hq @ w["wq"] + w["bq"])
+    kh, vh = split(h1 @ w["wk"] + w["bk"]), split(h1 @ w["wv"] + w["bv"])
+    seen = np.asarray(first)[:, None, None] + np.arange(last)[:, None]
+    att = (qh @ kh.swapaxes(-1, -2)) * s
+    np.copyto(att, T.MASK_VALUE, where=(np.arange(l) > seen)[:, None])
+    e = np.exp(att - att.max(axis=-1, keepdims=True))
+    att = e / e.sum(axis=-1, keepdims=True)
+    merged = merge(att @ vh)
+    x1 = x[pick] + (merged @ w["wo"] + w["bo"])
+    h2, xhat2, inv2 = layernorm_plain(x1, w["ln2.g"], w["ln2.b"])
+    a = h2 @ w["wf1"] + w["bf1"]
+    t, gl, dgelu = gelu_plain(a)
+    out = x1 + (gl @ w["wf2"] + w["bf2"])
+
+    grads = {}
+
+    def linear_back(inp, name, gout):
+        grads["b" + name], grads["w" + name] = gout.sum(axis=0, keepdims=True), inp.T @ gout
+        return gout @ w["w" + name].T
+
+    def norm_back(gout, xhat, inv, name):
+        dx, grads[name + ".g"], grads[name + ".b"] = layernorm_back_plain(
+            gout, xhat, inv, w[name + ".g"])
+        return dx
+
+    da = linear_back(gl, "f2", g) * dgelu
+    dx1 = g + norm_back(linear_back(h2, "f1", da), xhat2, inv2, "ln2")
+    gh = split(linear_back(merged, "o", dx1))
+    datt = gh @ vh.swapaxes(-1, -2)
+    dscores = att * (datt - (datt * att).sum(axis=-1, keepdims=True)) * s
+    dv = merge(att.swapaxes(-1, -2) @ gh)
+    dk = merge(dscores.swapaxes(-1, -2) @ qh)
+    dh1 = linear_back(h1, "v", dv) + linear_back(h1, "k", dk)
+    dh1[pick] += linear_back(hq, "q", merge(dscores @ kh))
+    dx = norm_back(dh1, xhat1, inv1, "ln1")
+    dx[pick] += dx1
+    return out, dx, grads

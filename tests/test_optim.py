@@ -8,7 +8,8 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from mmadapt.errors import ConfigError, NumericError
-from mmadapt.optim import AdamWState, adamw_step, clip_global_norm, lr_schedule
+from mmadapt.optim import (BETA1, BETA2, EPS, AdamWState, adamw_step, clip_global_norm,
+                           lr_schedule)
 from mmadapt.tensor import Tensor
 
 RNG = np.random.default_rng(515)
@@ -94,6 +95,26 @@ def test_multi_step_trajectory_matches_reference(decay):
     want = _adamw_reference(p0, grads, lr=3e-3, decay=decay)
     assert np.max(np.abs(p.data - want)) <= 1e-12
     assert state.step == 7
+
+
+def test_step_has_the_bits_of_the_plain_update_and_makes_its_moments_once():
+    p0 = RNG.normal(size=(5, 7))
+    p = _param(p0.copy())
+    state = AdamWState()
+    m, v, want = np.zeros_like(p0), np.zeros_like(p0), p0.copy()
+    for t in range(1, 8):
+        g = RNG.normal(size=p0.shape)
+        p.grad = g.copy()
+        adamw_step([("p", p)], state, lr=3e-3, weight_decay=0.01)
+        if t == 1:
+            moments = state.m["p"], state.v["p"]
+        m = BETA1 * m + (1.0 - BETA1) * g
+        v = BETA2 * v + (1.0 - BETA2) * (g * g)
+        want = want - 3e-3 * ((m / (1.0 - BETA1 ** t)) / (np.sqrt(v / (1.0 - BETA2 ** t)) + EPS))
+        want = want - 3e-3 * 0.01 * want
+        assert_array_equal(p.data.view(np.int64), want.view(np.int64))
+        assert_array_equal(p.grad, g)
+    assert state.m["p"] is moments[0] and state.v["p"] is moments[1]
 
 
 def test_clip_scales_to_max_norm_and_returns_preclip():

@@ -3,6 +3,7 @@ tape lifecycle rules."""
 
 import gc
 import math
+import tracemalloc
 import weakref
 
 import mpmath
@@ -13,10 +14,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from mmadapt import tensor as T
+from mmadapt.backbone import BackboneConfig, init_weights
 from mmadapt.errors import DimensionError, DomainError, TapeStateError, TokenError
 
-from oracles import (cross_entropy_scalar, decoder_block_chain, fd_grad,
-                     lstm_final_loop, matmul_loops, max_rel_err)
+from oracles import (cross_entropy_scalar, decoder_block_chain, decoder_block_plain, fd_grad,
+                     gelu_plain, layernorm_back_plain, layernorm_plain, lstm_final_loop,
+                     matmul_loops, max_rel_err)
 
 RNG = np.random.default_rng(20260815)
 PRIM_TOL = 1e-6  # primitive backward vs central differences, step 1e-5
@@ -762,3 +765,124 @@ def test_rows_cross_entropy_validation():
         T.rows_cross_entropy(x, [0, -1, 2])
     with pytest.raises(DimensionError):  # also under a mask that leaves its row out
         T.rows_cross_entropy(x, [0, -1, 2], mask=[True, False, True])
+
+
+# ---------------------------------------------------------------------------
+# the in-place kernels against their plain expressions, bit for bit
+
+
+def assert_same_bits(got, want, msg=""):
+    assert_array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64), msg)
+
+
+def test_erf_is_odd_to_the_bit():
+    """The GELU takes erf of |x / sqrt 2| and copies the sign back, because
+    scipy's erf branches on its input's sign and runs faster on |x|. That
+    keeps every bit only while scipy's erf is odd to the bit, -0.0 included;
+    if a future scipy breaks it, this names the cause before any checkpoint
+    byte changes."""
+    from scipy.special import erf
+
+    top = np.finfo(np.float64).max
+    edges = np.array([0.0, 0.5, 1.0, 1e-300, top, 1e308])
+    x = np.concatenate([np.linspace(0, 7, 1_000_001), np.linspace(5.8, 6.0, 20_001), edges,
+                        np.nextafter(edges, 0.0), np.nextafter(edges[:4], 2.0)])
+    for x in (x, -x):
+        assert_same_bits(np.copysign(erf(np.abs(x)), x), erf(x))
+        assert_same_bits(T._gaussian_cdf(x), 0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0)))))
+
+
+# the row counts of a training sub-batch, a prefill block and a pretraining line
+WORKLOAD_SHAPES = [(8, 42), (16, 40), (1, 200)]
+
+
+@pytest.mark.parametrize("samples,rows", WORKLOAD_SHAPES)
+def test_layernorm_helpers_match_their_plain_expressions(samples, rows):
+    rng = np.random.default_rng(samples * rows)
+    x = rng.normal(0.1, 1.5, (samples * rows, 64))
+    gain, bias = rng.uniform(0.5, 1.5, (1, 64)), rng.normal(0.0, 0.1, (1, 64))
+    want = layernorm_plain(x, gain, bias)
+    for got, ref in zip(T._layernorm(x, gain, bias), want):
+        assert_same_bits(got, ref)
+    g = rng.normal(size=x.shape)
+    want_dx, want_dgain, want_dbias = layernorm_back_plain(g, want[1], want[2], gain)
+    for trainable in (True, False):
+        gt, bt = T.Tensor(gain, requires_grad=trainable), T.Tensor(bias, requires_grad=trainable)
+        assert_same_bits(T._layernorm_back(g, want[1], want[2], gt, bt), want_dx)
+        if trainable:
+            assert_same_bits(gt.grad, want_dgain)
+            assert_same_bits(bt.grad, want_dbias)
+        else:
+            assert gt.grad is None and bt.grad is None
+
+
+@pytest.mark.parametrize("samples,rows", WORKLOAD_SHAPES)
+def test_gelu_helpers_match_their_plain_expressions(samples, rows):
+    rng = np.random.default_rng(samples + rows)
+    a = rng.normal(-0.3, 1.5, (samples * rows, 256))
+    a[0, :8] = [0.0, -0.0, 6.0, -6.0, 40.0, -40.0, 1e-300, -1e-300]
+    t, gl, dgelu = gelu_plain(a)
+    p = T._gaussian_cdf(a)
+    assert_same_bits(p, 0.5 * t)
+    assert_same_bits(a * p, gl)
+    assert_same_bits(T._gelu_grad(a, p), dgelu)
+
+
+def backbone_block_weights(rng):
+    """Layer 0 of a default backbone, every entry nudged so that no bias is
+    zero and no gain is one."""
+    return {n[3:]: t.data + rng.normal(0.0, 0.1, t.shape)
+            for n, t in init_weights(BackboneConfig(), rng).items() if n.startswith("h0.")}
+
+
+@pytest.mark.parametrize("trainable", [True, False])
+@pytest.mark.parametrize("samples,rows,last", [(8, 42, 3), (16, 40, 1), (1, 200, 200)])
+def test_decoder_block_matches_its_plain_expressions(samples, rows, last, trainable):
+    """The block's output, input gradient and weight gradients have the bits
+    of the same block written with one new array per operator, on a ragged
+    batch: sample b has a random length, its padding rows are zero, and its
+    `last` query rows end at its last real row."""
+    rng = np.random.default_rng(samples * rows + last)
+    w = backbone_block_weights(rng)
+    lengths = rng.integers(last, rows + 1, samples)
+    lengths[0] = rows
+    first = (lengths - last).tolist()
+    x = rng.normal(0.0, 1.0, (samples, rows, 64))
+    x[np.arange(rows) >= lengths[:, None]] = 0.0
+    x = x.reshape(-1, 64)
+    g = rng.normal(size=(samples * last, 64))
+    want_out, want_dx, want_grads = decoder_block_plain(x, w, 2, last, first, g)
+    xt = T.Tensor(x, requires_grad=True)
+    weights = {"h0." + n: T.Tensor(a, requires_grad=trainable) for n, a in w.items()}
+    with T.Tape() as tape:
+        out = T.decoder_block(xt, weights, "h0.", 2, last, first)
+        tape.backward(out, grad=g)
+    assert_same_bits(out.data, want_out)
+    assert_same_bits(xt.grad, want_dx)
+    for name, t in weights.items():
+        if trainable:
+            assert_same_bits(t.grad, want_grads[name[3:]], name)
+        else:
+            assert t.grad is None, name
+
+
+def test_frozen_block_backward_allocates_under_two_and_a_half_ffn_arrays():
+    """The backward of one frozen-weight block over a training sub-batch of
+    8 samples x 42 rows allocates, at its peak, at most 2.5 FFN-sized
+    arrays (rows x 256 float64) beyond what its forward holds: each
+    elementwise step writes into an array it owns, and the GELU's gradient
+    is freed once dead. Reads 2.25 arrays; one new array per operator read
+    4.25, and keeping the GELU's gradient to the end 2.58."""
+    rng = np.random.default_rng(842)
+    w = {"h0." + n: T.Tensor(a) for n, a in backbone_block_weights(rng).items()}
+    xt = T.Tensor(rng.normal(0.0, 1.0, (8 * 42, 64)), requires_grad=True)
+    with T.Tape() as tape:
+        out = T.decoder_block(xt, w, "h0.", 2, 42, [0] * 8)
+    g = rng.normal(size=out.shape)
+    tracemalloc.start()
+    try:
+        tape.backward(out, grad=g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * (8 * 42 * 256 * 8), f"{peak / 2**20:.2f} MiB"
