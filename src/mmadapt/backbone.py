@@ -188,17 +188,9 @@ class FrozenBackbone:
             t.requires_grad = False
             t.data.setflags(write=False)
         self.checksum = self.content_checksum()
-
-    @classmethod
-    def rebuild(cls, config: BackboneConfig, arrays: list[tuple[str, np.ndarray]],
-                checksum: int) -> "FrozenBackbone":
-        """A backbone from the config and `arrays()` of another, in another
-        process; FrozenViolation unless its checksum is that backbone's."""
-        backbone = cls(config, {n: T.Tensor(arr) for n, arr in arrays})
-        if backbone.checksum != checksum:
-            raise FrozenViolation(f"rebuilt backbone has checksum {backbone.checksum:016x}, "
-                                  f"expected {checksum:016x}")
-        return backbone
+        # the weights as the first `verify` found them: copied there, not
+        # here, so that a process that never verifies holds one copy only
+        self._pinned: list[tuple[str, np.ndarray]] | None = None
 
     def arrays(self) -> list[tuple[str, np.ndarray]]:
         """The read-only weights by name, in checkpoint order."""
@@ -210,7 +202,23 @@ class FrozenBackbone:
         return checksum64(self.config.pack(), *tensor_parts(self.arrays()))
 
     def verify(self) -> None:
-        if self.content_checksum() != self.checksum:
+        """FrozenViolation unless the weights are those the checksum pins.
+        The first call hashes them and, if they pass, keeps a read-only copy;
+        every later call compares the weights with that copy bit for bit
+        (names, shapes and float64 bits, so a NaN payload or the sign of a
+        zero counts), which costs a fraction of a hash and has no
+        collisions."""
+        live = self.arrays()
+        if self._pinned is None:
+            if self.content_checksum() != self.checksum:
+                raise FrozenViolation("frozen backbone weights drifted; aborting")
+            self._pinned = [(n, a.copy()) for n, a in live]
+            for _, a in self._pinned:
+                a.setflags(write=False)
+        elif len(live) != len(self._pinned) or not all(
+                n == pn and a.dtype == p.dtype and a.shape == p.shape
+                and np.array_equal(a.view(np.uint64), p.view(np.uint64))
+                for (n, a), (pn, p) in zip(live, self._pinned)):
             raise FrozenViolation("frozen backbone weights drifted; aborting")
 
     def embed(self, ids: Sequence[int]) -> np.ndarray:

@@ -1,12 +1,16 @@
 """A persistent pool of one-BLAS-thread worker processes.
 
 Training cells are pure functions of their arguments, so they can run side by
-side. The pool is built on first use, one worker slot per usable CPU, and kept
-for the life of the process, because starting a worker (a fresh interpreter
-importing numpy) costs more than a short run's cells. It starts a process only
-when a task is submitted and no worker is idle, so a call with fewer tasks
-than CPUs starts no more processes than tasks. A pool that lost a worker, or
-whose tasks were stopped, is thrown away and the next call builds a new one.
+side. Every task's arguments are pickled on their own, so an input that every
+task shares and that weighs more than the task should go as a reference: the
+trainer sends the frozen backbone as the path of a file it wrote once, not as
+its weights. The pool is built on first use, one worker slot per usable CPU,
+and kept for the life of the process, because starting a worker (a fresh
+interpreter importing numpy) costs more than a short run's cells. It starts a
+process only when a task is submitted and no worker is idle, so a call with
+fewer tasks than CPUs starts no more processes than tasks. A pool that lost a
+worker, or whose tasks were stopped, is thrown away and the next call builds a
+new one.
 
 Workers start from `spawn`, never `fork`, so they share no thread or lock
 state with the parent. Each starts with one BLAS and one OpenMP thread: the

@@ -17,9 +17,13 @@ raw text when the prefix is uninformative.
 
 from __future__ import annotations
 
+import atexit
 import contextlib
+import functools
 import json
 import math
+import shutil
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -38,7 +42,8 @@ from .adapter import (
 )
 from .backbone import EOS, FrozenBackbone, generate, tokenize
 from .corpus import Dataset, FeatureSample, subsample_train
-from .errors import ConfigError, InputError, LengthError, MmadaptError
+from .errors import (CheckpointError, ConfigError, FrozenViolation, InputError, LengthError,
+                     MmadaptError, WorkerError)
 from .metrics import MetricReport, format_label, parse_generated, score_predictions
 from .optim import AdamWState, adamw_step, clip_global_norm, lr_schedule
 from .parallel import run_in_pool, usable_workers
@@ -524,20 +529,58 @@ def run_cell(backbone: FrozenBackbone, dataset: Dataset, adapter_config: Adapter
             "best_valid": result.best_valid, "fallbacks": report.fallback_count}
 
 
-# the backbone a pool worker rebuilt last, by checksum: the cells of a run,
-# and repeated runs against one checkpoint, ship the same weights
-_rebuilt: dict[int, FrozenBackbone] = {}
+@functools.cache
+def _ship_dir() -> Path:
+    """A temporary directory of this process, removed when it exits."""
+    path = tempfile.mkdtemp(prefix="mmadapt-")
+    atexit.register(shutil.rmtree, path, ignore_errors=True)
+    return Path(path)
 
 
-def _run_cell_in_worker(shipped: tuple, *cell) -> dict:
-    """`run_cell` in a pool worker, on the backbone rebuilt from `shipped`,
-    its (config, arrays, checksum)."""
-    checksum = shipped[2]
-    if checksum not in _rebuilt:
-        backbone = FrozenBackbone.rebuild(*shipped)
-        _rebuilt.clear()
-        _rebuilt[checksum] = backbone
-    return run_cell(_rebuilt[checksum], *cell)
+# the file each frozen backbone of this process was written to for the pool
+# workers, by checksum
+_shipped: dict[int, str] = {}
+
+
+def _ship(backbone: FrozenBackbone) -> tuple[str, int]:
+    """The backbone as a pool task carries it: (path, checksum), the path of
+    a file that holds it, written once per checksum, instead of its weights
+    in every task."""
+    if backbone.checksum not in _shipped:
+        path = _ship_dir() / f"backbone-{backbone.checksum:016x}.mseb"
+        backbone.save(path)
+        _shipped[backbone.checksum] = str(path)
+    return _shipped[backbone.checksum], backbone.checksum
+
+
+# the backbone a pool worker loaded last, by checksum: the cells of a run,
+# and repeated runs against one checkpoint, ship the same file
+_loaded: dict[int, FrozenBackbone] = {}
+
+
+def _load_shipped(path: str, checksum: int) -> FrozenBackbone:
+    """The backbone that `_ship` wrote to `path`, loaded once per process and
+    checksum. A file that cannot be loaded is a WorkerError, since this
+    program wrote it; one whose backbone has another checksum is a
+    FrozenViolation."""
+    if checksum not in _loaded:
+        try:
+            backbone = FrozenBackbone.load(path)
+        except CheckpointError as exc:
+            raise WorkerError(f"cannot load the backbone shipped to a worker as {path}: "
+                              f"{exc}") from exc
+        if backbone.checksum != checksum:
+            raise FrozenViolation(f"rebuilt backbone from {path} has checksum "
+                                  f"{backbone.checksum:016x}, expected {checksum:016x}")
+        _loaded.clear()
+        _loaded[checksum] = backbone
+    return _loaded[checksum]
+
+
+def _run_cell_in_worker(shipped: tuple[str, int], *cell) -> dict:
+    """`run_cell` in a pool worker, on the backbone `shipped` refers to, as
+    `_ship` made it and `_load_shipped` loads it."""
+    return run_cell(_load_shipped(*shipped), *cell)
 
 
 def _seed_report(variant: str, eval_split: str, rows: list[dict],
@@ -565,9 +608,12 @@ def multi_variant_run(backbone: FrozenBackbone, dataset: Dataset,
 
     Each config's eval split is prepared once. The cells run in the worker
     pool, as many at once as there are usable CPUs; a single cell, or a
-    single CPU, runs them in this process. The workers write the checkpoints
-    and step logs; the reports are written here, with the seeds in their
-    order, so every output is the same whatever the number of CPUs.
+    single CPU, runs them in this process. A pool task carries the backbone
+    as the path of a file written once per checksum (`_ship`), which each
+    worker loads once and checks against the checksum. The workers write
+    the checkpoints and step logs; the reports are written here, with the
+    seeds in their order, so every output is the same whatever the number
+    of CPUs.
     """
     cells = []
     for config in configs:
@@ -579,7 +625,7 @@ def multi_variant_run(backbone: FrozenBackbone, dataset: Dataset,
     if usable_workers(len(cells)) == 1:
         rows = (run_cell(backbone, *cell) for cell in cells)
     else:
-        shipped = (backbone.config, backbone.arrays(), backbone.checksum)
+        shipped = _ship(backbone)
         rows = run_in_pool(_run_cell_in_worker, [(shipped, *cell) for cell in cells])
     # closing stops the cells still running when a report raises
     with contextlib.closing(rows):

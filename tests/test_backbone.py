@@ -298,18 +298,56 @@ def test_checksum_hashes_the_packed_config_and_tensors(config):
     assert frozen.checksum == frozen.content_checksum()
 
 
-def test_rebuild_keeps_the_weights_and_checks_the_checksum():
-    frozen = make_frozen(seed=13)
-    arrays = [(n, a.copy()) for n, a in frozen.arrays()]
-    rebuilt = B.FrozenBackbone.rebuild(frozen.config, arrays, frozen.checksum)
-    assert rebuilt.checksum == frozen.checksum
-    rows = RNG.uniform(-1, 1, (4, 16))
-    assert_array_equal(rebuilt.forward_rows(T.Tensor(rows)).data,
-                       frozen.forward_rows(T.Tensor(rows)).data)
-    drifted = [(n, a.copy()) for n, a in arrays]
-    drifted[-1][1][0, 0] += 1e-12
-    with pytest.raises(FrozenViolation, match="expected"):
-        B.FrozenBackbone.rebuild(frozen.config, drifted, frozen.checksum)
+# drift as (bits a weight freezes with, bits it drifts to): one ulp, the sign
+# of a zero, and a NaN's payload
+DRIFTS = [(0x3FE0000000000000, 0x3FE0000000000001), (0, 1 << 63),
+          (0x7FF8000000000001, 0x7FF8000000000002)]
+
+
+@pytest.mark.parametrize("verified", [False, True], ids=["unverified", "verified"])
+@pytest.mark.parametrize("name", list(B.weight_shapes(TINY)))
+def test_verify_sees_every_bit_of_every_tensor(name, verified):
+    """Drift in any tensor fails verify, whether the first call hashes it
+    or a later call compares it with the pinned copy."""
+    for frozen_bits, drifted_bits in DRIFTS:
+        w = B.init_weights(TINY, np.random.default_rng(5))
+        w[name].data.view(np.uint64)[0, 0] = frozen_bits
+        frozen = B.FrozenBackbone(TINY, w)
+        if verified:
+            frozen.verify()
+            frozen.verify()  # the pinned copy passes its own bits, NaN included
+        data = frozen._weights[name].data
+        data.setflags(write=True)
+        data.view(np.uint64)[0, 0] = drifted_bits
+        with pytest.raises(FrozenViolation):
+            frozen.verify()
+
+
+@pytest.mark.parametrize("verified", [False, True], ids=["unverified", "verified"])
+@pytest.mark.parametrize("swap", ["values", "shape"])
+def test_verify_sees_a_swapped_tensor(swap, verified):
+    frozen = make_frozen()
+    if verified:
+        frozen.verify()
+    old = frozen._weights["h0.wq"].data
+    frozen._weights["h0.wq"] = T.Tensor(old + 1e-9 if swap == "values" else old[:-1])
+    with pytest.raises(FrozenViolation):
+        frozen.verify()
+
+
+def test_verify_hashes_once_and_pins_only_when_called(monkeypatch):
+    frozen = make_frozen()
+    assert frozen._pinned is None
+    hashes = []
+
+    def counted(*parts):
+        hashes.append(1)
+        return checksum64(*parts)
+
+    monkeypatch.setattr(B, "checksum64", counted)
+    for _ in range(20):
+        frozen.verify()
+    assert len(hashes) == 1
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):

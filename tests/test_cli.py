@@ -537,7 +537,7 @@ needs_two_cpus = pytest.mark.skipif(usable_cpus() < 2,
                                     reason="the worker pool needs two usable CPUs")
 
 
-def two_seed_train(cli_workspace, out, epochs="1", program=("-m", "mmadapt")):
+def two_seed_train(cli_workspace, out, epochs="1", program=("-m", "mmadapt"), env=None):
     """`mmadapt train` on seeds 5 and 6, in a session and process group of
     its own; with two usable CPUs the seeds train in two workers."""
     flags = list(TRAIN_FLAGS)
@@ -546,15 +546,42 @@ def two_seed_train(cli_workspace, out, epochs="1", program=("-m", "mmadapt")):
     return subprocess.Popen(
         [sys.executable, *program, "train", "--dataset", str(cli_workspace["data"]),
          "--backbone", str(cli_workspace["backbone"]), "--out", str(out), *flags],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+        env=env)
 
 
 def test_train_in_two_workers_leaves_no_process_behind(tmp_path, cli_workspace):
-    proc = two_seed_train(cli_workspace, tmp_path)
+    """Nor a temporary file: the backbone file the workers load goes too."""
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    proc = two_seed_train(cli_workspace, tmp_path / "out", env={**os.environ, "TMPDIR": str(tmp)})
     _, err = proc.communicate(timeout=600)
     assert proc.returncode == 0, err
-    assert len(json.loads((tmp_path / "report-full.json").read_text())["per_seed"]) == 2
+    assert len(json.loads((tmp_path / "out" / "report-full.json").read_text())["per_seed"]) == 2
     assert group_gone(proc.pid)
+    assert list(tmp.iterdir()) == []
+
+
+def test_a_shipped_backbone_a_worker_cannot_read_ends_train_with_exit_2(
+        monkeypatch, tmp_path, capsys, cli_workspace):
+    import mmadapt.parallel as parallel_mod
+    import mmadapt.trainer as trainer_mod
+
+    missing = tmp_path / "missing.mseb"
+    if parallel_mod._pool is not None:  # no worker may hold this backbone yet
+        parallel_mod._discard(parallel_mod._pool)
+    monkeypatch.setattr(trainer_mod, "usable_workers", lambda tasks: 2)
+    monkeypatch.setattr(trainer_mod, "_ship", lambda backbone: (str(missing), backbone.checksum))
+    flags = list(TRAIN_FLAGS)
+    flags[flags.index("--seed"):flags.index("--seed") + 2] = ["--seeds", "5,6"]
+    rc = main(["train", "--dataset", str(cli_workspace["data"]),
+               "--backbone", str(cli_workspace["backbone"]), "--out", str(tmp_path / "out"),
+               *flags])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert "runtime failure: WorkerError: " in err
+    assert str(missing) in err
+    assert "Traceback" not in err
 
 
 @needs_two_cpus

@@ -8,16 +8,20 @@ import hashlib
 import inspect
 import multiprocessing
 import os
+import pickle
 import signal
 import subprocess
 import sys
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import mmadapt.trainer as trainer_mod
 from mmadapt import parallel
+from mmadapt import tensor as T
+from mmadapt.backbone import pretrain_backbone
 from mmadapt.corpus import Dataset, subsample_train
 from mmadapt.errors import FrozenViolation, WorkerError
 from mmadapt.trainer import TrainConfig, multi_seed_run, multi_variant_run
@@ -205,10 +209,56 @@ def test_a_caller_that_stops_reading_kills_the_tasks_still_running():
 
 def test_a_worker_rejects_a_backbone_whose_checksum_differs(small_synth, small_backbone,
                                                             small_adapter_config):
-    shipped = (small_backbone.config, small_backbone.arrays(), small_backbone.checksum ^ 1)
+    path, checksum = trainer_mod._ship(small_backbone)
     cell = (small_synth, small_adapter_config, TrainConfig(epochs=1, seeds=(5,)), 5, [], None)
     with pytest.raises(FrozenViolation, match="rebuilt backbone"):
-        list(parallel.run_in_pool(trainer_mod._run_cell_in_worker, [(shipped, *cell)]))
+        list(parallel.run_in_pool(trainer_mod._run_cell_in_worker,
+                                  [((path, checksum ^ 1), *cell)]))
+
+
+def test_a_shipped_backbone_loads_bit_exact_and_checks_its_checksum(monkeypatch, small_backbone):
+    monkeypatch.setattr(trainer_mod, "_loaded", {})
+    path, checksum = trainer_mod._ship(small_backbone)
+    assert checksum == small_backbone.checksum
+    loaded = trainer_mod._load_shipped(path, checksum)
+    assert [n for n, _ in loaded.arrays()] == [n for n, _ in small_backbone.arrays()]
+    for (_, got), (_, want) in zip(loaded.arrays(), small_backbone.arrays()):
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    rows = np.random.default_rng(3).uniform(-1, 1, (4, small_backbone.config.embed_width))
+    np.testing.assert_array_equal(loaded.forward_rows(T.Tensor(rows)).data,
+                                  small_backbone.forward_rows(T.Tensor(rows)).data)
+    # a later call in the same process reuses the backbone it loaded
+    assert trainer_mod._load_shipped(path, checksum) is loaded
+    with pytest.raises(FrozenViolation,
+                       match=f"checksum {checksum:016x}, expected {checksum ^ 1:016x}"):
+        trainer_mod._load_shipped(path, checksum ^ 1)
+
+
+def test_a_task_carries_the_backbone_by_reference(monkeypatch, small_synth,
+                                                  small_adapter_config):
+    """Beyond its dataset and prepared eval split, which every task still
+    carries, a task pickles to under 256 KiB, with a backbone whose weights
+    alone are about 1 MiB."""
+    backbone, _ = pretrain_backbone(["a line"], steps=0, seed=1)
+    assert sum(a.nbytes for _, a in backbone.arrays()) > 1_000_000
+    extra = []
+
+    def recording(fn, tasks):
+        for task in tasks:
+            shipped, dataset, *_, prepared, _ = task
+            assert shipped == trainer_mod._ship(backbone)
+            extra.append(len(pickle.dumps((fn, task))) - len(pickle.dumps((dataset, prepared))))
+            yield fn(*task)
+
+    monkeypatch.setattr(trainer_mod, "_loaded", {})
+    monkeypatch.setattr(trainer_mod, "usable_workers", lambda tasks: 2)
+    monkeypatch.setattr(trainer_mod, "run_in_pool", recording)
+    config = TrainConfig(epochs=1, batch_size=8, seeds=(5, 6))
+    report = multi_seed_run(backbone, small_synth,
+                            replace(small_adapter_config, embed_width=64), config)
+    assert len(report.per_seed) == 2
+    assert len(extra) == 2
+    assert max(extra) < 256 * 1024
 
 
 def test_usable_workers_are_the_usable_cpus_capped_at_the_tasks(monkeypatch):
